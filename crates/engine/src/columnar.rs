@@ -91,12 +91,12 @@ pub struct Column {
 }
 
 impl Column {
-    fn with_type_of(v: Option<&Value>) -> Self {
+    fn with_type_of(v: Option<&Value>, rows: usize) -> Self {
         let data = match v {
-            Some(Value::Double(_)) => ColumnData::Double(Vec::new()),
-            Some(Value::Str(_)) => ColumnData::Str(Vec::new()),
-            Some(Value::Bool(_)) => ColumnData::Bool(Vec::new()),
-            _ => ColumnData::Int(Vec::new()),
+            Some(Value::Double(_)) => ColumnData::Double(Vec::with_capacity(rows)),
+            Some(Value::Str(_)) => ColumnData::Str(Vec::with_capacity(rows)),
+            Some(Value::Bool(_)) => ColumnData::Bool(Vec::with_capacity(rows)),
+            _ => ColumnData::Int(Vec::with_capacity(rows)),
         };
         Column {
             data,
@@ -208,7 +208,7 @@ impl ColumnarRelation {
     /// different type land in the exception side table.
     pub fn from_rows(rel: &Relation) -> Self {
         let mut cols: Vec<Column> = (0..rel.arity())
-            .map(|c| Column::with_type_of(rel.rows.first().map(|r| &r[c])))
+            .map(|c| Column::with_type_of(rel.rows.first().map(|r| &r[c]), rel.rows.len()))
             .collect();
         for row in &rel.rows {
             for (c, v) in row.iter().enumerate() {

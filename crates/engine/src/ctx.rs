@@ -1,105 +1,33 @@
 //! `ExecContext`: one bundle of execution options passed by reference.
 //!
-//! Every engine knob used to cost another `_with` variant —
-//! `execute_with(query, db, columnar)`, `maintain_view_with(...,
-//! columnar)` — and each new cross-cutting concern (an obs handle, an
-//! advisor hook) would have multiplied those signatures again. The
-//! context collapses the flag-threading: callers build one
-//! [`ExecContext`] and pass `&cx` through the execution entry points
-//! ([`crate::exec::execute_ctx`], [`crate::maintenance::maintain_view_ctx`]).
-//! The historical `_with` names survive as thin shims over the context
-//! path, kept only because tests and external callers exercise them.
+//! Callers build one [`ExecContext`] and pass `&cx` through the execution
+//! entry points ([`crate::exec::execute_ctx`],
+//! [`crate::maintenance::maintain_view_ctx`]), so a new cross-cutting
+//! concern is a new field here, not a new parameter on every signature.
 
-use aggview_obs::MetricsRegistry;
-use std::fmt;
-use std::sync::Arc;
-
-/// Identifies advisor-created views, so the execution layers can report
-/// (and fault-injection can target) answers served by self-tuned views
-/// without the engine depending on the advisor subsystem itself.
-pub trait AdvisorHook: Send + Sync + fmt::Debug {
-    /// Is `name` a view the adaptive advisor created?
-    fn is_advisor_view(&self, name: &str) -> bool;
-}
-
-/// Execution options + observability + advisor hook, passed by
-/// reference through the execution stack.
-#[derive(Debug, Clone, Default)]
+/// Execution options, passed by reference through the execution stack.
+#[derive(Debug, Clone)]
 pub struct ExecContext {
     /// Use the vectorized columnar operators (`false` forces the
     /// row-at-a-time interpreter; both produce byte-identical results).
     pub columnar: bool,
-    /// Metrics registry of the owning session/store, when observability
-    /// is enabled.
-    pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Advisor-view identification hook, when an advisor is attached.
-    pub advisor: Option<Arc<dyn AdvisorHook>>,
 }
 
 impl ExecContext {
-    /// The default context: columnar execution, no obs, no advisor —
-    /// exactly what the historical `execute(query, db)` implied.
+    /// The default context: columnar execution — what `execute(query, db)`
+    /// implies.
     pub fn new() -> Self {
-        ExecContext {
-            columnar: true,
-            metrics: None,
-            advisor: None,
-        }
+        ExecContext::columnar(true)
     }
 
-    /// A context selecting the execution strategy only (the shims'
-    /// translation of the old bare `columnar: bool` parameter).
+    /// A context selecting the execution strategy.
     pub fn columnar(columnar: bool) -> Self {
-        ExecContext {
-            columnar,
-            ..ExecContext::new()
-        }
-    }
-
-    /// Attach a metrics registry.
-    pub fn with_metrics(mut self, metrics: Option<Arc<MetricsRegistry>>) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Attach an advisor hook.
-    pub fn with_advisor(mut self, advisor: Option<Arc<dyn AdvisorHook>>) -> Self {
-        self.advisor = advisor;
-        self
-    }
-
-    /// Does `name` belong to an advisor-created view?
-    pub fn is_advisor_view(&self, name: &str) -> bool {
-        self.advisor
-            .as_deref()
-            .is_some_and(|a| a.is_advisor_view(name))
+        ExecContext { columnar }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Debug)]
-    struct PrefixHook;
-    impl AdvisorHook for PrefixHook {
-        fn is_advisor_view(&self, name: &str) -> bool {
-            name.starts_with("AdvView")
-        }
-    }
-
-    #[test]
-    fn default_context_matches_historical_execute() {
-        let cx = ExecContext::new();
-        assert!(cx.columnar);
-        assert!(cx.metrics.is_none());
-        assert!(!cx.is_advisor_view("AdvView1"));
-    }
-
-    #[test]
-    fn advisor_hook_identifies_views() {
-        let cx = ExecContext::new().with_advisor(Some(Arc::new(PrefixHook)));
-        assert!(cx.is_advisor_view("AdvView1"));
-        assert!(!cx.is_advisor_view("Totals"));
+impl Default for ExecContext {
+    fn default() -> Self {
+        ExecContext::new()
     }
 }

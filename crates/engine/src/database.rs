@@ -6,8 +6,20 @@ use crate::index::GroupIndex;
 use crate::relation::Relation;
 use aggview_catalog::SchemaSource;
 use aggview_obs::{CounterId, MetricsRegistry};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
+
+/// Everything stored under one relation name. The rows, the index over
+/// them and their columnar conversion live and die together: whoever
+/// holds the `Arc` sees all three as they were when it was taken.
+#[derive(Debug, Clone)]
+struct Stored {
+    relation: Relation,
+    index: Option<GroupIndex>,
+    /// Built on first use; reset by every mutation, so a conversion is
+    /// reachable only from the exact rows it was built from.
+    columnar: OnceLock<Arc<ColumnarRelation>>,
+}
 
 /// A database instance. Materialized views are stored exactly like base
 /// tables — the paper's rewritten queries reference them by name in their
@@ -15,35 +27,18 @@ use std::sync::{Arc, Mutex};
 ///
 /// A relation may carry a [`GroupIndex`] (grouped views do, when the
 /// session enables them). Replacing a relation with [`Database::insert`]
-/// drops its index — callers that maintain a relation in place re-attach
-/// the maintained index afterwards with [`Database::set_index`].
-#[derive(Debug, Default)]
+/// drops its index; [`Database::update`] maintains rows and index together.
+///
+/// `Clone` is the snapshot operation and costs one reference-count bump
+/// per relation. A later write copies only the entry it touches (and only
+/// while a snapshot still holds it), so a snapshot never observes it and
+/// untouched relations keep their index and conversion across snapshots.
+#[derive(Debug, Clone, Default)]
 pub struct Database {
-    relations: BTreeMap<String, Relation>,
-    indexes: BTreeMap<String, GroupIndex>,
-    /// The observability registry of the owning session or shared store.
-    /// Cloning a database (snapshotting) clones the `Arc`, so every
-    /// snapshot of a shared store reports into the one store registry.
+    relations: BTreeMap<String, Arc<Stored>>,
+    /// The observability registry of the owning session or shared store;
+    /// every snapshot of a shared store reports into the one store registry.
     metrics: Option<Arc<MetricsRegistry>>,
-    /// Lazily built columnar conversions, keyed by relation name. An entry
-    /// is dropped whenever its relation is replaced or removed, so a cached
-    /// conversion always reflects the stored rows. Interior mutability lets
-    /// the read-only execution path populate the cache.
-    columnar: Mutex<HashMap<String, Arc<ColumnarRelation>>>,
-}
-
-impl Clone for Database {
-    /// Cloning (the snapshot operation) starts with an *empty* columnar
-    /// cache: entries are rebuilt on first use, so a snapshot can never
-    /// observe a conversion the master rebuilt after diverging.
-    fn clone(&self) -> Self {
-        Database {
-            relations: self.relations.clone(),
-            indexes: self.indexes.clone(),
-            metrics: self.metrics.clone(),
-            columnar: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 impl Database {
@@ -55,10 +50,12 @@ impl Database {
     /// Insert (or replace) a relation under `name`. Any index on the old
     /// relation is dropped (its row positions are stale).
     pub fn insert(&mut self, name: impl Into<String>, relation: Relation) -> &mut Self {
-        let name = name.into();
-        self.indexes.remove(&name);
-        self.columnar_cache().remove(&name);
-        self.relations.insert(name, relation);
+        let stored = Stored {
+            relation,
+            index: None,
+            columnar: OnceLock::new(),
+        };
+        self.relations.insert(name.into(), Arc::new(stored));
         self
     }
 
@@ -66,6 +63,7 @@ impl Database {
     pub fn get(&self, name: &str) -> EngineResult<&Relation> {
         self.relations
             .get(name)
+            .map(|s| &s.relation)
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
@@ -76,54 +74,76 @@ impl Database {
 
     /// Remove a relation (e.g. a temporary auxiliary view) and its index.
     pub fn remove(&mut self, name: &str) -> Option<Relation> {
-        self.indexes.remove(name);
-        self.columnar_cache().remove(name);
-        self.relations.remove(name)
+        let stored = self.relations.remove(name)?;
+        Some(Arc::try_unwrap(stored).map_or_else(|shared| shared.relation.clone(), |s| s.relation))
     }
 
     /// The columnar conversion of relation `name`, built on first use and
-    /// cached until the relation changes. `None` for unknown relations.
+    /// kept until the relation changes. `None` for unknown relations.
     pub fn columnar(&self, name: &str) -> Option<Arc<ColumnarRelation>> {
-        let rel = self.relations.get(name)?;
-        let mut cache = self.columnar_cache();
-        Some(Arc::clone(cache.entry(name.to_string()).or_insert_with(
-            || Arc::new(ColumnarRelation::from_rows(rel)),
-        )))
+        let stored = self.relations.get(name)?;
+        let built = stored
+            .columnar
+            .get_or_init(|| Arc::new(ColumnarRelation::from_rows(&stored.relation)));
+        Some(Arc::clone(built))
     }
 
-    /// The cache guard (a poisoned lock just means a panic mid-build; the
-    /// map holds only derived data, so continuing is safe).
-    fn columnar_cache(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<ColumnarRelation>>> {
-        self.columnar.lock().unwrap_or_else(|p| p.into_inner())
+    /// The one way stored rows change: copy the entry if a snapshot still
+    /// shares it, forget its conversion, and hand it out for mutation.
+    fn stored_mut(&mut self, name: &str) -> EngineResult<&mut Stored> {
+        let entry = self
+            .relations
+            .get_mut(name)
+            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
+        let stored = Arc::make_mut(entry);
+        stored.columnar = OnceLock::new();
+        Ok(stored)
+    }
+
+    /// Mutate relation `name` and its index (when one is attached) in
+    /// place. `f` must leave the index consistent with the rows; debug
+    /// builds assert it.
+    pub fn update<R>(
+        &mut self,
+        name: &str,
+        f: impl FnOnce(&mut Relation, Option<&mut GroupIndex>) -> R,
+    ) -> EngineResult<R> {
+        let stored = self.stored_mut(name)?;
+        let out = f(&mut stored.relation, stored.index.as_mut());
+        if let Some(index) = &stored.index {
+            debug_assert!(
+                index.is_consistent_with(&stored.relation),
+                "index inconsistent with relation `{name}`"
+            );
+        }
+        Ok(out)
     }
 
     /// Attach (or replace) a [`GroupIndex`] for `name`. Debug builds assert
     /// the index is consistent with the stored relation.
     pub fn set_index(&mut self, name: impl Into<String>, index: GroupIndex) -> &mut Self {
         let name = name.into();
-        debug_assert!(
-            self.relations
-                .get(&name)
-                .is_some_and(|r| index.is_consistent_with(r)),
-            "index inconsistent with relation `{name}`"
-        );
-        self.indexes.insert(name, index);
+        match self.stored_mut(&name) {
+            Ok(stored) => {
+                debug_assert!(
+                    index.is_consistent_with(&stored.relation),
+                    "index inconsistent with relation `{name}`"
+                );
+                stored.index = Some(index);
+            }
+            Err(_) => debug_assert!(false, "index for unknown relation `{name}`"),
+        }
         self
     }
 
     /// The index on `name`, when one is attached.
     pub fn index(&self, name: &str) -> Option<&GroupIndex> {
-        self.indexes.get(name)
-    }
-
-    /// Detach and return the index on `name` (for in-place maintenance).
-    pub fn take_index(&mut self, name: &str) -> Option<GroupIndex> {
-        self.indexes.remove(name)
+        self.relations.get(name)?.index.as_ref()
     }
 
     /// Iterate over `(name, relation)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Relation)> {
-        self.relations.iter()
+        self.relations.iter().map(|(name, s)| (name, &s.relation))
     }
 
     /// Attach the observability registry events in this database (index
@@ -162,7 +182,7 @@ impl Database {
 
 impl SchemaSource for Database {
     fn table_columns(&self, name: &str) -> Option<Vec<String>> {
-        self.relations.get(name).map(|r| r.columns.clone())
+        self.relations.get(name).map(|s| s.relation.columns.clone())
     }
 }
 
@@ -190,6 +210,7 @@ impl SchemaSource for ChainedSchemas<'_> {
 mod tests {
     use super::*;
     use crate::relation::rel_of_ints;
+    use crate::value::Value;
 
     #[test]
     fn insert_and_get() {
@@ -214,15 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn take_index_detaches() {
-        let mut db = Database::new();
-        db.insert("T", rel_of_ints(["a"], &[&[1]]));
-        db.set_index("T", GroupIndex::build(db.get("T").unwrap(), vec![0]));
-        assert!(db.take_index("T").is_some());
-        assert!(db.index("T").is_none());
-    }
-
-    #[test]
     fn columnar_cache_builds_once_and_invalidates_on_write() {
         let mut db = Database::new();
         db.insert("T", rel_of_ints(["a"], &[&[1]]));
@@ -238,18 +250,70 @@ mod tests {
         assert!(db.columnar("T").is_none());
     }
 
-    #[test]
-    fn cloned_database_starts_with_a_fresh_columnar_cache() {
+    /// `T` (indexed on `a`) and `U`, both converted once.
+    fn indexed_and_converted() -> Database {
         let mut db = Database::new();
-        db.insert("T", rel_of_ints(["a"], &[&[1]]));
-        let master = db.columnar("T").unwrap();
+        db.insert("T", rel_of_ints(["a", "s"], &[&[1, 5]]));
+        db.set_index("T", GroupIndex::build(db.get("T").unwrap(), vec![0]));
+        db.insert("U", rel_of_ints(["x"], &[&[7]]));
+        db.columnar("T").unwrap();
+        db.columnar("U").unwrap();
+        db
+    }
+
+    #[test]
+    fn clone_shares_untouched_conversion_and_index() {
+        let db = indexed_and_converted();
         let snap = db.clone();
-        let from_snap = snap.columnar("T").unwrap();
+        assert!(Arc::ptr_eq(
+            &db.columnar("T").unwrap(),
+            &snap.columnar("T").unwrap()
+        ));
+        assert!(std::ptr::eq(
+            db.index("T").unwrap(),
+            snap.index("T").unwrap()
+        ));
+    }
+
+    #[test]
+    fn write_through_master_leaves_the_clone_as_it_was() {
+        let mut db = indexed_and_converted();
+        let snap = db.clone();
+        let (t_before, u_before) = (snap.columnar("T").unwrap(), snap.columnar("U").unwrap());
+        db.update("T", |rel, idx| {
+            let row = vec![Value::Int(2), Value::Int(9)];
+            idx.expect("T is indexed").note_push(&row, rel.len());
+            rel.push(row);
+        })
+        .unwrap();
+
+        assert_eq!(snap.get("T").unwrap().len(), 1);
+        assert!(snap
+            .index("T")
+            .unwrap()
+            .is_consistent_with(snap.get("T").unwrap()));
+        assert!(Arc::ptr_eq(&t_before, &snap.columnar("T").unwrap()));
+
+        assert_eq!(db.get("T").unwrap().len(), 2);
+        assert!(db
+            .index("T")
+            .unwrap()
+            .is_consistent_with(db.get("T").unwrap()));
+        assert_eq!(db.index("T").unwrap().probe(&[Value::Int(2)]), &[1]);
+        assert_eq!(db.columnar("T").unwrap().n_rows(), 2);
         assert!(
-            !Arc::ptr_eq(&master, &from_snap),
-            "snapshots rebuild lazily"
+            Arc::ptr_eq(&u_before, &db.columnar("U").unwrap()),
+            "the write did not touch U"
         );
-        assert_eq!(*master, *from_snap);
+    }
+
+    #[test]
+    fn update_of_an_unknown_relation_is_an_error() {
+        let mut db = Database::new();
+        assert_eq!(
+            db.update("T", |_, _| ()).unwrap_err(),
+            EngineError::UnknownTable("T".into())
+        );
     }
 
     #[test]

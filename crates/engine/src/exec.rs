@@ -63,21 +63,12 @@ pub fn execute(query: &Query, db: &Database) -> EngineResult<Relation> {
 
 /// [`execute`] under an explicit [`ExecContext`] — the primary entry
 /// point. The context selects the execution strategy (columnar vs.
-/// row-at-a-time; both produce byte-identical results) and carries the
-/// cross-cutting handles (obs, advisor hook) without widening this
-/// signature again per concern.
+/// row-at-a-time; both produce byte-identical results): `columnar: false`
+/// is the oracle side of the row-vs-columnar differential axis.
 pub fn execute_ctx(query: &Query, db: &Database, cx: &ExecContext) -> EngineResult<Relation> {
     let mut plan = PhysicalPlan::compile(query, db)?;
     plan.set_columnar(cx.columnar);
     plan.run(db)
-}
-
-/// Historical shim for [`execute_ctx`]: `columnar: false` forces the
-/// row-at-a-time interpreter — the oracle side of the row-vs-columnar
-/// differential axis. Prefer [`execute_ctx`]; this survives only because
-/// tests and external callers exercise the old name.
-pub fn execute_with(query: &Query, db: &Database, columnar: bool) -> EngineResult<Relation> {
-    execute_ctx(query, db, &ExecContext::columnar(columnar))
 }
 
 /// Compiled scalar expression with resolved column slots (core-table
@@ -1982,7 +1973,12 @@ mod tests {
     }
 
     fn run_with(sql: &str, db: &Database, columnar: bool) -> Relation {
-        execute_with(&parse_query(sql).unwrap(), db, columnar).unwrap()
+        execute_ctx(
+            &parse_query(sql).unwrap(),
+            db,
+            &ExecContext::columnar(columnar),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -2075,8 +2071,8 @@ mod tests {
     fn vectorized_projection_errors_match_row_path() {
         let db = db2();
         let q = parse_query("SELECT A / 0 FROM R1").unwrap();
-        let v = execute_with(&q, &db, true).unwrap_err();
-        let r = execute_with(&q, &db, false).unwrap_err();
+        let v = execute_ctx(&q, &db, &ExecContext::columnar(true)).unwrap_err();
+        let r = execute_ctx(&q, &db, &ExecContext::columnar(false)).unwrap_err();
         assert_eq!(v, r);
         assert_eq!(v, EngineError::DivisionByZero);
     }
@@ -2128,8 +2124,8 @@ mod tests {
             ),
         );
         let q = parse_query("SELECT MIN(x) FROM D").unwrap();
-        let v = execute_with(&q, &db, true).unwrap_err();
-        let r = execute_with(&q, &db, false).unwrap_err();
+        let v = execute_ctx(&q, &db, &ExecContext::columnar(true)).unwrap_err();
+        let r = execute_ctx(&q, &db, &ExecContext::columnar(false)).unwrap_err();
         assert_eq!(v, r);
     }
 }

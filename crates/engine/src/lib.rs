@@ -45,12 +45,12 @@ pub mod snapshot;
 pub mod value;
 
 pub use columnar::ColumnarRelation;
-pub use ctx::{AdvisorHook, ExecContext};
+pub use ctx::ExecContext;
 pub use database::Database;
 pub use error::{EngineError, EngineResult};
-pub use exec::{execute, execute_ctx, execute_with, PhysicalPlan};
+pub use exec::{execute, execute_ctx, PhysicalPlan};
 pub use index::GroupIndex;
-pub use maintenance::{maintain_view, maintain_view_ctx, maintain_view_with};
+pub use maintenance::maintain_view_ctx;
 pub use reference::execute_reference;
 pub use relation::{multiset_eq, set_eq, Relation};
 pub use snapshot::{SnapshotCell, StoreStats};

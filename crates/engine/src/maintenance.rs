@@ -426,94 +426,43 @@ fn unmerge(func: AggFunc, cell: &Value, arg: Option<usize>, row: &[Value]) -> En
     })
 }
 
-/// Maintain a materialized view after `delta` changed `changed_table`:
-/// incrementally when the plan allows, by recomputation otherwise. `db`
-/// must already reflect the change. A supplied [`GroupIndex`] is probed and
-/// kept consistent with the maintained relation on every path. Returns
-/// whether the incremental path was taken.
-pub fn maintain_view(
-    view_query: &Query,
-    view_rel: &mut Relation,
-    changed_table: &str,
-    delta: DeltaKind<'_>,
-    db: &Database,
-    index: Option<&mut GroupIndex>,
-) -> EngineResult<bool> {
-    maintain_view_ctx(
-        view_query,
-        view_rel,
-        changed_table,
-        delta,
-        db,
-        index,
-        &ExecContext::new(),
-    )
-}
-
-/// Historical shim for [`maintain_view_ctx`] taking the bare columnar
-/// switch. Prefer the context form; this survives only because tests and
-/// external callers exercise the old name.
-#[allow(clippy::too_many_arguments)]
-pub fn maintain_view_with(
-    view_query: &Query,
-    view_rel: &mut Relation,
-    changed_table: &str,
-    delta: DeltaKind<'_>,
-    db: &Database,
-    index: Option<&mut GroupIndex>,
-    columnar: bool,
-) -> EngineResult<bool> {
-    maintain_view_ctx(
-        view_query,
-        view_rel,
-        changed_table,
-        delta,
-        db,
-        index,
-        &ExecContext::columnar(columnar),
-    )
-}
-
-/// [`maintain_view`] under an explicit [`ExecContext`] — the primary
-/// entry point. The context's `columnar` switch selects the execution
-/// strategy of the recomputation fallback (the incremental delta paths
-/// are row-based either way); sessions thread their options through here
-/// so `columnar = off` exercises the row interpreter end to end.
-#[allow(clippy::too_many_arguments)]
+/// Bring the stored view `name` up to date with `db`, which must already
+/// reflect the change. With `delta` — the changed base table and its rows —
+/// the view is maintained in place when its plan allows; without one (the
+/// change reached the view through another view, or the caller wants a
+/// refresh) or when the plan declines, it is recomputed under `cx`. An
+/// attached [`GroupIndex`] is probed and kept consistent on every path.
+/// Returns whether the incremental path was taken.
 pub fn maintain_view_ctx(
+    name: &str,
     view_query: &Query,
-    view_rel: &mut Relation,
-    changed_table: &str,
-    delta: DeltaKind<'_>,
-    db: &Database,
-    index: Option<&mut GroupIndex>,
+    delta: Option<(&str, DeltaKind<'_>)>,
+    db: &mut Database,
     cx: &ExecContext,
 ) -> EngineResult<bool> {
-    // A view not reading the changed table is untouched.
-    if !view_query.from.iter().any(|t| t.table == changed_table) {
-        return Ok(true);
-    }
-    if let MaintenancePlan::Incremental(plan) = plan_for_view(view_query, db) {
-        if plan.base_table() == changed_table {
-            match delta {
-                DeltaKind::Insert(rows) => {
-                    plan.apply_insert(view_rel, rows, index)?;
-                    return Ok(true);
-                }
-                DeltaKind::Delete(rows) if plan.supports_delete() => {
-                    plan.apply_delete(view_rel, rows, index)?;
-                    return Ok(true);
-                }
-                DeltaKind::Delete(_) => {}
-            }
+    let incremental = delta.and_then(|(table, kind)| match plan_for_view(view_query, db) {
+        MaintenancePlan::Incremental(plan) if plan.base_table() == table => Some((plan, kind)),
+        _ => None,
+    });
+    match incremental {
+        Some((plan, DeltaKind::Insert(rows))) => {
+            db.update(name, |rel, idx| plan.apply_insert(rel, rows, idx))??;
+            return Ok(true);
         }
+        Some((plan, DeltaKind::Delete(rows))) if plan.supports_delete() => {
+            db.update(name, |rel, idx| plan.apply_delete(rel, rows, idx))??;
+            return Ok(true);
+        }
+        _ => {}
     }
-    let names = view_rel.columns.clone();
-    *view_rel = execute_ctx(view_query, db, cx)?;
-    view_rel.columns = names;
-    if let Some(idx) = index {
-        idx.rebuild(view_rel);
-    }
+    let mut fresh = execute_ctx(view_query, db, cx)?;
+    db.update(name, |rel, idx| {
+        fresh.columns = std::mem::take(&mut rel.columns);
+        *rel = fresh;
+        if let Some(idx) = idx {
+            idx.rebuild(rel);
+        }
+    })?;
     Ok(false)
 }
 
@@ -616,39 +565,38 @@ mod tests {
     fn maintain_view_routes_correctly() {
         let mut db = base_db(&[&[1, 5, 2]]);
         let q = parse_query("SELECT a, SUM(b) AS s FROM T GROUP BY a").unwrap();
-        let mut view = materialize(&q, &db);
+        let q_avg = parse_query("SELECT a, AVG(b) AS m FROM T GROUP BY a").unwrap();
+        db.insert("V", materialize(&q, &db));
+        db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![0]));
+        db.insert("Avg", materialize(&q_avg, &db));
+        let cx = ExecContext::new();
 
-        // Insert into T: incremental.
-        let delta = vec![vec![Value::Int(1), Value::Int(7), Value::Int(0)]];
-        let mut t = db.get("T").unwrap().clone();
-        t.push(delta[0].clone());
-        db.insert("T", t);
-        let incremental =
-            maintain_view(&q, &mut view, "T", DeltaKind::Insert(&delta), &db, None).unwrap();
-        assert!(incremental);
-        assert!(multiset_eq(&view, &materialize(&q, &db)));
+        let delta = vec![
+            vec![Value::Int(1), Value::Int(7), Value::Int(0)],
+            vec![Value::Int(2), Value::Int(1), Value::Int(0)],
+        ];
+        db.update("T", |t, _| t.rows.extend(delta.iter().cloned()))
+            .unwrap();
+        let insert = Some(("T", DeltaKind::Insert(&delta)));
 
-        // Unrelated table: untouched.
-        let before = view.clone();
-        let incremental =
-            maintain_view(&q, &mut view, "Other", DeltaKind::Insert(&[]), &db, None).unwrap();
-        assert!(incremental);
-        assert_eq!(view.rows, before.rows);
+        // Insert into T: incremental, index maintained alongside.
+        assert!(maintain_view_ctx("V", &q, insert, &mut db, &cx).unwrap());
+        assert!(multiset_eq(db.get("V").unwrap(), &materialize(&q, &db)));
+        assert_eq!(db.index("V").unwrap().probe(&[Value::Int(2)]), &[1]);
+
+        // No delta to apply (or one for another table): recompute path.
+        assert!(!maintain_view_ctx("V", &q, None, &mut db, &cx).unwrap());
+        let other = Some(("Other", DeltaKind::Insert(&delta)));
+        assert!(!maintain_view_ctx("V", &q, other, &mut db, &cx).unwrap());
+        assert!(multiset_eq(db.get("V").unwrap(), &materialize(&q, &db)));
+        assert_eq!(db.get("V").unwrap().columns, ["a", "s"]);
 
         // AVG view over T: recompute path.
-        let q_avg = parse_query("SELECT a, AVG(b) AS m FROM T GROUP BY a").unwrap();
-        let mut view_avg = materialize(&q_avg, &db);
-        let incremental = maintain_view(
-            &q_avg,
-            &mut view_avg,
-            "T",
-            DeltaKind::Insert(&delta),
-            &db,
-            None,
-        )
-        .unwrap();
-        assert!(!incremental);
-        assert!(multiset_eq(&view_avg, &materialize(&q_avg, &db)));
+        assert!(!maintain_view_ctx("Avg", &q_avg, insert, &mut db, &cx).unwrap());
+        assert!(multiset_eq(
+            db.get("Avg").unwrap(),
+            &materialize(&q_avg, &db)
+        ));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! `index_edge.rs` pins for `GroupIndex` probes. The conversion contract
 //! is lossless both ways (`to_rows(from_rows(r)) == r` cell for cell and
 //! `from_rows(to_rows(c)) == c`), and every query must answer identically
-//! under `execute_with(.., true)` and `execute_with(.., false)`.
+//! under `ExecContext::columnar(true)` and `ExecContext::columnar(false)`.
 
-use aggview_engine::{execute_with, ColumnarRelation, Database, Relation, Value};
+use aggview_engine::{execute_ctx, ColumnarRelation, Database, ExecContext, Relation, Value};
 use aggview_sql::parse_query;
 
 const EDGE: i64 = 1 << 53; // 9007199254740992
@@ -36,8 +36,8 @@ fn columnar_vs_row(sql: &str, rel: &Relation) -> Relation {
     let q = parse_query(sql).unwrap();
     let mut db = Database::new();
     db.insert("V", rel.clone());
-    let row = execute_with(&q, &db, false).unwrap();
-    let col = execute_with(&q, &db, true).unwrap();
+    let row = execute_ctx(&q, &db, &ExecContext::columnar(false)).unwrap();
+    let col = execute_ctx(&q, &db, &ExecContext::columnar(true)).unwrap();
     assert_eq!(row.rows, col.rows, "row and columnar disagree on {sql}");
     assert_eq!(row.columns, col.columns);
     col

@@ -8,7 +8,6 @@
 //!
 //! * plan cache on/off,
 //! * grouped-view indexes on/off,
-//! * compiled plans vs. the interpreter,
 //! * incremental view maintenance vs. full recomputation,
 //! * sequential vs. parallel rewrite search,
 //! * and every emitted rewriting, executed individually.

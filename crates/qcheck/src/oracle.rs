@@ -6,8 +6,8 @@
 //! can vary is then cross-checked against it:
 //!
 //! * a **session config lattice** (plan cache on/off × grouped-view
-//!   indexes on/off × compiled vs. interpreted plans × delta-maintained
-//!   vs. recomputed views × columnar vs. row-at-a-time execution)
+//!   indexes on/off × delta-maintained vs. recomputed views × columnar
+//!   vs. row-at-a-time execution — 16 points)
 //!   replaying the same statement stream, with the
 //!   query answered at three points (half the data, after view creation,
 //!   after more inserts and a delete) plus a repeated `SELECT` that must
@@ -69,27 +69,23 @@ impl fmt::Display for Discrepancy {
 pub(crate) struct LatticePoint {
     pub(crate) cache: bool,
     pub(crate) index: bool,
-    pub(crate) compile: bool,
     pub(crate) recompute: bool,
     pub(crate) columnar: bool,
 }
 
 impl LatticePoint {
     pub(crate) fn all() -> Vec<LatticePoint> {
-        let mut out = Vec::with_capacity(32);
+        let mut out = Vec::with_capacity(16);
         for cache in [true, false] {
             for index in [true, false] {
-                for compile in [true, false] {
-                    for recompute in [true, false] {
-                        for columnar in [true, false] {
-                            out.push(LatticePoint {
-                                cache,
-                                index,
-                                compile,
-                                recompute,
-                                columnar,
-                            });
-                        }
+                for recompute in [true, false] {
+                    for columnar in [true, false] {
+                        out.push(LatticePoint {
+                            cache,
+                            index,
+                            recompute,
+                            columnar,
+                        });
                     }
                 }
             }
@@ -101,7 +97,6 @@ impl LatticePoint {
         SessionOptions {
             plan_cache_cap: if self.cache { 64 } else { 0 },
             index_views: self.index,
-            compile_plans: self.compile,
             recompute_views: self.recompute,
             columnar: self.columnar,
             ..SessionOptions::default()
@@ -113,12 +108,8 @@ impl fmt::Display for LatticePoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cache={} index={} compile={} recompute={} columnar={}",
-            self.cache as u8,
-            self.index as u8,
-            self.compile as u8,
-            self.recompute as u8,
-            self.columnar as u8
+            "cache={} index={} recompute={} columnar={}",
+            self.cache as u8, self.index as u8, self.recompute as u8, self.columnar as u8
         )
     }
 }
@@ -204,7 +195,7 @@ fn check_case_inner(case: &Case) -> Result<(), Discrepancy> {
 /// The answers must match the same reference expectations the
 /// single-session oracle enforces — a handle whose private plan cache
 /// survives another handle's DDL, or whose pinned snapshot misses an
-/// acked write, shows up as a mismatch. Runs the whole 32-point options
+/// acked write, shows up as a mismatch. Runs the whole 16-point options
 /// lattice; the lattice's write-side axes (index, recompute, columnar)
 /// become the store-wide [`WritePolicy`].
 pub fn check_case_sessions(case: &Case, sessions: usize) -> Result<(), Discrepancy> {
@@ -396,7 +387,7 @@ fn run_lattice_point_sessions(
 /// the per-shard base-table contents must be a disjoint cover of the
 /// global contents (their concatenation is multiset-equal to the
 /// unsharded final database), and the union-state views must match the
-/// reference evaluation. Runs the whole 32-point options lattice; the
+/// reference evaluation. Runs the whole 16-point options lattice; the
 /// write-side axes become the per-shard [`WritePolicy`].
 pub fn check_case_shards(case: &Case, shards: usize) -> Result<(), Discrepancy> {
     assert!(shards >= 1, "at least one shard");

@@ -24,7 +24,9 @@
 # answers identically advisor-off vs. --advisor auto, a 300-seed
 # advisor-axis qcheck sweep passes, and the fault-injection self-test
 # proves the advisor oracle catches an unsoundly stale advisor view
-# and shrinks the failure).
+# and shrinks the failure), and a benchmark smoke (the `benchmark/`
+# crate compiles against this tree, its tests pass, and all five
+# workloads run once with no failed operation).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -36,6 +38,15 @@ cargo build --release --workspace
 cargo test -q
 cargo fmt --check
 cargo clippy --all-targets -- -D warnings
+# benchmark/ is its own workspace, so nothing above compiles it and a
+# public-API change can break it unnoticed: build and test it against
+# this tree, then run every workload once (answers are checked against
+# the reference executor; a wrong one exits non-zero). The per-workload
+# report goes to stderr.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+bench_smoke=$(benchmark/smoke.sh 2>&1)
+printf '%s\n' "$bench_smoke" >&2
+[ "$(grep -c 'ops_failed 0$' <<<"$bench_smoke")" -eq 5 ]
 # Capture first, then grep: `grep -q` in a pipeline would close the pipe
 # early and kill repro with SIGPIPE under `pipefail`.
 smoke=$(./target/release/repro s1 s2)

@@ -24,15 +24,13 @@
 //!   bound both the number of auto-created views and the backfill size.
 //!
 //! Every view the advisor creates is named `AdvView{N}` — the prefix is
-//! the [`aggview_engine::AdvisorHook`] identification contract (see
-//! [`crate::state::is_advisor_view_name`]), surfaced in `EXPLAIN
+//! the identification contract
+//! ([`crate::state::is_advisor_view_name`]), surfaced in `EXPLAIN
 //! ANALYZE` and targeted by the `AGGVIEW_UNSOUND_ADVISOR_STALE` fault
 //! injection the qcheck advisor axis must catch.
 
-use crate::state::is_advisor_view_name;
 use aggview_catalog::Catalog;
 use aggview_core::{suggest_for_workload, TableStats, WorkloadQuery, WorkloadSuggestion};
-use aggview_engine::AdvisorHook;
 use aggview_obs::MetricsRegistry;
 use aggview_sql::parse_query;
 use std::collections::BTreeSet;
@@ -137,8 +135,7 @@ impl AdvisorPolicy {
 }
 
 /// Mutable advisor bookkeeping: which fingerprints were already acted
-/// on, and which views were created. Shared (behind `Arc`) between the
-/// session and the execution layers' [`AdvisorHook`].
+/// on, and which views were created.
 #[derive(Debug, Default)]
 pub struct AdvisorState {
     policy: AdvisorPolicy,
@@ -189,12 +186,6 @@ impl AdvisorState {
     /// Record a successfully created view.
     pub fn note_created(&self, name: String) {
         self.created.lock().unwrap().push(name);
-    }
-}
-
-impl AdvisorHook for AdvisorState {
-    fn is_advisor_view(&self, name: &str) -> bool {
-        is_advisor_view_name(name)
     }
 }
 
@@ -277,12 +268,5 @@ mod tests {
         assert_eq!(state.next_name(), "AdvView2");
         assert_eq!(state.created_count(), 1);
         assert_eq!(state.created(), vec!["AdvView1".to_string()]);
-    }
-
-    #[test]
-    fn hook_identifies_advisor_views() {
-        let state = AdvisorState::new(AdvisorPolicy::auto());
-        assert!(state.is_advisor_view("AdvView1"));
-        assert!(!state.is_advisor_view("Totals"));
     }
 }

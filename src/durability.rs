@@ -20,7 +20,6 @@
 
 use crate::session::{err, SessionError};
 use crate::state::{EngineState, WritePolicy};
-use aggview_engine::GroupIndex;
 use aggview_sql::{parse_script, Statement};
 use aggview_store::{encode_record, load_latest, write_checkpoint, StateImage, Wal, WalReadReport};
 use std::fs;
@@ -215,13 +214,8 @@ pub fn state_from_image(img: &StateImage, policy: WritePolicy) -> EngineState {
     }
     state.views = img.views.clone();
     if policy.index_views {
-        for view in state.views.clone() {
-            if let Some(key_cols) = state.view_index_key(&view) {
-                if let Ok(rel) = state.db.get(&view.name) {
-                    let idx = GroupIndex::build(rel, key_cols);
-                    state.db.set_index(view.name.clone(), idx);
-                }
-            }
+        for view in &img.views {
+            state.index_view(view);
         }
     }
     state

@@ -37,16 +37,6 @@ pub fn execute_rewriting(rw: &Rewriting, db: &Database) -> EngineResult<Relation
     execute_rewriting_ctx(rw, db, &ExecContext::new())
 }
 
-/// Historical shim for [`execute_rewriting_ctx`] taking the bare columnar
-/// switch. Prefer the context form.
-pub fn execute_rewriting_with(
-    rw: &Rewriting,
-    db: &Database,
-    columnar: bool,
-) -> EngineResult<Relation> {
-    execute_rewriting_ctx(rw, db, &ExecContext::columnar(columnar))
-}
-
 /// [`execute_rewriting`] under an explicit [`ExecContext`] (the auxiliary
 /// views are still materialized through the default path — their contents
 /// are path-independent by construction).

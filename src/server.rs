@@ -14,9 +14,10 @@
 //!   queue; the writer drains *everything currently queued* into one
 //!   batch, applies it to its private master [`EngineState`] through the
 //!   same incremental-maintenance paths a local session uses, then
-//!   publishes a single new snapshot for the whole batch. Under
-//!   concurrent write pressure the per-snapshot clone cost amortizes
-//!   across the batch; a submitter is acked only after the snapshot
+//!   publishes a single new snapshot for the whole batch. The snapshot
+//!   shares every stored relation with the master (reference counts);
+//!   rows are copied only when a later write touches a relation a
+//!   snapshot still holds. A submitter is acked only after the snapshot
 //!   containing its write is published, so every handle reads its own
 //!   writes.
 //! * **Schema epochs drive plan-cache invalidation.** The snapshot
@@ -437,8 +438,8 @@ fn writer_loop(
                     }
                 }
             }
-            // One clone + publish for the whole batch: submitters are
-            // acked only after this, so their next read sees the write.
+            // One publish for the whole batch: submitters are acked
+            // only after this, so their next read sees the write.
             let publish_span = inner.metrics.as_ref().map(|m| m.span(Stage::Publish));
             inner
                 .stats
@@ -495,7 +496,7 @@ fn sql_of(op: &WriteOp) -> String {
 }
 
 /// Apply one write op to the master state. Failed ops leave the state
-/// unchanged (each statement validates before mutating).
+/// unchanged (each statement is all-or-nothing).
 fn apply(
     master: &mut EngineState,
     op: &WriteOp,

@@ -67,10 +67,6 @@ pub struct SessionOptions {
     /// materialized `GROUP BY` view, maintained through inserts/deletes
     /// and probed by rewritten point lookups.
     pub index_views: bool,
-    /// Compile single-block queries to a [`PhysicalPlan`] before running
-    /// (`false` forces the interpreter on every path — the differential
-    /// harness uses this to cross-check compiled vs. interpreted answers).
-    pub compile_plans: bool,
     /// Refresh every dependent view by full recomputation instead of the
     /// incremental-maintenance delta path (again a differential-harness
     /// lattice axis: delta and recompute must agree).
@@ -96,7 +92,6 @@ impl Default for SessionOptions {
             verify: false,
             plan_cache_cap: DEFAULT_PLAN_CACHE_CAP,
             index_views: true,
-            compile_plans: true,
             recompute_views: false,
             columnar: true,
             obs: ObsOptions::default(),
@@ -143,12 +138,6 @@ impl SessionOptionsBuilder {
     /// Attach group indexes to materialized `GROUP BY` views.
     pub fn index_views(mut self, on: bool) -> Self {
         self.options.index_views = on;
-        self
-    }
-
-    /// Compile single-block queries to physical plans.
-    pub fn compile_plans(mut self, on: bool) -> Self {
-        self.options.compile_plans = on;
         self
     }
 
@@ -245,7 +234,7 @@ impl fmt::Display for StatementOutcome {
                 } else {
                     writeln!(
                         f,
-                        "-- answered from {views_used:?} ({candidates} candidate rewriting(s),                          {elapsed_ms:.2} ms)"
+                        "-- answered from {views_used:?} ({candidates} candidate rewriting(s), {elapsed_ms:.2} ms)"
                     )?;
                     writeln!(f, "-- executed: {executed}")?;
                 }
@@ -1269,14 +1258,10 @@ fn select_on(
             // Base-table answer. Compile once, run, and cache the
             // compiled plan for canonically identical arrivals.
             let plan_span = metrics.map(|m| m.span(Stage::Plan));
-            let plan = options
-                .compile_plans
-                .then(|| PhysicalPlan::compile(q, &state.db).ok())
-                .flatten()
-                .map(|mut p| {
-                    p.set_columnar(options.columnar);
-                    p
-                });
+            let plan = PhysicalPlan::compile(q, &state.db).ok().map(|mut p| {
+                p.set_columnar(options.columnar);
+                p
+            });
             let plan_ns = plan_span.map(|s| s.finish());
             if let (Some(m), true) = (metrics, plan.is_some()) {
                 m.incr(CounterId::PlanCompiles);
@@ -1326,7 +1311,7 @@ fn select_on(
             // compile it once. Scaffolded rewritings cache without a
             // plan — the hit still skips the whole search.
             let plan_span = metrics.map(|m| m.span(Stage::Plan));
-            let plan = (options.compile_plans && best.aux_views.is_empty() && !best.requires_nat)
+            let plan = (best.aux_views.is_empty() && !best.requires_nat)
                 .then(|| PhysicalPlan::compile(&best.query, &state.db).ok())
                 .flatten()
                 .map(|mut p| {

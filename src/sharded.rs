@@ -33,7 +33,6 @@ use crate::session::{err, Session, SessionError, SessionOptions};
 use crate::state::{Applied, EngineState, WritePolicy};
 use aggview_engine::shard::{self, GatherPlan};
 use aggview_engine::value::lit_value;
-use aggview_engine::{execute_with, GroupIndex};
 use aggview_obs::{MetricsRegistry, ObsOptions, StoreSection};
 use aggview_sql::{Insert, Literal, Query};
 use std::sync::atomic::Ordering;
@@ -233,16 +232,12 @@ impl ShardedStore {
                         incremental.map_or(a.views_incremental, |m| m.min(a.views_incremental)),
                     );
                 }
-                let incremental = incremental.unwrap_or(0);
-                Ok(Applied {
-                    message: format!(
-                        "{} row(s) deleted from `{}`; {incremental} view(s) maintained incrementally",
-                        rows, del.table
-                    ),
-                    schema_change: false,
-                    rows_affected: rows,
-                    views_incremental: incremental,
-                })
+                Ok(Applied::dml(
+                    false,
+                    rows,
+                    &del.table,
+                    incremental.unwrap_or(0),
+                ))
             }
         }
     }
@@ -292,16 +287,12 @@ impl ShardedStore {
             // reports the same count.
             incremental.get_or_insert(a.views_incremental);
         }
-        let incremental = incremental.unwrap_or(0);
-        Ok(Applied {
-            message: format!(
-                "{} row(s) inserted into `{}`; {incremental} view(s) maintained                      incrementally",
-                rows, ins.table
-            ),
-            schema_change: false,
-            rows_affected: rows,
-            views_incremental: incremental,
-        })
+        Ok(Applied::dml(
+            true,
+            rows,
+            &ins.table,
+            incremental.unwrap_or(0),
+        ))
     }
 
     /// Aggregate writer counters across shards (the `-- store:` line of
@@ -389,19 +380,9 @@ impl UnionState {
         // Views recompute globally, in definition order (views over
         // views see their dependencies already unioned).
         for view in snaps[0].state.views.iter() {
-            let mut rel = execute_with(&view.query, &state.db, policy.columnar)
+            state
+                .materialize(view, policy)
                 .map_err(|e| err(format!("view `{}`: {e}", view.name)))?;
-            rel.columns = view.output_names();
-            state.db.insert(view.name.clone(), rel);
-            if policy.index_views {
-                if let Some(key_cols) = state.view_index_key(view) {
-                    let idx = GroupIndex::build(
-                        state.db.get(&view.name).map_err(|e| err(e.to_string()))?,
-                        key_cols,
-                    );
-                    state.db.set_index(view.name.clone(), idx);
-                }
-            }
             state.views.push(view.clone());
         }
         self.state = state;

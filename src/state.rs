@@ -14,8 +14,11 @@ use crate::session::{err, SessionError};
 use aggview_catalog::{Catalog, TableSchema};
 use aggview_core::{Canonical, TableStats, ViewDef};
 use aggview_engine::maintenance::{maintain_view_ctx, plan_for_view, DeltaKind, MaintenancePlan};
-use aggview_engine::{execute_ctx, Database, ExecContext, GroupIndex, Relation, Value};
+use aggview_engine::{
+    execute_ctx, Database, EngineResult, ExecContext, GroupIndex, Relation, Value,
+};
 use aggview_sql::{CreateTable, CreateView, Delete, Insert, Query};
+use std::collections::HashMap;
 
 /// Fault injection: `AGGVIEW_UNSOUND_ADVISOR_STALE=1` skips all view
 /// maintenance for advisor-created views (`AdvView*`), leaving them stale
@@ -35,8 +38,9 @@ pub fn is_advisor_view_name(name: &str) -> bool {
 /// Catalog + database + view definitions: everything a statement needs.
 ///
 /// `Clone` is the snapshot operation: the shared store's writer clones
-/// the master state (relations, indexes, catalog, view list) into each
-/// published [`crate::server::StoreSnapshot`].
+/// the master state into each published
+/// [`crate::server::StoreSnapshot`]. The catalog and view list are
+/// copied; stored relations are shared (see [`Database`]).
 #[derive(Debug, Clone, Default)]
 pub struct EngineState {
     /// Base-table schemas (keys included).
@@ -99,6 +103,27 @@ pub struct Applied {
     pub views_incremental: usize,
 }
 
+impl Applied {
+    /// The effect of an `INSERT` (`inserted`) or `DELETE` that changed
+    /// `rows` rows of `table`. The sharded router recomposes its global
+    /// ack here too, so it matches the unsharded one byte for byte.
+    pub(crate) fn dml(inserted: bool, rows: usize, table: &str, incremental: usize) -> Applied {
+        let change = if inserted {
+            "inserted into"
+        } else {
+            "deleted from"
+        };
+        Applied {
+            message: format!(
+                "{rows} row(s) {change} `{table}`; {incremental} view(s) maintained incrementally"
+            ),
+            schema_change: false,
+            rows_affected: rows,
+            views_incremental: incremental,
+        }
+    }
+}
+
 impl EngineState {
     /// An empty state.
     pub fn new() -> Self {
@@ -138,6 +163,20 @@ impl EngineState {
         })
     }
 
+    /// Run one write statement all-or-nothing: on `Err` the state is what
+    /// it was before the statement (base table, every view, every index).
+    fn atomically<T>(
+        &mut self,
+        statement: impl FnOnce(&mut Self) -> Result<T, SessionError>,
+    ) -> Result<T, SessionError> {
+        let before = self.clone();
+        let result = statement(self);
+        if result.is_err() {
+            *self = before;
+        }
+        result
+    }
+
     /// Apply `CREATE VIEW`: register and materialize.
     pub fn create_view(
         &mut self,
@@ -148,73 +187,69 @@ impl EngineState {
             return Err(err(format!("relation `{}` already exists", cv.name)));
         }
         let view = ViewDef::new(cv.name.clone(), cv.query.clone());
-        let mut rel = execute_ctx(
-            &view.query,
-            &self.db,
-            &ExecContext::columnar(policy.columnar),
-        )
-        .map_err(|e| err(format!("view `{}`: {e}", cv.name)))?;
+        self.atomically(|state| {
+            let n = state
+                .materialize(&view, policy)
+                .map_err(|e| err(format!("view `{}`: {e}", cv.name)))?;
+            state.views.push(view);
+            Ok(Applied {
+                message: format!("view `{}` materialized ({n} rows)", cv.name),
+                schema_change: true,
+                rows_affected: n,
+                views_incremental: 0,
+            })
+        })
+    }
+
+    /// Evaluate `view` against the stored relations and store the result
+    /// under its name, indexed when the policy asks. Returns the row count.
+    pub fn materialize(&mut self, view: &ViewDef, policy: WritePolicy) -> EngineResult<usize> {
+        let cx = ExecContext::columnar(policy.columnar);
+        let mut rel = execute_ctx(&view.query, &self.db, &cx)?;
         rel.columns = view.output_names();
         let n = rel.len();
         self.db.insert(view.name.clone(), rel);
         if policy.index_views {
-            if let Some(key_cols) = self.view_index_key(&view) {
-                let idx = GroupIndex::build(
-                    self.db.get(&view.name).map_err(|e| err(e.to_string()))?,
-                    key_cols,
-                );
-                self.db.set_index(view.name.clone(), idx);
-            }
+            self.index_view(view);
         }
-        self.views.push(view);
-        Ok(Applied {
-            message: format!("view `{}` materialized ({n} rows)", cv.name),
-            schema_change: true,
-            rows_affected: n,
-            views_incremental: 0,
-        })
+        Ok(n)
+    }
+
+    /// Attach the [`GroupIndex`] of [`EngineState::view_index_key`] to the
+    /// stored materialization of `view` (grouped views only).
+    pub fn index_view(&mut self, view: &ViewDef) {
+        if let (Some(key_cols), Ok(rel)) = (self.view_index_key(view), self.db.get(&view.name)) {
+            let idx = GroupIndex::build(rel, key_cols);
+            self.db.set_index(view.name.clone(), idx);
+        }
     }
 
     /// Apply `INSERT`, maintaining dependent views.
     pub fn insert(&mut self, ins: &Insert, policy: WritePolicy) -> Result<Applied, SessionError> {
-        let rel = self
+        let arity = self
             .db
             .get(&ins.table)
             .map_err(|e| err(e.to_string()))?
-            .clone();
+            .arity();
         if self.catalog.table(&ins.table).is_none() {
             return Err(err(format!(
                 "`{}` is a view; INSERT into base tables only",
                 ins.table
             )));
         }
-        let mut rel = rel;
-        let mut delta: Vec<Vec<Value>> = Vec::with_capacity(ins.rows.len());
-        for row in &ins.rows {
-            if row.len() != rel.arity() {
-                return Err(err(format!(
-                    "row arity {} does not match table `{}` arity {}",
-                    row.len(),
-                    ins.table,
-                    rel.arity()
-                )));
-            }
-            let values: Vec<Value> = row.iter().map(aggview_engine::value::lit_value).collect();
-            rel.push(values.clone());
-            delta.push(values);
+        if let Some(row) = ins.rows.iter().find(|row| row.len() != arity) {
+            return Err(err(format!(
+                "row arity {} does not match table `{}` arity {arity}",
+                row.len(),
+                ins.table,
+            )));
         }
-        self.db.insert(ins.table.clone(), rel);
-        let incremental = self.maintain_views(&ins.table, DeltaKind::Insert(&delta), policy)?;
-        Ok(Applied {
-            message: format!(
-                "{} row(s) inserted into `{}`; {incremental} view(s) maintained                      incrementally",
-                ins.rows.len(),
-                ins.table
-            ),
-            schema_change: false,
-            rows_affected: ins.rows.len(),
-            views_incremental: incremental,
-        })
+        let delta: Vec<Vec<Value>> = ins
+            .rows
+            .iter()
+            .map(|row| row.iter().map(aggview_engine::value::lit_value).collect())
+            .collect();
+        self.atomically(|state| state.apply_delta(&ins.table, DeltaKind::Insert(&delta), policy))
     }
 
     /// Apply `DELETE`, maintaining dependent views.
@@ -227,60 +262,61 @@ impl EngineState {
         }
         // Partition the rows by the filter, using the engine's own
         // predicate semantics (SELECT * ... WHERE filter).
-        let all_cols = self
+        let all_cols = &self
             .db
             .get(&del.table)
             .map_err(|e| err(e.to_string()))?
-            .columns
-            .clone();
-        let matching = {
-            let q = Query {
-                distinct: false,
-                select: all_cols
-                    .iter()
-                    .map(|c| {
-                        aggview_sql::ast::SelectItem::expr(aggview_sql::ast::Expr::col(c.clone()))
-                    })
-                    .collect(),
-                from: vec![aggview_sql::ast::TableRef::new(del.table.clone())],
-                where_clause: del.filter.clone(),
-                group_by: Vec::new(),
-                having: None,
-            };
-            execute_ctx(&q, &self.db, &ExecContext::columnar(policy.columnar))
-                .map_err(|e| err(e.to_string()))?
+            .columns;
+        let q = Query {
+            distinct: false,
+            select: all_cols
+                .iter()
+                .map(|c| aggview_sql::ast::SelectItem::expr(aggview_sql::ast::Expr::col(c.clone())))
+                .collect(),
+            from: vec![aggview_sql::ast::TableRef::new(del.table.clone())],
+            where_clause: del.filter.clone(),
+            group_by: Vec::new(),
+            having: None,
         };
-        // Remove exactly the matching multiset from the base table.
-        let mut remaining = self
-            .db
-            .get(&del.table)
-            .map_err(|e| err(e.to_string()))?
-            .clone();
-        let mut budget: std::collections::HashMap<Vec<Value>, usize> =
-            std::collections::HashMap::new();
-        for r in &matching.rows {
-            *budget.entry(r.clone()).or_insert(0) += 1;
-        }
-        remaining.rows.retain(|r| match budget.get_mut(r) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                false
-            }
-            _ => true,
-        });
-        self.db.insert(del.table.clone(), remaining);
-        let incremental =
-            self.maintain_views(&del.table, DeltaKind::Delete(&matching.rows), policy)?;
-        Ok(Applied {
-            message: format!(
-                "{} row(s) deleted from `{}`; {incremental} view(s) maintained incrementally",
-                matching.len(),
-                del.table
-            ),
-            schema_change: false,
-            rows_affected: matching.len(),
-            views_incremental: incremental,
+        let matching = execute_ctx(&q, &self.db, &ExecContext::columnar(policy.columnar))
+            .map_err(|e| err(e.to_string()))?;
+        self.atomically(|state| {
+            state.apply_delta(&del.table, DeltaKind::Delete(&matching.rows), policy)
         })
+    }
+
+    /// Apply `delta` to base table `table` in place, then maintain every
+    /// dependent view.
+    fn apply_delta(
+        &mut self,
+        table: &str,
+        delta: DeltaKind<'_>,
+        policy: WritePolicy,
+    ) -> Result<Applied, SessionError> {
+        let applied = match delta {
+            DeltaKind::Insert(rows) => self
+                .db
+                .update(table, |rel, _| rel.rows.extend_from_slice(rows)),
+            // Remove exactly the matching multiset from the base table.
+            DeltaKind::Delete(rows) => self.db.update(table, |rel, _| {
+                let mut budget: HashMap<&Vec<Value>, usize> = HashMap::new();
+                for r in rows {
+                    *budget.entry(r).or_insert(0) += 1;
+                }
+                rel.rows.retain(|r| match budget.get_mut(r) {
+                    Some(n) if *n > 0 => {
+                        *n -= 1;
+                        false
+                    }
+                    _ => true,
+                });
+            }),
+        };
+        applied.map_err(|e| err(e.to_string()))?;
+        let incremental = self.maintain_views(table, delta, policy)?;
+        let (DeltaKind::Insert(rows) | DeltaKind::Delete(rows)) = delta;
+        let inserted = matches!(delta, DeltaKind::Insert(_));
+        Ok(Applied::dml(inserted, rows.len(), table, incremental))
     }
 
     /// The [`GroupIndex`] key columns for a materialized view: aligned
@@ -320,6 +356,10 @@ impl EngineState {
         policy: WritePolicy,
     ) -> Result<usize, SessionError> {
         let cx = ExecContext::columnar(policy.columnar);
+        // The delta applies only to direct readers of `changed_table` (a
+        // view over a changed view recomputes), and not at all under the
+        // `recompute_views` policy.
+        let delta = (!policy.recompute_views).then_some((changed_table, delta));
         let mut changed: Vec<String> = vec![changed_table.to_string()];
         let mut incremental = 0usize;
         let mut touched = 0usize;
@@ -337,38 +377,8 @@ impl EngineState {
                 continue;
             }
             touched += 1;
-            let mut rel = self
-                .db
-                .get(&v.name)
-                .map_err(|e| err(e.to_string()))?
-                .clone();
-            let direct_only = !policy.recompute_views
-                && v.query.from.len() == 1
-                && v.query.from[0].table == changed_table;
-            // Detach the view's group index (dropped by `db.insert`
-            // otherwise), maintain it alongside the rows, and re-attach.
-            let mut idx = self.db.take_index(&v.name);
-            let took_incremental = if direct_only {
-                maintain_view_ctx(
-                    &v.query,
-                    &mut rel,
-                    changed_table,
-                    delta,
-                    &self.db,
-                    idx.as_mut(),
-                    &cx,
-                )
-                .map_err(|e| err(format!("maintaining `{}`: {e}", v.name)))?
-            } else {
-                let mut fresh = execute_ctx(&v.query, &self.db, &cx)
-                    .map_err(|e| err(format!("refreshing `{}`: {e}", v.name)))?;
-                fresh.columns = v.output_names();
-                rel = fresh;
-                if let Some(i) = idx.as_mut() {
-                    i.rebuild(&rel);
-                }
-                false
-            };
+            let took_incremental = maintain_view_ctx(&v.name, &v.query, delta, &mut self.db, &cx)
+                .map_err(|e| err(format!("maintaining `{}`: {e}", v.name)))?;
             incremental += took_incremental as usize;
             self.db.record(
                 if took_incremental {
@@ -378,10 +388,6 @@ impl EngineState {
                 },
                 1,
             );
-            self.db.insert(v.name.clone(), rel);
-            if let Some(i) = idx {
-                self.db.set_index(v.name.clone(), i);
-            }
             changed.push(v.name.clone());
         }
         if touched > 0 {

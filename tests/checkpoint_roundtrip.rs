@@ -7,7 +7,7 @@
 use aggview::durability::{image_from_state, state_from_image};
 use aggview::state::{EngineState, WritePolicy};
 use aggview_engine::datagen::{random_catalog, random_database};
-use aggview_engine::execute_with;
+use aggview_engine::{execute_ctx, ExecContext};
 use aggview_sql::{parse_query, parse_statement, Statement};
 use aggview_store::{decode_image, encode_image};
 use proptest::prelude::*;
@@ -90,8 +90,8 @@ proptest! {
         for text in queries {
             let q = parse_query(text).expect("query parses");
             for columnar in [false, true] {
-                let want = execute_with(&q, &state.db, columnar).expect("original answers");
-                let got = execute_with(&q, &recovered.db, columnar).expect("recovered answers");
+                let want = execute_ctx(&q, &state.db, &ExecContext::columnar(columnar)).expect("original answers");
+                let got = execute_ctx(&q, &recovered.db, &ExecContext::columnar(columnar)).expect("recovered answers");
                 prop_assert_eq!(
                     got.sorted_rows(),
                     want.sorted_rows(),

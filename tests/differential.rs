@@ -115,7 +115,7 @@ fn corpus_replays_without_regressions_across_shards() {
 /// the `--no-columnar` escape hatch.
 #[test]
 fn corpus_answers_are_byte_identical_row_vs_columnar() {
-    use aggview::engine::execute_with;
+    use aggview::engine::{execute_ctx, ExecContext};
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
     let cases = corpus::load_dir(&dir).expect("corpus files parse");
     for (name, case) in cases {
@@ -127,8 +127,8 @@ fn corpus_answers_are_byte_identical_row_vs_columnar() {
             targets.push((format!("view {}", v.name), v.query.clone()));
         }
         for (what, q) in targets {
-            let row = execute_with(&q, &db, false);
-            let col = execute_with(&q, &db, true);
+            let row = execute_ctx(&q, &db, &ExecContext::columnar(false));
+            let col = execute_ctx(&q, &db, &ExecContext::columnar(true));
             match (row, col) {
                 (Ok(r), Ok(c)) => {
                     assert_eq!(
