@@ -1,62 +1,39 @@
-//! F6 — incremental view maintenance vs. recomputation per insert batch.
+//! F6 — incremental view maintenance vs. recomputation per insert batch,
+//! for the single-table summary and the join view `V1`.
 
-use aggview::engine::datagen::{telephony, TelephonyConfig};
-use aggview::engine::execute;
-use aggview::engine::maintenance::{plan_for_view, MaintenancePlan};
-use aggview::engine::Value;
+use aggview::engine::maintenance::{maintain_view_ctx, Delta, DeltaKind};
+use aggview::engine::ExecContext;
+use aggview_bench::experiments::{f6_batch, f6_database, F6_VIEWS};
 use aggview_sql::parse_query;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let view_q = parse_query(
-        "SELECT Plan_Id, Month, Year, SUM(Charge) AS Rev, COUNT(Call_Id) AS N \
-         FROM Calls GROUP BY Plan_Id, Month, Year",
-    )
-    .expect("valid SQL");
-    let db = telephony(
-        &TelephonyConfig {
-            n_customers: 1000,
-            n_plans: 10,
-            n_calls: 50_000,
-            years: vec![1994, 1995],
-            months: 12,
-        },
-        21,
-    );
-    let mut view = execute(&view_q, &db).expect("view evaluates");
-    view.columns = view_q.output_names();
-    let MaintenancePlan::Incremental(plan) = plan_for_view(&view_q, &db) else {
-        panic!("expected incremental plan");
-    };
-    let mut rng = StdRng::seed_from_u64(5);
-    let delta: Vec<Vec<Value>> = (0..1000)
-        .map(|i| {
-            vec![
-                Value::Int(50_000 + i),
-                Value::Int(rng.random_range(0..1000)),
-                Value::Int(rng.random_range(0..10)),
-                Value::Int(rng.random_range(1..=28)),
-                Value::Int(rng.random_range(1..=12)),
-                Value::Int(1995),
-                Value::Int(rng.random_range(1..=2000)),
-            ]
-        })
-        .collect();
-
+    let cx = ExecContext::new();
     let mut group = c.benchmark_group("f6_maintenance");
-    group.bench_with_input(BenchmarkId::new("incremental", 1000), &delta, |b, delta| {
-        b.iter(|| {
-            let mut v = view.clone();
-            plan.apply_insert(&mut v, delta, None).expect("maintenance");
-            black_box(v)
-        })
-    });
-    group.bench_function(BenchmarkId::new("recompute", 1000), |b| {
-        b.iter(|| black_box(execute(&view_q, &db).expect("view evaluates")))
-    });
+    for (shape, sql) in F6_VIEWS {
+        let view_q = parse_query(sql).expect("valid SQL");
+        let mut db = f6_database(&view_q, 50_000);
+        let rows = f6_batch(&mut StdRng::seed_from_u64(5), 50_000, 1000);
+        db.update("Calls", |calls, _| calls.rows.extend_from_slice(&rows))
+            .expect("present");
+
+        for (path, with_delta) in [("incremental", true), ("recompute", false)] {
+            group.bench_function(BenchmarkId::new(format!("{path}/{shape}"), 1000), |b| {
+                b.iter(|| {
+                    let mut db = db.clone();
+                    let delta = with_delta.then(|| {
+                        Delta::new("Calls", DeltaKind::Insert(&rows), &db).expect("present")
+                    });
+                    let folded = maintain_view_ctx("V", &view_q, delta.as_ref(), &mut db, &cx);
+                    assert_eq!(folded.expect("maintenance"), with_delta);
+                    black_box(db)
+                })
+            });
+        }
+    }
     group.finish();
 }
 

@@ -3,6 +3,7 @@
 use crate::columnar::ColumnarRelation;
 use crate::error::{EngineError, EngineResult};
 use crate::index::GroupIndex;
+use crate::maintenance::FoldPlan;
 use crate::relation::Relation;
 use aggview_catalog::SchemaSource;
 use aggview_obs::{CounterId, MetricsRegistry};
@@ -16,6 +17,10 @@ use std::sync::{Arc, OnceLock};
 struct Stored {
     relation: Relation,
     index: Option<GroupIndex>,
+    /// A materialized view's compiled delta rule (see
+    /// [`crate::maintenance`]); depends on the definition only, so it
+    /// survives every change to the rows.
+    fold_plan: Option<Arc<FoldPlan>>,
     /// Built on first use; reset by every mutation, so a conversion is
     /// reachable only from the exact rows it was built from.
     columnar: OnceLock<Arc<ColumnarRelation>>,
@@ -48,11 +53,13 @@ impl Database {
     }
 
     /// Insert (or replace) a relation under `name`. Any index on the old
-    /// relation is dropped (its row positions are stale).
+    /// relation is dropped (its row positions are stale), and so is its
+    /// fold plan (the name may now mean something else).
     pub fn insert(&mut self, name: impl Into<String>, relation: Relation) -> &mut Self {
         let stored = Stored {
             relation,
             index: None,
+            fold_plan: None,
             columnar: OnceLock::new(),
         };
         self.relations.insert(name.into(), Arc::new(stored));
@@ -139,6 +146,26 @@ impl Database {
     /// The index on `name`, when one is attached.
     pub fn index(&self, name: &str) -> Option<&GroupIndex> {
         self.relations.get(name)?.index.as_ref()
+    }
+
+    /// Attach the compiled delta rule of materialized view `name` and,
+    /// when `indexed`, a [`GroupIndex`] on the key its group lookups probe.
+    pub fn set_fold_plan(&mut self, name: &str, plan: FoldPlan, indexed: bool) -> &mut Self {
+        match self.stored_mut(name) {
+            Ok(stored) => {
+                if let (true, Some(key)) = (indexed, plan.index_key_cols()) {
+                    stored.index = Some(GroupIndex::build(&stored.relation, key.to_vec()));
+                }
+                stored.fold_plan = Some(Arc::new(plan));
+            }
+            Err(_) => debug_assert!(false, "fold plan for unknown relation `{name}`"),
+        }
+        self
+    }
+
+    /// The delta rule of view `name`, when its shape has one.
+    pub fn fold_plan(&self, name: &str) -> Option<&Arc<FoldPlan>> {
+        self.relations.get(name)?.fold_plan.as_ref()
     }
 
     /// Iterate over `(name, relation)` pairs in name order.

@@ -32,7 +32,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::relation::Relation;
 use crate::value::{self, Value};
 use aggview_catalog::SchemaSource;
-use aggview_sql::ast::{AggFunc, ArithOp, BoolExpr, CmpOp, ColumnRef, Expr, Query};
+use aggview_sql::ast::{AggFunc, ArithOp, BoolExpr, CmpOp, ColumnRef, Expr, Query, TableRef};
 use std::collections::HashMap;
 
 /// Execute `query` against `db`, returning the result relation.
@@ -158,7 +158,7 @@ pub struct PhysicalPlan {
 }
 
 /// Compile-time state: per-occurrence schemas for column resolution.
-struct Compiler {
+pub(crate) struct Compiler {
     occs: Vec<PlanOcc>,
     occ_cols: Vec<Vec<String>>,
     grouped: bool,
@@ -171,38 +171,8 @@ impl PhysicalPlan {
     /// Compile `query` against a schema source (a [`Database`] works: it
     /// reports the schemas of its relations). Row data is not consulted.
     pub fn compile(query: &Query, schemas: &dyn SchemaSource) -> EngineResult<Self> {
-        // Bind FROM occurrences against the schemas.
-        let mut occs: Vec<PlanOcc> = Vec::with_capacity(query.from.len());
-        let mut occ_cols: Vec<Vec<String>> = Vec::with_capacity(query.from.len());
-        let mut bindings: Vec<String> = Vec::with_capacity(query.from.len());
-        let mut offset = 0usize;
-        for tref in &query.from {
-            let binding = tref.binding_name().to_string();
-            if bindings.contains(&binding) {
-                return Err(EngineError::DuplicateBinding(binding));
-            }
-            let cols = schemas
-                .table_columns(&tref.table)
-                .ok_or_else(|| EngineError::UnknownTable(tref.table.clone()))?;
-            occs.push(PlanOcc {
-                table: tref.table.clone(),
-                offset,
-                arity: cols.len(),
-            });
-            offset += cols.len();
-            occ_cols.push(cols);
-            bindings.push(binding);
-        }
-        let n_core_cols = offset;
-
-        let mut c = Compiler {
-            occs,
-            occ_cols,
-            grouped: false,
-            group_exprs: Vec::new(),
-            agg_slots: Vec::new(),
-            bindings,
-        };
+        let mut c = Compiler::bind(&query.from, schemas)?;
+        let n_core_cols = c.occs.iter().map(|o| o.arity).sum();
 
         // Grouping columns.
         for col in &query.group_by {
@@ -1280,8 +1250,42 @@ impl VAcc<'_> {
 }
 
 impl Compiler {
+    /// Bind the `FROM` occurrences against the schemas: the scope every
+    /// column reference of the block resolves in.
+    pub(crate) fn bind(from: &[TableRef], schemas: &dyn SchemaSource) -> EngineResult<Self> {
+        let mut occs: Vec<PlanOcc> = Vec::with_capacity(from.len());
+        let mut occ_cols: Vec<Vec<String>> = Vec::with_capacity(from.len());
+        let mut bindings: Vec<String> = Vec::with_capacity(from.len());
+        let mut offset = 0usize;
+        for tref in from {
+            let binding = tref.binding_name().to_string();
+            if bindings.contains(&binding) {
+                return Err(EngineError::DuplicateBinding(binding));
+            }
+            let cols = schemas
+                .table_columns(&tref.table)
+                .ok_or_else(|| EngineError::UnknownTable(tref.table.clone()))?;
+            occs.push(PlanOcc {
+                table: tref.table.clone(),
+                offset,
+                arity: cols.len(),
+            });
+            offset += cols.len();
+            occ_cols.push(cols);
+            bindings.push(binding);
+        }
+        Ok(Compiler {
+            occs,
+            occ_cols,
+            grouped: false,
+            group_exprs: Vec::new(),
+            agg_slots: Vec::new(),
+            bindings,
+        })
+    }
+
     /// Resolve a column reference to a core-table index.
-    fn resolve(&self, c: &ColumnRef) -> EngineResult<usize> {
+    pub(crate) fn resolve(&self, c: &ColumnRef) -> EngineResult<usize> {
         match &c.table {
             Some(binding) => {
                 let oi = self

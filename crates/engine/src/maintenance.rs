@@ -1,167 +1,323 @@
-//! Incremental view maintenance for inserts.
+//! Incremental view maintenance: one delta rule for every single-block
+//! view.
 //!
 //! The paper's Section 1 motivates materialized summary tables over
 //! high-volume transaction streams ("very large transaction recording
 //! systems … answered more efficiently by materializing and maintaining
 //! appropriately defined aggregate views"), citing the incremental
 //! maintenance literature ([BLT86, GMS93]) as the orthogonal machinery
-//! that keeps those views fresh. This module provides the insert-only
-//! slice of that machinery for the view shapes the rewriter cares about:
+//! that keeps those views fresh. This module is that machinery.
 //!
-//! * **Incrementally maintainable**: a single-block view over *one* base
-//!   table, no `HAVING`, no `DISTINCT`, whose select list is grouping
-//!   columns plus plain `SUM`/`COUNT`/`MIN`/`MAX` aggregates (under
-//!   inserts, `MIN`/`MAX` only ever tighten). `WHERE` conditions are
-//!   applied to the delta rows.
-//! * **Deletes** are additionally maintainable when the view has no
-//!   `MIN`/`MAX` output (those can loosen under deletion) and exposes a
-//!   `COUNT` column (to detect emptied groups).
-//! * **Everything else** (joins, `AVG`, `HAVING`, views over views, ...)
-//!   falls back to recomputation.
+//! A change `ΔT` to base table `T` reaches a view through the view's own
+//! `FROM … WHERE`, evaluated with `ΔT` bound in place of `T`'s one
+//! occurrence. The join is multilinear in each occurrence under multiset
+//! semantics — `(T ⊎ ΔT) ⋈ R = (T ⋈ R) ⊎ (ΔT ⋈ R)` — so those *image*
+//! rows are exactly the core-table rows the change added (or removed),
+//! whichever side of the join `T` sits on. A [`FoldPlan`] holds that image
+//! query, compiled once when the view is stored, and says how an image row
+//! lands in the stored relation:
+//!
+//! * **Grouped views** whose select list is the grouping columns plus
+//!   plain `SUM`/`COUNT`/`MIN`/`MAX` fold each image row into its group.
+//!   Deletes need every aggregate to have an inverse (`MIN`/`MAX` can
+//!   loosen) and a `COUNT` output (to detect emptied groups).
+//! * **Conjunctive views** append or remove the image rows themselves.
+//! * **Everything else** recomputes, decided by the definition's shape
+//!   alone: `AVG`, `HAVING`, `DISTINCT`, a hidden grouping column or a
+//!   table occurring twice in `FROM` need per-group state the stored
+//!   relation does not expose. So does a change that reaches the view
+//!   through another view: its rows are not tracked.
 
 use crate::ctx::ExecContext;
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
-use crate::exec::execute_ctx;
+use crate::exec::{execute_ctx, Compiler, PhysicalPlan};
 use crate::index::GroupIndex;
 use crate::relation::Relation;
 use crate::value::{self, Value};
-use aggview_sql::ast::{AggFunc, BoolExpr, CmpOp, ColumnRef, Expr, Literal, Query};
+use aggview_catalog::SchemaSource;
+use aggview_sql::ast::{AggFunc, Expr, Query, SelectItem};
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// How a view can be maintained under inserts to `base_table`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MaintenancePlan {
-    /// Apply delta rows directly to the materialized relation.
-    Incremental(IncrementalPlan),
-    /// Re-run the defining query.
-    Recompute,
+/// Fault injection: `AGGVIEW_UNSOUND_DROP_DIM_DELTA=1` silently skips the
+/// fold when the changed table is not the view's first `FROM` occurrence
+/// — the dropped `T ⋈ ΔR` term the qcheck oracle must catch. Read once
+/// per process.
+fn unsound_drop_dim_delta() -> bool {
+    static DROP: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *DROP.get_or_init(|| std::env::var_os("AGGVIEW_UNSOUND_DROP_DIM_DELTA").is_some())
 }
 
-/// One select output of an incrementally maintainable view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum OutputKind {
-    /// Grouping column at this base-table position.
+/// How an aggregate output absorbs one image row; the payload is the image
+/// column holding the aggregate's argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    Sum(usize),
+    Count,
+    Min(usize),
+    Max(usize),
+}
+
+/// One select output of a grouped view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Output {
+    /// Grouping column, at this image column.
     Group(usize),
-    /// `AGG(base column)`; `None` argument = `COUNT(*)`.
-    Agg(AggFunc, Option<usize>),
+    Agg(Fold),
 }
 
-/// A compiled incremental-maintenance plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalPlan {
-    base_table: String,
-    /// Per view output column: where its value comes from.
-    outputs: Vec<OutputKind>,
-    /// View output positions of the grouping columns, in GROUP BY order.
-    group_outputs: Vec<usize>,
-    /// WHERE atoms as (base position | constant) comparisons.
-    filter: Vec<(Operand, CmpOp, Operand)>,
+/// How image rows land in the stored relation.
+#[derive(Debug, Clone)]
+enum Shape {
+    /// Conjunctive view: the image rows are the view's rows.
+    Rows,
+    /// Grouped view: image rows are `GROUP BY columns ++ aggregate
+    /// arguments` and fold into one stored row per group.
+    Groups {
+        /// Per view output column: where its value comes from.
+        outputs: Vec<Output>,
+        /// View positions of the grouping columns, in `GROUP BY` order
+        /// (image columns `0..n` hold them in the same order).
+        key_outputs: Vec<usize>,
+    },
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Operand {
-    Col(usize),
-    Const(Value),
+/// The compiled delta rule of one view.
+#[derive(Debug, Clone)]
+pub struct FoldPlan {
+    /// The view's `FROM … WHERE` projected for `shape`; run with the delta
+    /// bound in place of the changed table.
+    image: PhysicalPlan,
+    shape: Shape,
 }
 
-/// Analyze a view definition: can inserts to its base table be applied
-/// incrementally?
-pub fn plan_for_view(view_query: &Query, db: &Database) -> MaintenancePlan {
-    match try_plan(view_query, db) {
-        Some(p) => MaintenancePlan::Incremental(p),
-        None => MaintenancePlan::Recompute,
-    }
-}
-
-fn try_plan(q: &Query, db: &Database) -> Option<IncrementalPlan> {
-    if q.distinct || q.having.is_some() || q.from.len() != 1 {
-        return None;
-    }
-    // A conjunctive view is not group-structured; only grouped views are
-    // maintained here (a conjunctive single-table view could be, but the
-    // rewriter's summary tables are all grouped).
-    if q.group_by.is_empty() {
-        return None;
-    }
-    let tref = &q.from[0];
-    let base = db.get(&tref.table).ok()?;
-    let binding = tref.binding_name();
-
-    let resolve = |c: &ColumnRef| -> Option<usize> {
-        if let Some(t) = &c.table {
-            if t != binding {
-                return None;
-            }
+impl FoldPlan {
+    /// Analyze a view definition. `None` means every change recomputes.
+    pub fn compile(q: &Query, schemas: &dyn SchemaSource, cx: &ExecContext) -> Option<FoldPlan> {
+        if q.distinct || q.having.is_some() {
+            return None;
         }
-        base.column_index(&c.column)
-    };
-
-    // Grouping columns.
-    let group_positions: Vec<usize> = q.group_by.iter().map(resolve).collect::<Option<Vec<_>>>()?;
-
-    // Select outputs.
-    let mut outputs = Vec::with_capacity(q.select.len());
-    let mut group_outputs: Vec<Option<usize>> = vec![None; group_positions.len()];
-    for (oi, item) in q.select.iter().enumerate() {
-        match &item.expr {
-            Expr::Column(c) => {
-                let pos = resolve(c)?;
-                let gi = group_positions.iter().position(|&g| g == pos)?;
-                group_outputs[gi].get_or_insert(oi);
-                outputs.push(OutputKind::Group(pos));
-            }
-            Expr::Agg(call) => {
-                if call.func == AggFunc::Avg {
-                    return None; // AVG is not self-maintainable
-                }
-                let arg = match &call.arg {
-                    None => None,
-                    Some(e) => match e.as_ref() {
-                        Expr::Column(c) => Some(resolve(c)?),
-                        _ => return None,
-                    },
-                };
-                outputs.push(OutputKind::Agg(call.func, arg));
-            }
-            _ => return None,
+        // `ΔT` replaces one occurrence; a second one needs the two-term
+        // expansion.
+        let tables: Vec<&str> = q.from.iter().map(|t| t.table.as_str()).collect();
+        if (1..tables.len()).any(|i| tables[..i].contains(&tables[i])) {
+            return None;
         }
-    }
-    // Every grouping column must be exposed, or delta rows cannot be
-    // routed to their group.
-    let group_outputs: Vec<usize> = group_outputs.into_iter().collect::<Option<Vec<_>>>()?;
-
-    // WHERE: conjunction of simple comparisons over base columns/constants.
-    let mut filter = Vec::new();
-    if let Some(w) = &q.where_clause {
-        for atom in w.conjuncts() {
-            let BoolExpr::Cmp { lhs, op, rhs } = atom else {
-                return None;
+        let scope = Compiler::bind(&q.from, schemas).ok()?;
+        let grouped =
+            !q.group_by.is_empty() || q.select.iter().any(|s| s.expr.contains_aggregate());
+        let (image_select, shape) = if grouped {
+            // Columns are compared by resolved position: `T.a` in GROUP BY
+            // and `a` in SELECT are the same column.
+            let resolved = q.group_by.iter().map(|c| scope.resolve(c).ok());
+            let group_positions: Vec<usize> = resolved.collect::<Option<_>>()?;
+            let mut image_select: Vec<Expr> =
+                q.group_by.iter().cloned().map(Expr::Column).collect();
+            let mut outputs = Vec::with_capacity(q.select.len());
+            let mut key_outputs: Vec<Option<usize>> = vec![None; group_positions.len()];
+            for (oi, item) in q.select.iter().enumerate() {
+                outputs.push(match &item.expr {
+                    Expr::Column(c) => {
+                        let pos = scope.resolve(c).ok()?;
+                        let gi = group_positions.iter().position(|&g| g == pos)?;
+                        key_outputs[gi].get_or_insert(oi);
+                        Output::Group(gi)
+                    }
+                    Expr::Agg(call) => {
+                        let arg = call.arg.as_deref().map(|e| {
+                            image_select.push(e.clone());
+                            image_select.len() - 1
+                        });
+                        Output::Agg(match (call.func, arg) {
+                            (AggFunc::Count, _) => Fold::Count,
+                            (AggFunc::Sum, Some(c)) => Fold::Sum(c),
+                            (AggFunc::Min, Some(c)) => Fold::Min(c),
+                            (AggFunc::Max, Some(c)) => Fold::Max(c),
+                            // AVG is not a function of (AVG, delta); only
+                            // COUNT takes `*`.
+                            _ => return None,
+                        })
+                    }
+                    _ => return None,
+                });
+            }
+            // Every grouping column must be exposed, or an image row
+            // cannot be routed to its group.
+            let key_outputs = key_outputs.into_iter().collect::<Option<_>>()?;
+            let shape = Shape::Groups {
+                outputs,
+                key_outputs,
             };
-            let operand = |e: &Expr| -> Option<Operand> {
-                match e {
-                    Expr::Column(c) => Some(Operand::Col(resolve(c)?)),
-                    Expr::Literal(l) => Some(Operand::Const(value::lit_value(l))),
-                    Expr::Neg(inner) => match inner.as_ref() {
-                        Expr::Literal(Literal::Int(v)) => Some(Operand::Const(Value::Int(-v))),
-                        Expr::Literal(Literal::Double(v)) => {
-                            Some(Operand::Const(Value::Double(-v)))
+            (image_select, shape)
+        } else {
+            let select = q.select.iter().map(|s| s.expr.clone()).collect();
+            (select, Shape::Rows)
+        };
+        let image_query = Query {
+            distinct: false,
+            select: image_select.into_iter().map(SelectItem::expr).collect(),
+            from: q.from.clone(),
+            where_clause: q.where_clause.clone(),
+            group_by: Vec::new(),
+            having: None,
+        };
+        let mut image = PhysicalPlan::compile(&image_query, schemas).ok()?;
+        image.set_columnar(cx.columnar);
+        Some(FoldPlan { image, shape })
+    }
+
+    /// The [`GroupIndex`] key columns that serve this plan's group
+    /// lookups: the view positions of the grouping columns. `None` when
+    /// the view has no grouping column to key on.
+    pub fn index_key_cols(&self) -> Option<&[usize]> {
+        match &self.shape {
+            Shape::Groups { key_outputs, .. } if !key_outputs.is_empty() => Some(key_outputs),
+            _ => None,
+        }
+    }
+
+    /// Can deletes be folded? Every aggregate needs an inverse, and an
+    /// emptied group is only detectable via a `COUNT` output.
+    fn supports_delete(&self) -> bool {
+        match &self.shape {
+            Shape::Rows => true,
+            Shape::Groups { outputs, .. } => {
+                let invertible =
+                    |o: &Output| !matches!(o, Output::Agg(Fold::Min(_) | Fold::Max(_)));
+                outputs.iter().all(invertible) && outputs.contains(&Output::Agg(Fold::Count))
+            }
+        }
+    }
+
+    /// Fold the image of inserted (or, with `insert` false, deleted) rows
+    /// into the stored view. An attached [`GroupIndex`] on the grouping
+    /// columns is probed for group lookups and kept in sync; without one a
+    /// scratch map is built for the batch.
+    fn fold(
+        &self,
+        view: &mut Relation,
+        image: Vec<Vec<Value>>,
+        insert: bool,
+        mut index: Option<&mut GroupIndex>,
+    ) -> EngineResult<()> {
+        let Shape::Groups {
+            outputs,
+            key_outputs,
+        } = &self.shape
+        else {
+            if insert {
+                view.rows.extend(image);
+            } else {
+                view.remove_rows(&image);
+            }
+            if let Some(idx) = index {
+                idx.rebuild(view);
+            }
+            return Ok(());
+        };
+        let usable = index
+            .as_ref()
+            .is_some_and(|idx| idx.key_cols() == key_outputs);
+        let mut scratch: Option<HashMap<Vec<Value>, usize>> = (!usable).then(|| {
+            let key_of = |row: &Vec<Value>| key_outputs.iter().map(|&o| row[o].clone()).collect();
+            let rows = view.rows.iter().enumerate();
+            rows.map(|(ri, row)| (key_of(row), ri)).collect()
+        });
+
+        for row in &image {
+            let key = &row[..key_outputs.len()];
+            let ri = match &scratch {
+                Some(map) => map.get(key).copied(),
+                None => index
+                    .as_ref()
+                    .and_then(|idx| idx.probe(key).last().copied()),
+            };
+            match ri {
+                // Only aggregate cells change: group keys stay put, so an
+                // attached index stays valid throughout the loop.
+                Some(ri) => {
+                    for (cell, out) in view.rows[ri].iter_mut().zip(outputs) {
+                        if let Output::Agg(fold) = out {
+                            *cell = fold.merge(cell, row, insert)?;
                         }
-                        _ => None,
-                    },
-                    _ => None,
+                    }
                 }
-            };
-            filter.push((operand(lhs)?, *op, operand(rhs)?));
+                None if insert => {
+                    let fresh = outputs
+                        .iter()
+                        .map(|out| match out {
+                            Output::Group(c) => Ok(row[*c].clone()),
+                            Output::Agg(fold) => fold.init(row),
+                        })
+                        .collect::<EngineResult<Vec<Value>>>()?;
+                    match (&mut scratch, &mut index) {
+                        (Some(map), _) => {
+                            map.insert(key.to_vec(), view.rows.len());
+                        }
+                        (None, Some(idx)) => idx.note_push(&fresh, view.rows.len()),
+                        (None, None) => {}
+                    }
+                    view.push(fresh);
+                }
+                None => {
+                    return Err(EngineError::TypeError(
+                        "delete delta references a group absent from the view".into(),
+                    ))
+                }
+            }
+        }
+
+        let mut moved = false;
+        if !insert {
+            // Drop emptied groups (COUNT hit zero); positions shift.
+            let before = view.len();
+            let count_pos = outputs.iter().position(|o| *o == Output::Agg(Fold::Count));
+            if let Some(count_pos) = count_pos {
+                view.rows.retain(|r| r[count_pos] != Value::Int(0));
+            }
+            moved = view.len() != before;
+        }
+        // A supplied-but-mismatched index was bypassed; re-sync it too.
+        if let (Some(idx), true) = (index, moved || !usable) {
+            idx.rebuild(view);
+        }
+        Ok(())
+    }
+}
+
+impl Fold {
+    /// The aggregate's value over a group holding only `row`.
+    fn init(self, row: &[Value]) -> EngineResult<Value> {
+        match self {
+            Fold::Count => Ok(Value::Int(1)),
+            Fold::Sum(c) if row[c].as_f64().is_none() => {
+                Err(EngineError::TypeError("sum over non-numeric".into()))
+            }
+            Fold::Sum(c) | Fold::Min(c) | Fold::Max(c) => Ok(row[c].clone()),
         }
     }
 
-    Some(IncrementalPlan {
-        base_table: tref.table.clone(),
-        outputs,
-        group_outputs,
-        filter,
-    })
+    /// `cell` with `row`'s contribution added (`insert`) or taken back.
+    fn merge(self, cell: &Value, row: &[Value], insert: bool) -> EngineResult<Value> {
+        let type_err = |what: &str| EngineError::TypeError(what.to_string());
+        let step = if insert { value::add } else { value::sub };
+        let extremum = |c: usize, wanted: Ordering, name: &str| match row[c].cmp_sql(cell) {
+            Some(ord) if ord == wanted => Ok(row[c].clone()),
+            Some(_) => Ok(cell.clone()),
+            None => Err(type_err(&format!("{name} over mixed types"))),
+        };
+        match self {
+            Fold::Count => step(cell, &Value::Int(1)).ok_or_else(|| type_err("count")),
+            Fold::Sum(c) => step(cell, &row[c]).ok_or_else(|| type_err("sum over non-numeric")),
+            Fold::Min(_) | Fold::Max(_) if !insert => {
+                Err(type_err("an extremum has no inverse under delete"))
+            }
+            Fold::Min(c) => extremum(c, Ordering::Less, "MIN"),
+            Fold::Max(c) => extremum(c, Ordering::Greater, "MAX"),
+        }
+    }
 }
 
 /// A batch of base-table changes.
@@ -173,287 +329,69 @@ pub enum DeltaKind<'a> {
     Delete(&'a [Vec<Value>]),
 }
 
-impl IncrementalPlan {
-    /// The base table this plan maintains against.
-    pub fn base_table(&self) -> &str {
-        &self.base_table
-    }
-
-    /// Can deletes be applied incrementally? `MIN`/`MAX` can loosen under
-    /// deletion, and an emptied group is only detectable via a `COUNT`
-    /// output.
-    pub fn supports_delete(&self) -> bool {
-        let mut has_count = false;
-        for out in &self.outputs {
-            match out {
-                OutputKind::Agg(AggFunc::Min, _) | OutputKind::Agg(AggFunc::Max, _) => {
-                    return false
-                }
-                OutputKind::Agg(AggFunc::Count, _) => has_count = true,
-                _ => {}
-            }
-        }
-        has_count
-    }
-
-    /// The [`GroupIndex`] key columns an index must have to serve this
-    /// plan's group lookups: the view positions of the grouping columns.
-    pub fn index_key_cols(&self) -> &[usize] {
-        &self.group_outputs
-    }
-
-    /// Does the delta row pass the view's WHERE filter?
-    fn passes_filter(&self, row: &[Value]) -> EngineResult<bool> {
-        for (l, op, r) in &self.filter {
-            let a = operand_value(l, row);
-            let b = operand_value(r, row);
-            if !compare(a, *op, b)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// The view-relation group key of a base-table delta row.
-    fn delta_key(&self, row: &[Value]) -> Vec<Value> {
-        self.group_outputs
-            .iter()
-            .map(|&o| match &self.outputs[o] {
-                OutputKind::Group(pos) => row[*pos].clone(),
-                OutputKind::Agg(..) => unreachable!("group output"),
-            })
-            .collect()
-    }
-
-    /// Apply deleted base rows to the materialized view relation. When a
-    /// [`GroupIndex`] on the grouping columns is supplied, group lookups
-    /// probe it instead of building a scratch map; the index is rebuilt at
-    /// the end (dropping emptied groups shifts row positions).
-    ///
-    /// Precondition: [`IncrementalPlan::supports_delete`]; the deleted rows
-    /// must actually have been in the base table (the view is otherwise
-    /// declared inconsistent with an error).
-    pub fn apply_delete(
-        &self,
-        view: &mut Relation,
-        deleted_rows: &[Vec<Value>],
-        index: Option<&mut GroupIndex>,
-    ) -> EngineResult<()> {
-        debug_assert!(self.supports_delete());
-        let usable = index
-            .as_ref()
-            .is_some_and(|idx| idx.key_cols() == self.index_key_cols());
-        let scratch: Option<HashMap<Vec<Value>, usize>> =
-            (!usable).then(|| self.scratch_index(view));
-
-        'delta: for row in deleted_rows {
-            if !self.passes_filter(row)? {
-                continue 'delta;
-            }
-            let key = self.delta_key(row);
-            let ri = match &scratch {
-                Some(map) => map.get(&key).copied(),
-                None => index
-                    .as_ref()
-                    .and_then(|idx| idx.probe(&key).last().copied()),
-            };
-            let Some(ri) = ri else {
-                return Err(EngineError::TypeError(
-                    "delete delta references a group absent from the view".into(),
-                ));
-            };
-            // Only aggregate cells change: group keys stay put, so an
-            // attached index stays valid throughout the loop.
-            for (oi, out) in self.outputs.iter().enumerate() {
-                if let OutputKind::Agg(func, arg) = out {
-                    let cell = &view.rows[ri][oi];
-                    view.rows[ri][oi] = unmerge(*func, cell, *arg, row)?;
-                }
-            }
-        }
-
-        // Drop emptied groups (COUNT hit zero).
-        let count_pos = self
-            .outputs
-            .iter()
-            .position(|o| matches!(o, OutputKind::Agg(AggFunc::Count, _)))
-            .expect("supports_delete checked");
-        view.rows.retain(|r| r[count_pos] != Value::Int(0));
-        if let Some(idx) = index {
-            idx.rebuild(view);
-        }
-        Ok(())
-    }
-
-    /// Apply inserted base rows to the materialized view relation. When a
-    /// [`GroupIndex`] on the grouping columns is supplied, group lookups
-    /// probe it and the index is kept in sync as fresh groups are appended
-    /// — the per-batch scratch map disappears from the serving write path.
-    pub fn apply_insert(
-        &self,
-        view: &mut Relation,
-        delta_rows: &[Vec<Value>],
-        mut index: Option<&mut GroupIndex>,
-    ) -> EngineResult<()> {
-        let usable = index
-            .as_ref()
-            .is_some_and(|idx| idx.key_cols() == self.index_key_cols());
-        let mut scratch: Option<HashMap<Vec<Value>, usize>> =
-            (!usable).then(|| self.scratch_index(view));
-
-        'delta: for row in delta_rows {
-            if !self.passes_filter(row)? {
-                continue 'delta;
-            }
-            let key = self.delta_key(row);
-            let ri = match &scratch {
-                Some(map) => map.get(&key).copied(),
-                None => index
-                    .as_ref()
-                    .and_then(|idx| idx.probe(&key).last().copied()),
-            };
-            match ri {
-                Some(ri) => {
-                    for (oi, out) in self.outputs.iter().enumerate() {
-                        if let OutputKind::Agg(func, arg) = out {
-                            let cell = &view.rows[ri][oi];
-                            view.rows[ri][oi] = merge(*func, cell, *arg, row)?;
-                        }
-                    }
-                }
-                None => {
-                    let mut fresh = Vec::with_capacity(self.outputs.len());
-                    for out in &self.outputs {
-                        fresh.push(match out {
-                            OutputKind::Group(pos) => row[*pos].clone(),
-                            OutputKind::Agg(func, arg) => init(*func, *arg, row)?,
-                        });
-                    }
-                    match (&mut scratch, &mut index) {
-                        (Some(map), _) => {
-                            map.insert(key, view.rows.len());
-                        }
-                        (None, Some(idx)) => idx.note_push(&fresh, view.rows.len()),
-                        (None, None) => unreachable!("scratch built when no usable index"),
-                    }
-                    view.push(fresh);
-                }
-            }
-        }
-        // A supplied-but-mismatched index was bypassed; re-sync it.
-        if let (Some(idx), false) = (index, usable) {
-            idx.rebuild(view);
-        }
-        Ok(())
-    }
-
-    /// One-shot group → row map for the unindexed maintenance path.
-    fn scratch_index(&self, view: &Relation) -> HashMap<Vec<Value>, usize> {
-        let mut map = HashMap::with_capacity(view.len());
-        for (ri, row) in view.rows.iter().enumerate() {
-            let key: Vec<Value> = self.group_outputs.iter().map(|&o| row[o].clone()).collect();
-            map.insert(key, ri);
-        }
-        map
-    }
+/// One statement's change to one base table, as every dependent view's
+/// image query sees it. Built once per statement.
+#[derive(Debug)]
+pub struct Delta<'a> {
+    table: &'a str,
+    insert: bool,
+    /// The database with `table` rebound to the changed rows alone.
+    /// Detached from the registry: image runs are maintenance, not
+    /// queries.
+    image_db: Database,
 }
 
-fn operand_value<'a>(op: &'a Operand, row: &'a [Value]) -> &'a Value {
-    match op {
-        Operand::Col(i) => &row[*i],
-        Operand::Const(v) => v,
+impl<'a> Delta<'a> {
+    /// The change `kind` to `table`, which `db` already reflects.
+    pub fn new(table: &'a str, kind: DeltaKind<'_>, db: &Database) -> EngineResult<Self> {
+        let (insert, rows) = match kind {
+            DeltaKind::Insert(rows) => (true, rows),
+            DeltaKind::Delete(rows) => (false, rows),
+        };
+        let columns = db.get(table)?.columns.clone();
+        let mut image_db = db.clone();
+        image_db.clear_metrics();
+        image_db.insert(table, Relation::new(columns, rows.to_vec()));
+        Ok(Delta {
+            table,
+            insert,
+            image_db,
+        })
     }
-}
-
-fn compare(a: &Value, op: CmpOp, b: &Value) -> EngineResult<bool> {
-    value::compare(a, op, b).ok_or_else(|| {
-        EngineError::TypeError(format!(
-            "comparison of {} and {}",
-            a.type_name(),
-            b.type_name()
-        ))
-    })
-}
-
-fn init(func: AggFunc, arg: Option<usize>, row: &[Value]) -> EngineResult<Value> {
-    Ok(match (func, arg) {
-        (AggFunc::Count, _) => Value::Int(1),
-        (_, Some(pos)) => row[pos].clone(),
-        (_, None) => unreachable!("only COUNT takes *"),
-    })
-}
-
-fn merge(func: AggFunc, cell: &Value, arg: Option<usize>, row: &[Value]) -> EngineResult<Value> {
-    let type_err = |what: &str| EngineError::TypeError(what.to_string());
-    Ok(match func {
-        AggFunc::Count => value::add(cell, &Value::Int(1)).ok_or_else(|| type_err("count"))?,
-        AggFunc::Sum => {
-            let v = &row[arg.expect("SUM argument")];
-            value::add(cell, v).ok_or_else(|| type_err("sum over non-numeric"))?
-        }
-        AggFunc::Min => {
-            let v = &row[arg.expect("MIN argument")];
-            match v.cmp_sql(cell) {
-                Some(std::cmp::Ordering::Less) => v.clone(),
-                Some(_) => cell.clone(),
-                None => return Err(type_err("MIN over mixed types")),
-            }
-        }
-        AggFunc::Max => {
-            let v = &row[arg.expect("MAX argument")];
-            match v.cmp_sql(cell) {
-                Some(std::cmp::Ordering::Greater) => v.clone(),
-                Some(_) => cell.clone(),
-                None => return Err(type_err("MAX over mixed types")),
-            }
-        }
-        AggFunc::Avg => unreachable!("AVG views recompute"),
-    })
-}
-
-/// Inverse of [`merge`] for the delete path (SUM/COUNT only).
-fn unmerge(func: AggFunc, cell: &Value, arg: Option<usize>, row: &[Value]) -> EngineResult<Value> {
-    let type_err = |what: &str| EngineError::TypeError(what.to_string());
-    Ok(match func {
-        AggFunc::Count => value::sub(cell, &Value::Int(1)).ok_or_else(|| type_err("count"))?,
-        AggFunc::Sum => {
-            let v = &row[arg.expect("SUM argument")];
-            value::sub(cell, v).ok_or_else(|| type_err("sum over non-numeric"))?
-        }
-        AggFunc::Min | AggFunc::Max | AggFunc::Avg => {
-            unreachable!("supports_delete excludes these")
-        }
-    })
 }
 
 /// Bring the stored view `name` up to date with `db`, which must already
-/// reflect the change. With `delta` — the changed base table and its rows —
-/// the view is maintained in place when its plan allows; without one (the
-/// change reached the view through another view, or the caller wants a
-/// refresh) or when the plan declines, it is recomputed under `cx`. An
-/// attached [`GroupIndex`] is probed and kept consistent on every path.
-/// Returns whether the incremental path was taken.
+/// reflect the change. With `delta`, the view's [`FoldPlan`] (attached by
+/// [`Database::set_fold_plan`]) folds the change's image in when it can;
+/// the caller passes one only if every other `FROM` occurrence of the view
+/// is unchanged. Without one (the change reached the view through another
+/// view, or the caller wants a refresh) or when the shape declines, the
+/// view is recomputed under `cx`. An attached [`GroupIndex`] is probed and
+/// kept consistent on every path. Returns whether the view was folded —
+/// a function of the definition and the kind of change, never of the rows.
 pub fn maintain_view_ctx(
     name: &str,
     view_query: &Query,
-    delta: Option<(&str, DeltaKind<'_>)>,
+    delta: Option<&Delta<'_>>,
     db: &mut Database,
     cx: &ExecContext,
 ) -> EngineResult<bool> {
-    let incremental = delta.and_then(|(table, kind)| match plan_for_view(view_query, db) {
-        MaintenancePlan::Incremental(plan) if plan.base_table() == table => Some((plan, kind)),
-        _ => None,
+    let folding = delta.and_then(|d| {
+        let plan = db.fold_plan(name)?;
+        let reads_table = view_query.from.iter().any(|t| t.table == d.table);
+        (reads_table && (d.insert || plan.supports_delete())).then(|| (Arc::clone(plan), d))
     });
-    match incremental {
-        Some((plan, DeltaKind::Insert(rows))) => {
-            db.update(name, |rel, idx| plan.apply_insert(rel, rows, idx))??;
+    if let Some((plan, delta)) = folding {
+        if unsound_drop_dim_delta() && view_query.from[0].table != delta.table {
             return Ok(true);
         }
-        Some((plan, DeltaKind::Delete(rows))) if plan.supports_delete() => {
-            db.update(name, |rel, idx| plan.apply_delete(rel, rows, idx))??;
-            return Ok(true);
+        let image = plan.image.run(&delta.image_db)?.rows;
+        // An empty image leaves the stored entry shared with the last
+        // snapshot, index and columnar conversion included.
+        if !image.is_empty() {
+            db.update(name, |rel, idx| plan.fold(rel, image, delta.insert, idx))??;
         }
-        _ => {}
+        return Ok(true);
     }
     let mut fresh = execute_ctx(view_query, db, cx)?;
     db.update(name, |rel, idx| {
@@ -475,10 +413,25 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// `T(a, b, c)` with `rows`, and a small dimension table `D(a, name)`.
     fn base_db(rows: &[&[i64]]) -> Database {
         let mut db = Database::new();
         db.insert("T", rel_of_ints(["a", "b", "c"], rows));
+        db.insert(
+            "D",
+            rel_of_ints(["a", "name"], &[&[0, 100], &[1, 101], &[2, 102]]),
+        );
         db
+    }
+
+    fn ints(rows: &[&[i64]]) -> Vec<Vec<Value>> {
+        rows.iter()
+            .map(|r| r.iter().copied().map(Value::Int).collect())
+            .collect()
+    }
+
+    fn compile(sql: &str, db: &Database) -> Option<FoldPlan> {
+        FoldPlan::compile(&parse_query(sql).unwrap(), db, &ExecContext::new())
     }
 
     fn materialize(q: &Query, db: &Database) -> Relation {
@@ -487,276 +440,299 @@ mod tests {
         rel
     }
 
-    #[test]
-    fn plans_summary_views_incrementally() {
-        let db = base_db(&[&[1, 2, 3]]);
-        let q = parse_query(
-            "SELECT a, SUM(b) AS s, COUNT(b) AS n, MIN(c) AS mn, MAX(c) AS mx \
-             FROM T WHERE c > 0 GROUP BY a",
-        )
-        .unwrap();
-        assert!(matches!(
-            plan_for_view(&q, &db),
-            MaintenancePlan::Incremental(_)
-        ));
+    /// Store `sql` as view `V` with its fold plan and, when `indexed`, the
+    /// index the plan keys on.
+    fn store_view(db: &mut Database, sql: &str, indexed: bool) -> Query {
+        let q = parse_query(sql).unwrap();
+        db.insert("V", materialize(&q, db));
+        if let Some(plan) = compile(sql, db) {
+            db.set_fold_plan("V", plan, indexed);
+        }
+        q
+    }
+
+    /// Apply `kind` to base table `table`, then maintain `V` with the
+    /// delta. Returns whether `V` was folded.
+    fn change(
+        db: &mut Database,
+        q: &Query,
+        table: &str,
+        kind: DeltaKind<'_>,
+    ) -> EngineResult<bool> {
+        db.update(table, |rel, _| match kind {
+            DeltaKind::Insert(rows) => rel.rows.extend_from_slice(rows),
+            DeltaKind::Delete(rows) => rel.remove_rows(rows),
+        })?;
+        let delta = Delta::new(table, kind, db)?;
+        maintain_view_ctx("V", q, Some(&delta), db, &ExecContext::new())
+    }
+
+    fn assert_fresh(db: &Database, q: &Query, step: &str) {
+        let (view, want) = (db.get("V").unwrap(), materialize(q, db));
+        assert!(
+            multiset_eq(view, &want),
+            "view diverged {step}:\n got: {view}\n want: {want}"
+        );
+        if let Some(idx) = db.index("V") {
+            assert!(idx.is_consistent_with(view), "index stale {step}");
+        }
+    }
+
+    fn random_rows(rng: &mut StdRng, n: usize) -> Vec<Vec<Value>> {
+        (0..n)
+            .map(|_| {
+                vec![
+                    Value::Int(rng.random_range(0..4)),
+                    Value::Int(rng.random_range(-3..10)),
+                    Value::Int(rng.random_range(-1..3)),
+                ]
+            })
+            .collect()
     }
 
     #[test]
-    fn rejects_non_maintainable_shapes() {
-        let mut db = base_db(&[&[1, 2, 3]]);
-        db.insert("U", rel_of_ints(["x"], &[&[1]]));
+    fn shapes_that_fold() {
+        let db = base_db(&[&[1, 2, 3]]);
+        for sql in [
+            "SELECT a, SUM(b) AS s, COUNT(b) AS n, MIN(c) AS mn, MAX(c) AS mx \
+             FROM T WHERE c > 0 GROUP BY a",
+            "SELECT a, b FROM T WHERE c > 0", // conjunctive
+            "SELECT SUM(b), COUNT(*) FROM T", // one global group
+            "SELECT T.a, name, SUM(b * c) FROM T, D WHERE T.a = D.a GROUP BY T.a, name", // join
+        ] {
+            assert!(compile(sql, &db).is_some(), "`{sql}` should fold");
+        }
+    }
+
+    #[test]
+    fn shapes_that_recompute() {
+        let db = base_db(&[&[1, 2, 3]]);
         for sql in [
             "SELECT a, AVG(b) FROM T GROUP BY a",                   // AVG
             "SELECT a, SUM(b) FROM T GROUP BY a HAVING SUM(b) > 1", // HAVING
-            "SELECT a, b FROM T",                                   // conjunctive
-            "SELECT DISTINCT a, SUM(b) FROM T GROUP BY a",          // DISTINCT
-            "SELECT a, SUM(x) FROM T, U GROUP BY a",                // join
-            "SELECT SUM(b) FROM T GROUP BY a",                      // group col hidden
+            "SELECT DISTINCT a, b FROM T",                          // DISTINCT
+            "SELECT DISTINCT a, SUM(b) FROM T GROUP BY a",
+            "SELECT SUM(b) FROM T GROUP BY a", // group col hidden
+            "SELECT a, SUM(b) + 1 FROM T GROUP BY a", // not a plain aggregate
+            "SELECT x.a, SUM(y.b) FROM T x, T y WHERE x.a = y.a GROUP BY x.a", // T twice
         ] {
-            let q = parse_query(sql).unwrap();
-            assert_eq!(
-                plan_for_view(&q, &db),
-                MaintenancePlan::Recompute,
-                "`{sql}` should recompute"
-            );
+            assert!(compile(sql, &db).is_none(), "`{sql}` should recompute");
         }
     }
 
     #[test]
-    fn incremental_matches_recompute() {
-        let q = parse_query(
+    fn columns_resolve_by_position_not_syntax() {
+        // Qualified, bare and aliased references to one column are one
+        // column, in GROUP BY and SELECT alike.
+        let db = base_db(&[]);
+        for sql in [
+            "SELECT a, SUM(b) AS s FROM T GROUP BY T.a",
+            "SELECT T.a, SUM(T.b) AS s FROM T GROUP BY a",
+            "SELECT x.a AS k, SUM(b) AS s FROM T x GROUP BY a",
+            "SELECT a AS k, SUM(x.b) AS s FROM T AS x GROUP BY x.a",
+            "SELECT T.a, SUM(b) AS s FROM T, D WHERE T.a = D.a GROUP BY T.a",
+            "SELECT D.a, name, SUM(b) AS s FROM T, D WHERE T.a = D.a GROUP BY name, D.a",
+        ] {
+            let plan = compile(sql, &db).unwrap_or_else(|| panic!("`{sql}` should fold"));
+            let want: &[usize] = if sql.contains("name") { &[1, 0] } else { &[0] };
+            assert_eq!(plan.index_key_cols(), Some(want), "`{sql}`");
+        }
+        // `T.a` and `D.a` are equal in every row but not the same column.
+        assert!(compile(
+            "SELECT D.a, SUM(b) FROM T, D WHERE T.a = D.a GROUP BY T.a",
+            &db
+        )
+        .is_none());
+    }
+
+    #[test]
+    fn folded_inserts_match_recompute() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut db = base_db(&[]);
+        let q = store_view(
+            &mut db,
             "SELECT a, SUM(b) AS s, COUNT(*) AS n, MIN(c) AS mn, MAX(c) AS mx \
              FROM T WHERE c <> 0 GROUP BY a",
-        )
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut rows: Vec<Vec<i64>> = Vec::new();
-        let mut db = base_db(&[]);
-        let mut view = materialize(&q, &db);
-        let MaintenancePlan::Incremental(plan) = plan_for_view(&q, &db) else {
-            panic!("expected incremental plan")
-        };
-
-        for _ in 0..25 {
-            // Insert a random batch.
-            let batch: Vec<Vec<Value>> = (0..rng.random_range(1..5))
-                .map(|_| {
-                    let r = vec![
-                        rng.random_range(0..4),
-                        rng.random_range(-3..10),
-                        rng.random_range(-1..3),
-                    ];
-                    rows.push(r.clone());
-                    r.into_iter().map(Value::Int).collect()
-                })
-                .collect();
-            let all: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-            db = base_db(&all);
-            plan.apply_insert(&mut view, &batch, None).unwrap();
-            let recomputed = materialize(&q, &db);
-            assert!(
-                multiset_eq(&view, &recomputed),
-                "incremental view diverged after insert:\n got: {view}\n want: {recomputed}"
-            );
+            false,
+        );
+        for step in 0..25 {
+            let n = rng.random_range(1..5);
+            let batch = random_rows(&mut rng, n);
+            assert!(change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap());
+            assert_fresh(&db, &q, &format!("after insert {step}"));
         }
+    }
+
+    #[test]
+    fn join_view_folds_from_either_side() {
+        // Fact-side and dimension-side deltas are one rule with the roles
+        // swapped; COUNT makes deletes foldable too.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut db = base_db(&[&[0, 4, 1], &[1, 2, 1], &[3, 9, 1]]);
+        let q = store_view(
+            &mut db,
+            "SELECT T.a, name, SUM(b) AS s, COUNT(*) AS n FROM T, D WHERE T.a = D.a \
+             GROUP BY T.a, name",
+            true,
+        );
+        for step in 0..12 {
+            let batch = random_rows(&mut rng, 2);
+            assert!(change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap());
+            assert_fresh(&db, &q, &format!("after fact insert {step}"));
+        }
+        // A dimension row nobody references, one existing facts already
+        // reference (a = 3 had no partner so far), and a second name for
+        // a = 1, which doubles that group's core rows.
+        for (step, row) in [[7, 107], [3, 103], [1, 111]].iter().enumerate() {
+            let batch = ints(&[&row[..]]);
+            assert!(change(&mut db, &q, "D", DeltaKind::Insert(&batch)).unwrap());
+            assert_fresh(&db, &q, &format!("after dimension insert {step}"));
+        }
+        let gone = ints(&[&[3, 103]]);
+        assert!(change(&mut db, &q, "D", DeltaKind::Delete(&gone)).unwrap());
+        assert_fresh(&db, &q, "after dimension delete");
+        assert!(!db
+            .get("V")
+            .unwrap()
+            .rows
+            .iter()
+            .any(|r| r[0] == Value::Int(3)));
+        let gone = vec![db.get("T").unwrap().rows[0].clone()];
+        assert!(change(&mut db, &q, "T", DeltaKind::Delete(&gone)).unwrap());
+        assert_fresh(&db, &q, "after fact delete");
+    }
+
+    #[test]
+    fn conjunctive_view_appends_and_removes_its_image() {
+        let mut db = base_db(&[&[1, 5, 1], &[1, 5, 1], &[2, 6, 0]]);
+        let q = store_view(
+            &mut db,
+            "SELECT b, name FROM T, D WHERE T.a = D.a AND c > 0",
+            false,
+        );
+        let batch = ints(&[&[2, 7, 1], &[2, 8, 0], &[9, 9, 9]]);
+        assert!(change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap());
+        assert_fresh(&db, &q, "after insert");
+        assert_eq!(db.get("V").unwrap().len(), 3);
+        // One of two duplicate rows goes; the other stays.
+        let gone = ints(&[&[1, 5, 1]]);
+        assert!(change(&mut db, &q, "T", DeltaKind::Delete(&gone)).unwrap());
+        assert_fresh(&db, &q, "after delete");
+        assert_eq!(db.get("V").unwrap().len(), 2);
     }
 
     #[test]
     fn maintain_view_routes_correctly() {
         let mut db = base_db(&[&[1, 5, 2]]);
-        let q = parse_query("SELECT a, SUM(b) AS s FROM T GROUP BY a").unwrap();
-        let q_avg = parse_query("SELECT a, AVG(b) AS m FROM T GROUP BY a").unwrap();
-        db.insert("V", materialize(&q, &db));
-        db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![0]));
-        db.insert("Avg", materialize(&q_avg, &db));
+        let q = store_view(&mut db, "SELECT a, SUM(b) AS s FROM T GROUP BY a", true);
         let cx = ExecContext::new();
+        let batch = ints(&[&[1, 7, 0], &[2, 1, 0]]);
 
-        let delta = vec![
-            vec![Value::Int(1), Value::Int(7), Value::Int(0)],
-            vec![Value::Int(2), Value::Int(1), Value::Int(0)],
-        ];
-        db.update("T", |t, _| t.rows.extend(delta.iter().cloned()))
-            .unwrap();
-        let insert = Some(("T", DeltaKind::Insert(&delta)));
-
-        // Insert into T: incremental, index maintained alongside.
-        assert!(maintain_view_ctx("V", &q, insert, &mut db, &cx).unwrap());
-        assert!(multiset_eq(db.get("V").unwrap(), &materialize(&q, &db)));
+        // Insert into T: folded, index maintained alongside.
+        assert!(change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap());
+        assert_fresh(&db, &q, "after insert");
         assert_eq!(db.index("V").unwrap().probe(&[Value::Int(2)]), &[1]);
 
-        // No delta to apply (or one for another table): recompute path.
+        // No delta to apply, or one for a table the view does not read:
+        // recompute path.
         assert!(!maintain_view_ctx("V", &q, None, &mut db, &cx).unwrap());
-        let other = Some(("Other", DeltaKind::Insert(&delta)));
-        assert!(!maintain_view_ctx("V", &q, other, &mut db, &cx).unwrap());
-        assert!(multiset_eq(db.get("V").unwrap(), &materialize(&q, &db)));
+        let other = Delta::new("D", DeltaKind::Insert(&[]), &db).unwrap();
+        assert!(!maintain_view_ctx("V", &q, Some(&other), &mut db, &cx).unwrap());
+        assert_fresh(&db, &q, "after recompute");
         assert_eq!(db.get("V").unwrap().columns, ["a", "s"]);
 
-        // AVG view over T: recompute path.
-        assert!(!maintain_view_ctx("Avg", &q_avg, insert, &mut db, &cx).unwrap());
-        assert!(multiset_eq(
-            db.get("Avg").unwrap(),
-            &materialize(&q_avg, &db)
-        ));
+        // No COUNT to detect an emptied group with: a delete recomputes.
+        assert!(!change(&mut db, &q, "T", DeltaKind::Delete(&batch)).unwrap());
+        assert_fresh(&db, &q, "after delete");
+
+        // AVG has no fold plan at all.
+        let q_avg = store_view(&mut db, "SELECT a, AVG(b) AS m FROM T GROUP BY a", false);
+        assert!(!change(&mut db, &q_avg, "T", DeltaKind::Insert(&batch)).unwrap());
+        assert_fresh(&db, &q_avg, "after AVG insert");
     }
 
     #[test]
     fn delete_support_detection() {
         let db = base_db(&[&[1, 2, 3]]);
-        let with_minmax =
-            parse_query("SELECT a, MIN(b) AS mn, COUNT(b) AS n FROM T GROUP BY a").unwrap();
-        let MaintenancePlan::Incremental(p) = plan_for_view(&with_minmax, &db) else {
-            panic!()
-        };
-        assert!(!p.supports_delete());
-        let no_count = parse_query("SELECT a, SUM(b) AS s FROM T GROUP BY a").unwrap();
-        let MaintenancePlan::Incremental(p) = plan_for_view(&no_count, &db) else {
-            panic!()
-        };
-        assert!(!p.supports_delete());
-        let good = parse_query("SELECT a, SUM(b) AS s, COUNT(b) AS n FROM T GROUP BY a").unwrap();
-        let MaintenancePlan::Incremental(p) = plan_for_view(&good, &db) else {
-            panic!()
-        };
-        assert!(p.supports_delete());
-    }
-
-    #[test]
-    fn incremental_delete_matches_recompute() {
-        let q = parse_query("SELECT a, SUM(b) AS s, COUNT(*) AS n FROM T WHERE c <> 0 GROUP BY a")
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(77);
-        // Base data.
-        let mut rows: Vec<Vec<i64>> = (0..40)
-            .map(|_| {
-                vec![
-                    rng.random_range(0..4),
-                    rng.random_range(-3..10),
-                    rng.random_range(-1..3),
-                ]
-            })
-            .collect();
-        let all: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut db = base_db(&all);
-        let mut view = materialize(&q, &db);
-        let MaintenancePlan::Incremental(plan) = plan_for_view(&q, &db) else {
-            panic!("expected incremental plan")
-        };
-        assert!(plan.supports_delete());
-
-        for _ in 0..10 {
-            // Delete a random batch of existing rows.
-            let k = rng.random_range(1..4).min(rows.len());
-            let mut batch: Vec<Vec<Value>> = Vec::new();
-            for _ in 0..k {
-                let i = rng.random_range(0..rows.len());
-                let r = rows.remove(i);
-                batch.push(r.into_iter().map(Value::Int).collect());
-            }
-            let all: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-            db = base_db(&all);
-            plan.apply_delete(&mut view, &batch, None).unwrap();
-            let recomputed = materialize(&q, &db);
-            assert!(
-                multiset_eq(&view, &recomputed),
-                "incremental delete diverged:
- got: {view}
- want: {recomputed}"
-            );
-            if rows.is_empty() {
-                break;
-            }
-        }
+        let folds_deletes = |sql| compile(sql, &db).unwrap().supports_delete();
+        assert!(!folds_deletes(
+            "SELECT a, MIN(b) AS mn, COUNT(b) AS n FROM T GROUP BY a"
+        ));
+        assert!(!folds_deletes("SELECT a, SUM(b) AS s FROM T GROUP BY a"));
+        assert!(folds_deletes(
+            "SELECT a, SUM(b) AS s, COUNT(b) AS n FROM T GROUP BY a"
+        ));
+        assert!(folds_deletes("SELECT a, b FROM T"));
     }
 
     #[test]
     fn indexed_maintenance_matches_unindexed() {
         // The serving write path: a persistent GroupIndex rides along with
         // the view through inserts and deletes, and stays consistent.
-        let q = parse_query("SELECT a, SUM(b) AS s, COUNT(*) AS n FROM T WHERE c <> 0 GROUP BY a")
-            .unwrap();
+        let sql = "SELECT a, SUM(b) AS s, COUNT(*) AS n FROM T WHERE c <> 0 GROUP BY a";
         let mut rng = StdRng::seed_from_u64(41);
-        let mut rows: Vec<Vec<i64>> = Vec::new();
-        let db = base_db(&[]);
-        let mut plain = materialize(&q, &db);
-        let mut indexed = plain.clone();
-        let MaintenancePlan::Incremental(plan) = plan_for_view(&q, &db) else {
-            panic!("expected incremental plan")
-        };
-        let mut idx = GroupIndex::build(&indexed, plan.index_key_cols().to_vec());
+        let (mut plain, mut indexed) = (base_db(&[]), base_db(&[]));
+        let q = store_view(&mut plain, sql, false);
+        store_view(&mut indexed, sql, true);
 
         for step in 0..30 {
-            let delete = step % 3 == 2 && !rows.is_empty();
-            if delete {
-                let k = rng.random_range(1..3).min(rows.len());
-                let mut batch: Vec<Vec<Value>> = Vec::new();
-                for _ in 0..k {
-                    let i = rng.random_range(0..rows.len());
-                    batch.push(rows.remove(i).into_iter().map(Value::Int).collect());
-                }
-                plan.apply_delete(&mut plain, &batch, None).unwrap();
-                plan.apply_delete(&mut indexed, &batch, Some(&mut idx))
-                    .unwrap();
+            let live = &plain.get("T").unwrap().rows;
+            let batch = if step % 3 == 2 && !live.is_empty() {
+                let i = rng.random_range(0..live.len());
+                vec![live[i].clone()]
             } else {
-                let batch: Vec<Vec<Value>> = (0..rng.random_range(1..4))
-                    .map(|_| {
-                        let r = vec![
-                            rng.random_range(0..4),
-                            rng.random_range(-3..10),
-                            rng.random_range(-1..3),
-                        ];
-                        rows.push(r.clone());
-                        r.into_iter().map(Value::Int).collect()
-                    })
-                    .collect();
-                plan.apply_insert(&mut plain, &batch, None).unwrap();
-                plan.apply_insert(&mut indexed, &batch, Some(&mut idx))
-                    .unwrap();
-            }
-            assert_eq!(plain.rows, indexed.rows, "paths diverged at step {step}");
-            assert!(
-                idx.is_consistent_with(&indexed),
-                "index stale at step {step}"
+                let n = rng.random_range(1..4);
+                random_rows(&mut rng, n)
+            };
+            let kind = if step % 3 == 2 {
+                DeltaKind::Delete(&batch)
+            } else {
+                DeltaKind::Insert(&batch)
+            };
+            assert!(change(&mut plain, &q, "T", kind).unwrap());
+            assert!(change(&mut indexed, &q, "T", kind).unwrap());
+            assert_fresh(&indexed, &q, &format!("at step {step}"));
+            assert_eq!(
+                plain.get("V").unwrap().rows,
+                indexed.get("V").unwrap().rows,
+                "paths diverged at step {step}"
             );
         }
     }
 
     #[test]
     fn mismatched_index_is_resynced() {
-        let q = parse_query("SELECT a, COUNT(*) AS n FROM T GROUP BY a").unwrap();
-        let db = base_db(&[]);
-        let MaintenancePlan::Incremental(plan) = plan_for_view(&q, &db) else {
-            panic!()
-        };
-        let mut view = materialize(&q, &db);
+        let mut db = base_db(&[]);
+        let q = store_view(&mut db, "SELECT a, COUNT(*) AS n FROM T GROUP BY a", false);
         // Index keyed on the COUNT column — unusable for group routing,
         // but must still be valid after maintenance.
-        let mut idx = GroupIndex::build(&view, vec![1]);
-        plan.apply_insert(
-            &mut view,
-            &[vec![Value::Int(1), Value::Int(5), Value::Int(0)]],
-            Some(&mut idx),
-        )
-        .unwrap();
-        assert!(idx.is_consistent_with(&view));
+        db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![1]));
+        let batch = ints(&[&[1, 5, 0]]);
+        assert!(change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap());
+        assert_fresh(&db, &q, "after insert");
     }
 
     #[test]
     fn filter_excludes_delta_rows() {
-        let q = parse_query("SELECT a, COUNT(*) AS n FROM T WHERE b > 0 GROUP BY a").unwrap();
-        let db = base_db(&[]);
-        let MaintenancePlan::Incremental(plan) = plan_for_view(&q, &db) else {
-            panic!("expected incremental plan")
-        };
-        let mut view = materialize(&q, &db);
-        plan.apply_insert(
-            &mut view,
-            &[
-                vec![Value::Int(1), Value::Int(5), Value::Int(0)],
-                vec![Value::Int(1), Value::Int(-5), Value::Int(0)],
-            ],
-            None,
-        )
-        .unwrap();
-        assert_eq!(view.rows, vec![vec![Value::Int(1), Value::Int(1)]]);
+        let mut db = base_db(&[]);
+        let q = store_view(
+            &mut db,
+            "SELECT a, COUNT(*) AS n FROM T WHERE b > 0 GROUP BY a",
+            false,
+        );
+        let batch = ints(&[&[1, 5, 0], &[1, -5, 0]]);
+        assert!(change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap());
+        assert_eq!(db.get("V").unwrap().rows, ints(&[&[1, 1]]));
+    }
+
+    #[test]
+    fn sum_rejects_a_string_in_a_fresh_group_like_recompute_does() {
+        let mut db = base_db(&[&[1, 5, 0]]);
+        let q = store_view(&mut db, "SELECT a, SUM(b) AS s FROM T GROUP BY a", false);
+        for a in [1, 2] {
+            let batch = vec![vec![Value::Int(a), Value::Str("x".into()), Value::Int(0)]];
+            let e = change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap_err();
+            assert_eq!(e, EngineError::TypeError("sum over non-numeric".into()));
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Multiset relations and multiset/set equality.
 
 use crate::value::Value;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A relation: a named schema plus a *multiset* of rows (duplicates are
@@ -76,6 +76,22 @@ impl Relation {
     pub fn push(&mut self, row: Vec<Value>) {
         assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
         self.rows.push(row);
+    }
+
+    /// Remove exactly the multiset `rows` (each listed row takes out one
+    /// stored copy; rows not present are ignored).
+    pub fn remove_rows(&mut self, rows: &[Vec<Value>]) {
+        let mut budget: HashMap<&Vec<Value>, usize> = HashMap::new();
+        for r in rows {
+            *budget.entry(r).or_insert(0) += 1;
+        }
+        self.rows.retain(|r| match budget.get_mut(r) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                false
+            }
+            _ => true,
+        });
     }
 
     /// Rows sorted by the total value order — a canonical form for

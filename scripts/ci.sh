@@ -3,7 +3,8 @@
 # clean, a quick serving-bench smoke (the S1/S2 harness must run and
 # produce a warm-path speedup > 1), a differential smoke (a short
 # qcheck seed sweep plus the persisted corpus, failing on any
-# regression), a concurrency smoke (the shared-store stress test
+# regression, and the fault-injection self-test proving the sweep
+# catches a dropped join-delta term and shrinks it), a concurrency smoke (the shared-store stress test
 # under --release plus a short multi-session qcheck sweep), and a
 # columnar smoke (the S5 row-vs-columnar harness runs, and the same
 # script answers byte-identically with and without --no-columnar), and
@@ -83,6 +84,16 @@ fi
 # wrong again) fails the gate.
 ./target/release/qcheck --seeds 0..500
 ./target/release/qcheck --replay tests/corpus
+# Fault-injection self-test: with the dimension-side term of the join
+# delta rule unsoundly dropped (a write to any but a view's first FROM
+# table leaves the view as it was, reported as maintained), the same
+# sweep must FAIL with a shrunk stale-view witness.
+if unsound_delta=$(AGGVIEW_UNSOUND_DROP_DIM_DELTA=1 ./target/release/qcheck --seeds 0..100 2>&1); then
+  echo "ci: differential oracle failed to catch a dropped delta term" >&2
+  exit 1
+fi
+grep -q "view-content-mismatch" <<<"$unsound_delta"
+grep -q "shrunk" <<<"$unsound_delta"
 # Concurrency smoke: the 4-reader/1-writer stress test runs under
 # --release (debug-mode timing starves the readers), and a short
 # multi-session sweep replays the differential stream round-robined

@@ -204,8 +204,8 @@ pub fn image_from_state(state: &EngineState, epoch: u64, schema_epoch: u64) -> S
     }
 }
 
-/// Rebuild an [`EngineState`] from a checkpoint image, re-deriving the
-/// group indexes the policy asks for.
+/// Rebuild an [`EngineState`] from a checkpoint image, re-deriving each
+/// view's delta rule and the group indexes the policy asks for.
 pub fn state_from_image(img: &StateImage, policy: WritePolicy) -> EngineState {
     let mut state = EngineState::new();
     state.catalog = img.catalog.clone();
@@ -213,10 +213,8 @@ pub fn state_from_image(img: &StateImage, policy: WritePolicy) -> EngineState {
         state.db.insert(name.clone(), rel.clone());
     }
     state.views = img.views.clone();
-    if policy.index_views {
-        for view in &img.views {
-            state.index_view(view);
-        }
+    for view in &img.views {
+        state.attach_view(view, policy);
     }
     state
 }

@@ -13,12 +13,11 @@
 use crate::session::{err, SessionError};
 use aggview_catalog::{Catalog, TableSchema};
 use aggview_core::{Canonical, TableStats, ViewDef};
-use aggview_engine::maintenance::{maintain_view_ctx, plan_for_view, DeltaKind, MaintenancePlan};
+use aggview_engine::maintenance::{maintain_view_ctx, Delta, DeltaKind, FoldPlan};
 use aggview_engine::{
     execute_ctx, Database, EngineResult, ExecContext, GroupIndex, Relation, Value,
 };
 use aggview_sql::{CreateTable, CreateView, Delete, Insert, Query};
-use std::collections::HashMap;
 
 /// Fault injection: `AGGVIEW_UNSOUND_ADVISOR_STALE=1` skips all view
 /// maintenance for advisor-created views (`AdvView*`), leaving them stale
@@ -202,26 +201,58 @@ impl EngineState {
     }
 
     /// Evaluate `view` against the stored relations and store the result
-    /// under its name, indexed when the policy asks. Returns the row count.
+    /// under its name, with what [`EngineState::attach_view`] keeps beside
+    /// it. Returns the row count.
     pub fn materialize(&mut self, view: &ViewDef, policy: WritePolicy) -> EngineResult<usize> {
         let cx = ExecContext::columnar(policy.columnar);
         let mut rel = execute_ctx(&view.query, &self.db, &cx)?;
         rel.columns = view.output_names();
         let n = rel.len();
         self.db.insert(view.name.clone(), rel);
-        if policy.index_views {
-            self.index_view(view);
-        }
+        self.attach_view(view, policy);
         Ok(n)
     }
 
-    /// Attach the [`GroupIndex`] of [`EngineState::view_index_key`] to the
-    /// stored materialization of `view` (grouped views only).
-    pub fn index_view(&mut self, view: &ViewDef) {
-        if let (Some(key_cols), Ok(rel)) = (self.view_index_key(view), self.db.get(&view.name)) {
-            let idx = GroupIndex::build(rel, key_cols);
-            self.db.set_index(view.name.clone(), idx);
+    /// Attach to the stored materialization of `view` what the write path
+    /// keeps beside the rows: its compiled delta rule, when its shape has
+    /// one, and — when the policy asks — a [`GroupIndex`], keyed like the
+    /// delta rule's group lookups so the one index serves both, else on
+    /// the exposed grouping columns of any other `GROUP BY` view.
+    pub fn attach_view(&mut self, view: &ViewDef, policy: WritePolicy) {
+        let cx = ExecContext::columnar(policy.columnar);
+        match FoldPlan::compile(&view.query, &self.db, &cx) {
+            Some(plan) => {
+                self.db.set_fold_plan(&view.name, plan, policy.index_views);
+            }
+            None if policy.index_views => {
+                if let (Some(key_cols), Ok(rel)) =
+                    (self.exposed_group_cols(view), self.db.get(&view.name))
+                {
+                    let idx = GroupIndex::build(rel, key_cols);
+                    self.db.set_index(view.name.clone(), idx);
+                }
+            }
+            None => {}
         }
+    }
+
+    /// View positions of the grouping columns `view` exposes; `None` for
+    /// an ungrouped view or one that exposes none.
+    fn exposed_group_cols(&self, view: &ViewDef) -> Option<Vec<usize>> {
+        if view.query.group_by.is_empty() {
+            return None;
+        }
+        let canon = Canonical::from_query(&view.query, &self.db).ok()?;
+        let key: Vec<usize> = canon
+            .select
+            .iter()
+            .enumerate()
+            .filter_map(|(i, item)| match item {
+                aggview_core::SelItem::Col(c) if canon.groups.contains(c) => Some(i),
+                _ => None,
+            })
+            .collect();
+        (!key.is_empty()).then_some(key)
     }
 
     /// Apply `INSERT`, maintaining dependent views.
@@ -297,20 +328,7 @@ impl EngineState {
             DeltaKind::Insert(rows) => self
                 .db
                 .update(table, |rel, _| rel.rows.extend_from_slice(rows)),
-            // Remove exactly the matching multiset from the base table.
-            DeltaKind::Delete(rows) => self.db.update(table, |rel, _| {
-                let mut budget: HashMap<&Vec<Value>, usize> = HashMap::new();
-                for r in rows {
-                    *budget.entry(r).or_insert(0) += 1;
-                }
-                rel.rows.retain(|r| match budget.get_mut(r) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        false
-                    }
-                    _ => true,
-                });
-            }),
+            DeltaKind::Delete(rows) => self.db.update(table, |rel, _| rel.remove_rows(rows)),
         };
         applied.map_err(|e| err(e.to_string()))?;
         let incremental = self.maintain_views(table, delta, policy)?;
@@ -319,47 +337,20 @@ impl EngineState {
         Ok(Applied::dml(inserted, rows.len(), table, incremental))
     }
 
-    /// The [`GroupIndex`] key columns for a materialized view: aligned
-    /// with the incremental-maintenance plan when one exists (so the same
-    /// index serves maintenance lookups), else the exposed grouping
-    /// columns of any other `GROUP BY` view; `None` for ungrouped views.
-    pub fn view_index_key(&self, view: &ViewDef) -> Option<Vec<usize>> {
-        if let MaintenancePlan::Incremental(plan) = plan_for_view(&view.query, &self.db) {
-            return Some(plan.index_key_cols().to_vec());
-        }
-        if view.query.group_by.is_empty() {
-            return None;
-        }
-        let canon = Canonical::from_query(&view.query, &self.db).ok()?;
-        let key: Vec<usize> = canon
-            .select
-            .iter()
-            .enumerate()
-            .filter_map(|(i, item)| match item {
-                aggview_core::SelItem::Col(c) if canon.groups.contains(c) => Some(i),
-                _ => None,
-            })
-            .collect();
-        (!key.is_empty()).then_some(key)
-    }
-
-    /// Maintain every view after `delta` was applied to `changed_table`:
-    /// incrementally where the plan allows, by recomputation otherwise.
-    /// Views over views are handled by propagating the set of changed
-    /// relations through the (topologically ordered) definition list;
-    /// their deltas are not tracked, so they recompute. Returns how many
-    /// views took the incremental path.
+    /// Maintain every view after the change `kind` was applied to
+    /// `changed_table`: by folding the change's image in where the view's
+    /// shape allows, by recomputation otherwise. Views over views are
+    /// handled by propagating the set of changed relations through the
+    /// (topologically ordered) definition list; their deltas are not
+    /// tracked, so they recompute. Returns how many views were folded.
     fn maintain_views(
         &mut self,
         changed_table: &str,
-        delta: DeltaKind<'_>,
+        kind: DeltaKind<'_>,
         policy: WritePolicy,
     ) -> Result<usize, SessionError> {
         let cx = ExecContext::columnar(policy.columnar);
-        // The delta applies only to direct readers of `changed_table` (a
-        // view over a changed view recomputes), and not at all under the
-        // `recompute_views` policy.
-        let delta = (!policy.recompute_views).then_some((changed_table, delta));
+        let reads = |v: &ViewDef, name: &str| v.query.from.iter().any(|t| t.table == name);
         let mut changed: Vec<String> = vec![changed_table.to_string()];
         let mut incremental = 0usize;
         let mut touched = 0usize;
@@ -367,8 +358,14 @@ impl EngineState {
             let start = m.now_ns();
             (m, start)
         });
+        // One delta per statement, shared by every view that folds; none
+        // under the `recompute_views` policy.
+        let delta = (!policy.recompute_views && self.views.iter().any(|v| reads(v, changed_table)))
+            .then(|| Delta::new(changed_table, kind, &self.db))
+            .transpose()
+            .map_err(|e| err(e.to_string()))?;
         for v in &self.views {
-            if !v.query.from.iter().any(|t| changed.contains(&t.table)) {
+            if !changed.iter().any(|name| reads(v, name)) {
                 continue;
             }
             if unsound_advisor_stale() && is_advisor_view_name(&v.name) {
@@ -377,7 +374,12 @@ impl EngineState {
                 continue;
             }
             touched += 1;
-            let took_incremental = maintain_view_ctx(&v.name, &v.query, delta, &mut self.db, &cx)
+            // `ΔT ⋈ V_new` misses `T_old ⋈ ΔV`: the delta rule holds only
+            // while every other relation the view reads is as it was, so a
+            // view that also reads a changed view recomputes.
+            let sole = changed[1..].iter().all(|name| !reads(v, name));
+            let folded = delta.as_ref().filter(|_| sole);
+            let took_incremental = maintain_view_ctx(&v.name, &v.query, folded, &mut self.db, &cx)
                 .map_err(|e| err(format!("maintaining `{}`: {e}", v.name)))?;
             incremental += took_incremental as usize;
             self.db.record(

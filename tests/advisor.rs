@@ -260,3 +260,48 @@ fn off_mode_keeps_no_state_but_advise_still_ranks() {
     };
     assert!(lines[0].starts_with("proposal 1:"), "{lines:#?}");
 }
+
+/// A join view the advisor creates costs a later write a fold, not a
+/// recompute: the acknowledgement counts it as maintained incrementally,
+/// from either side of the join, and the answers still match advisor-off.
+#[test]
+fn auto_created_join_view_is_maintained_incrementally() {
+    let setup = format!(
+        "{}CREATE TABLE Regions (Region, Name, Zone);
+         INSERT INTO Regions VALUES (1, 'north', 'cold'), (2, 'south', 'warm'), (3, 'east', 'warm');\n",
+        setup_script()
+    );
+    // Grouping by two dimension columns makes the join view the smallest
+    // estimate, so it — not a `Sales`-only pre-aggregate — is created.
+    let hot = "SELECT Name, Zone, SUM(Amount) FROM Sales, Regions \
+               WHERE Sales.Region = Regions.Region GROUP BY Name, Zone;";
+    let mut off = session_with(AdvisorPolicy::off());
+    let mut auto = session_with(AdvisorPolicy::auto());
+    let warmup = format!("{setup}{}", hot.repeat(4));
+    run_script(&mut off, &warmup);
+    run_script(&mut auto, &warmup);
+    let created = auto.advisor_state().unwrap().created();
+    assert_eq!(created, vec!["AdvView1".to_string()]);
+    let def = auto.views().iter().find(|v| v.name == "AdvView1").unwrap();
+    assert_eq!(def.query.from.len(), 2, "a join view: {}", def.query);
+
+    for write in [
+        "INSERT INTO Sales VALUES (1, 99, 100), (4, 1, 7);",
+        "INSERT INTO Regions VALUES (4, 'west', 'cold');",
+        "DELETE FROM Sales WHERE Product = 3;",
+    ] {
+        run_script(&mut off, write);
+        let out = run_script(&mut auto, write);
+        let StatementOutcome::Ok(ack) = &out[0] else {
+            panic!("expected an acknowledgement, got {:?}", out[0])
+        };
+        assert!(
+            ack.ends_with("; 1 view(s) maintained incrementally"),
+            "`{write}`: {ack}"
+        );
+        let (off_rows, _) = answer_rows(&run_script(&mut off, hot)[0]);
+        let (auto_rows, auto_views) = answer_rows(&run_script(&mut auto, hot)[0]);
+        assert_eq!(auto_views, vec!["AdvView1".to_string()]);
+        assert_eq!(off_rows, auto_rows, "stale advisor view after `{write}`");
+    }
+}
