@@ -1,625 +1,81 @@
-//! Regenerate every experiment table and figure of `EXPERIMENTS.md`.
+//! Regenerate the experiment tables of `EXPERIMENTS.md`: the paper
+//! reproduction T1–T9 and the performance figures F1–F4 and F6 (F5 and F7
+//! are Criterion-only, under `benches/`).
 //!
 //! Usage:
 //!   repro                 # all experiments, quick settings
 //!   repro --full          # all experiments, full scale (use --release!)
 //!   repro t1 f1 ...       # selected experiments only
-//!   repro --json f3 f4    # also write BENCH_1.json (seq-vs-par F3/F4 sweep)
-//!   repro --json s1 s2    # also write BENCH_2.json (serving cold-vs-warm,
-//!                         # grouped-index probe-vs-scan)
-//!   repro --json s3       # also write BENCH_3.json (concurrent shared-store
-//!                         # read scaling + write batching)
-//!   repro --json s4       # also write BENCH_4.json (warm-serving overhead
-//!                         # of the observability layer, obs on vs. --no-obs)
-//!   repro --json s5       # also write BENCH_5.json (row vs. columnar
-//!                         # scan/aggregate scaling, 1k..100k rows)
-//!   repro --json s6       # also write BENCH_6.json (sharded write
-//!                         # throughput vs. shard count, publish balance)
-//!   repro --json s7       # also write BENCH_7.json (durable write QPS
-//!                         # with WAL+fsync on/off, recovery time)
-//!   repro --json s8       # also write BENCH_8.json (open-loop network
-//!                         # serving curve: target vs. achieved QPS,
-//!                         # p50/p99 wire latency, admission rejects)
-//!   repro --json s9       # also write BENCH_9.json (adaptive advisor
-//!                         # payoff: hot-fingerprint warm p50, advisor
-//!                         # off vs. auto-materialized view)
-//!   repro --rows N s2 s5  # override the S2 group-count / S5 row-count
-//!                         # sweeps with one scale point
-//!   repro --skew X s6     # skew of the S6 skewed point's partitioning
-//!                         # keys (default 1.5; 0 = uniform)
+//!
+//! An unknown experiment name or flag exits 2 and lists the valid names.
 
 use aggview_bench::experiments as exp;
-use aggview_bench::experiments::SearchPoint;
-use aggview_bench::netbench;
 use aggview_bench::report::Table;
-use aggview_bench::serving;
+use std::process::ExitCode;
 
-/// Hand-rolled JSON for the F3/F4 search points (no serde in this tree).
-fn points_json(points: &[SearchPoint], axis: &str) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"{axis}\": {}, \"rewritings\": {}, \"seq_us\": {:.1}, \"par_us\": {:.1}, \
-                 \"speedup\": {:.3}, \"prefiltered\": {}, \"attempted\": {}, \
-                 \"mappings\": {}, \"closure_hit_rate\": {:.3}, \"threads\": {}}}",
-                p.x,
-                p.rewritings,
-                p.seq_us,
-                p.par_us,
-                p.speedup(),
-                p.prefiltered,
-                p.attempted,
-                p.mappings,
-                p.closure_hit_rate,
-                p.threads,
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", rows.join(",\n"))
-}
-
-/// Hand-rolled JSON for the S1/S2 serving points.
-fn serving_json(serving: &[serving::ServingPoint], probe: &[serving::ProbePoint]) -> String {
-    let s_rows: Vec<String> = serving
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"label\": \"{}\", \"write_pct\": {}, \"cold_us\": {:.1}, \
-                 \"warm_us\": {:.1}, \"speedup\": {:.1}, \"qps\": {:.0}, \
-                 \"hits\": {}, \"misses\": {}, \"invalidations\": {}}}",
-                p.label,
-                p.write_pct,
-                p.cold_us,
-                p.warm_us,
-                p.speedup(),
-                p.qps,
-                p.hits,
-                p.misses,
-                p.invalidations,
-            )
-        })
-        .collect();
-    let p_rows: Vec<String> = probe
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"groups\": {}, \"probe_us\": {:.1}, \"scan_us\": {:.1}, \
-                 \"speedup\": {:.1}}}",
-                p.groups,
-                p.probe_us,
-                p.scan_us,
-                p.speedup(),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"serving\": [\n{}\n  ],\n  \"probe\": [\n{}\n  ]\n}}\n",
-        s_rows.join(",\n"),
-        p_rows.join(",\n"),
-    )
-}
-
-/// Hand-rolled JSON for the S3 concurrent points. Alongside the raw
-/// points it records the read-scaling ratio from 1 to 4 reader threads
-/// and the host's available parallelism: on a single-core host the
-/// scaling ceiling is the hardware, not the store (readers time-slice one
-/// core), and the JSON says so explicitly.
-fn concurrent_json(points: &[serving::ConcurrentPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"readers\": {}, \"writers\": {}, \"reads\": {}, \"writes\": {}, \
-                 \"read_qps\": {:.0}, \"write_qps\": {:.0}, \"write_us\": {:.1}, \
-                 \"queue_wait_us\": {:.1}, \"apply_publish_us\": {:.1}, \
-                 \"publishes\": {}, \"mean_batch\": {:.2}, \"max_batch\": {}}}",
-                p.readers,
-                p.writers,
-                p.reads,
-                p.writes,
-                p.read_qps,
-                p.write_qps,
-                p.write_us,
-                p.queue_wait_us,
-                p.apply_publish_us,
-                p.publishes,
-                p.mean_batch,
-                p.max_batch,
-            )
-        })
-        .collect();
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let one = points
-        .iter()
-        .find(|p| p.readers == 1 && p.writers == 0)
-        .map(|p| p.read_qps)
-        .unwrap_or(0.0);
-    let four = points
-        .iter()
-        .find(|p| p.readers == 4 && p.writers == 0)
-        .map(|p| p.read_qps)
-        .unwrap_or(0.0);
-    let scaling = if one > 0.0 { four / one } else { 0.0 };
-    let ceiling_note = if hw < 4 {
-        format!(
-            "host exposes {hw} hardware thread(s); 4 reader threads time-slice \
-             {hw} core(s), so ~1.0x aggregate scaling is the hardware ceiling — \
-             the store itself adds no reader-side locks (readers pin immutable \
-             snapshots)"
-        )
+/// Randomized trials per T2–T4 table.
+fn trials(full: bool) -> u64 {
+    if full {
+        400
     } else {
-        format!("host exposes {hw} hardware threads; no hardware ceiling below 4 readers")
-    };
-    format!(
-        "{{\n  \"hardware_threads\": {hw},\n  \"read_scaling_1_to_4\": {scaling:.2},\n  \
-         \"scaling_note\": \"{ceiling_note}\",\n  \"concurrent\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-    )
+        100
+    }
 }
 
-/// Hand-rolled JSON for the S4 observability-overhead points. The
-/// top-level `max_overhead_pct` is what the acceptance gate reads: the
-/// observability layer must cost ≤ 5% warm-serving latency.
-fn obs_overhead_json(points: &[serving::ObsOverheadPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"label\": \"{}\", \"write_pct\": {}, \"obs_on_us\": {:.2}, \
-                 \"obs_off_us\": {:.2}, \"overhead_pct\": {:.2}, \"queries_counted\": {}, \
-                 \"exec_stage_samples\": {}}}",
-                p.label,
-                p.write_pct,
-                p.obs_on_us,
-                p.obs_off_us,
-                p.overhead_pct(),
-                p.queries_counted,
-                p.stage_samples,
-            )
-        })
-        .collect();
-    let max_overhead = points
-        .iter()
-        .map(|p| p.overhead_pct())
-        .fold(f64::NEG_INFINITY, f64::max);
-    format!(
-        "{{\n  \"max_overhead_pct\": {max_overhead:.2},\n  \
-         \"acceptance\": \"max_overhead_pct <= 5.0\",\n  \
-         \"method\": \"per-rep alternation of obs-on/obs-off sessions over the warm S1 \
-         stream; minimum over reps per configuration (discards scheduling spikes)\",\n  \
-         \"obs_overhead\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-    )
-}
+/// One experiment: regenerate its table, given the `--full` switch.
+type Experiment = fn(bool) -> Table;
 
-/// Hand-rolled JSON for the S5 row-vs-columnar scale points. The
-/// top-level `speedup_at_largest_scale` is what the acceptance gate
-/// reads: the vectorized path must be >= 5x the row interpreter at the
-/// largest measured scale.
-fn scale_json(points: &[serving::ScalePoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"rows\": {}, \"row_us\": {:.1}, \"columnar_us\": {:.1}, \
-                 \"speedup\": {:.2}, \"vectorized\": {}}}",
-                p.rows,
-                p.row_us,
-                p.columnar_us,
-                p.speedup(),
-                p.vectorized,
-            )
-        })
-        .collect();
-    let at_largest = points
-        .iter()
-        .max_by_key(|p| p.rows)
-        .map(|p| p.speedup())
-        .unwrap_or(0.0);
-    format!(
-        "{{\n  \"speedup_at_largest_scale\": {at_largest:.2},\n  \
-         \"acceptance\": \"speedup_at_largest_scale >= 5.0\",\n  \
-         \"method\": \"warm sessions (plan + columnar caches populated), same filtered \
-         GROUP BY stream, columnar on vs. off; mean select latency per scale\",\n  \
-         \"scale\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-    )
-}
+/// Every experiment, in print order.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("t1", |_| exp::t1_paper_examples()),
+    ("t2", |full| exp::t2_soundness(trials(full))),
+    ("t3", |full| exp::t3_church_rosser(trials(full))),
+    ("t4", |full| exp::t4_completeness(trials(full))),
+    ("t5", |_| exp::t5_closure_vs_syntactic()),
+    ("t6", |_| exp::t6_keys_ablation()),
+    ("t7", |_| exp::t7_having_ablation()),
+    ("t8", |_| exp::t8_expand()),
+    ("t9", |_| exp::t9_advisor()),
+    ("f1", exp::f1_speedup),
+    ("f2", exp::f2_compression),
+    ("f3", |_| exp::f3_many_views()),
+    ("f4", |_| exp::f4_query_size()),
+    ("f6", exp::f6_maintenance),
+];
 
-/// Hand-rolled JSON for the S6 sharded write points. `write_scaling_1_to_4`
-/// compares acked write throughput at 4 shards vs. 1 under uniform keys;
-/// on a single-core host the shard writer threads time-slice one core, so
-/// ~1.0x is the hardware ceiling (same caveat as BENCH_3's read scaling).
-/// `max_uniform_publish_balance` is what the acceptance gate reads: with
-/// uniform partitioning keys, every multi-shard point's largest per-shard
-/// publish count must stay within 20% of the mean.
-fn sharded_json(points: &[serving::ShardPoint]) -> String {
-    let vec_json = |v: &[u64]| {
-        let items: Vec<String> = v.iter().map(u64::to_string).collect();
-        format!("[{}]", items.join(", "))
-    };
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"shards\": {}, \"skew\": {:.2}, \"writes\": {}, \
-                 \"write_qps\": {:.0}, \"write_us\": {:.1}, \"queue_wait_us\": {:.1}, \
-                 \"apply_publish_us\": {:.1}, \"publish_balance\": {:.3}, \
-                 \"row_balance\": {:.3}, \"per_shard_publishes\": {}, \
-                 \"per_shard_rows\": {}}}",
-                p.shards,
-                p.skew,
-                p.writes,
-                p.write_qps,
-                p.write_us,
-                p.queue_wait_us,
-                p.apply_publish_us,
-                p.publish_balance(),
-                p.row_balance(),
-                vec_json(&p.per_shard_publishes),
-                vec_json(
-                    &p.per_shard_rows
-                        .iter()
-                        .map(|&n| n as u64)
-                        .collect::<Vec<_>>()
-                ),
-            )
-        })
-        .collect();
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let qps_at = |n: usize| {
-        points
-            .iter()
-            .find(|p| p.shards == n && p.skew == 0.0)
-            .map(|p| p.write_qps)
-            .unwrap_or(0.0)
-    };
-    let (one, four) = (qps_at(1), qps_at(4));
-    let scaling = if one > 0.0 { four / one } else { 0.0 };
-    let balance = points
-        .iter()
-        .filter(|p| p.skew == 0.0 && p.shards > 1)
-        .map(|p| p.publish_balance())
-        .fold(0.0f64, f64::max);
-    let ceiling_note = if hw < 4 {
-        format!(
-            "host exposes {hw} hardware thread(s); 4 shard writer threads time-slice \
-             {hw} core(s), so no write *parallelism* is measurable here — scaling above \
-             1.0x on this host comes from smaller per-shard partitions (view maintenance \
-             and snapshot publish cost scale with partition size), not concurrency. The \
-             shards share no locks, queues, or snapshot cells, so added cores turn \
-             directly into additional write parallelism on top of that"
-        )
-    } else {
-        format!("host exposes {hw} hardware threads; no hardware ceiling below 4 shards")
-    };
-    format!(
-        "{{\n  \"hardware_threads\": {hw},\n  \"write_scaling_1_to_4\": {scaling:.2},\n  \
-         \"scaling_note\": \"{ceiling_note}\",\n  \
-         \"max_uniform_publish_balance\": {balance:.3},\n  \
-         \"acceptance\": \"max_uniform_publish_balance <= 1.2\",\n  \
-         \"sharded\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-    )
-}
-
-/// Hand-rolled JSON for the S7 durability points. The top-level
-/// `recovered_identical_at_largest_scale` is what the acceptance gate
-/// reads: after streaming the largest scale through the WAL-backed
-/// store, killing it, and reopening the directory, the recovered store
-/// must serve the `GROUP BY` probe and the base-table row count
-/// bit-identically to the uninterrupted in-memory run.
-/// `fsync_cost_at_largest_scale` records how much acked write
-/// throughput the durable path gives up (1.0 = free).
-fn durability_json(points: &[serving::DurabilityPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"rows\": {}, \"batches\": {}, \"qps_off\": {:.0}, \
-                 \"qps_on\": {:.0}, \"fsync_cost\": {:.2}, \"recovery_ms\": {:.1}, \
-                 \"replayed_batches\": {}, \"checkpoint_epoch\": {}, \
-                 \"recovered_identical\": {}}}",
-                p.rows,
-                p.batches,
-                p.qps_off,
-                p.qps_on,
-                p.fsync_cost(),
-                p.recovery_ms,
-                p.replayed_batches,
-                p.checkpoint_epoch,
-                p.recovered_identical,
-            )
-        })
-        .collect();
-    let largest = points.iter().max_by_key(|p| p.rows);
-    let identical = largest.is_some_and(|p| p.recovered_identical);
-    let fsync_cost = largest.map(|p| p.fsync_cost()).unwrap_or(0.0);
-    let recovery_ms = largest.map(|p| p.recovery_ms).unwrap_or(0.0);
-    format!(
-        "{{\n  \"recovered_identical_at_largest_scale\": {identical},\n  \
-         \"fsync_cost_at_largest_scale\": {fsync_cost:.2},\n  \
-         \"recovery_ms_at_largest_scale\": {recovery_ms:.1},\n  \
-         \"acceptance\": \"recovered_identical_at_largest_scale == true\",\n  \
-         \"method\": \"same batched insert stream (500-row INSERTs) through an in-memory \
-         store and a WAL-backed one (fsync before every ack, periodic compacting \
-         checkpoints); drop the durable store, time SharedStore::open end to end \
-         (checkpoint load + WAL-tail replay + view/index rebuild), compare the GROUP BY \
-         answer and base-table row count against the in-memory run\",\n  \
-         \"durability\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-    )
-}
-
-/// Hand-rolled JSON for the S8 network serving points.
-fn net_json(points: &[aggview::net::loadgen::NetPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"target_qps\": {}, \"achieved_qps\": {:.0}, \"sent\": {}, \
-                 \"completed\": {}, \"rejected\": {}, \"errors\": {}, \
-                 \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-                p.target_qps,
-                p.achieved_qps,
-                p.sent,
-                p.completed,
-                p.rejected,
-                p.errors,
-                p.p50_us,
-                p.p99_us,
-            )
-        })
-        .collect();
-    let errors: u64 = points.iter().map(|p| p.errors).sum();
-    let rejected: u64 = points.iter().map(|p| p.rejected).sum();
-    format!(
-        "{{\n  \"errors_total\": {errors},\n  \
-         \"rejects_total\": {rejected},\n  \
-         \"acceptance\": \"errors_total == 0 && rejects_total > 0\",\n  \
-         \"method\": \"per target-QPS point, a fresh in-process TCP server on a loopback \
-         ephemeral port (4 connections = admission cap) serves a warm view-answered GROUP BY; \
-         an open-loop generator fires requests on a fixed schedule and measures each response \
-         from its scheduled send instant (coordinated omission counted against the server), \
-         while probe connections past the cap draw admission rejects\",\n  \
-         \"serving_curve\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-    )
-}
-
-/// Hand-rolled JSON for the S9 advisor points. The top-level
-/// `speedup_at_largest_scale` is what the acceptance gate reads: once
-/// the auto advisor has materialized its view for the hot fingerprint,
-/// the warm p50 must be ≥ 2x faster than the advisor-off session's
-/// base-table scan — with every answer bit-identical
-/// (`answers_identical`).
-fn advisor_json(points: &[serving::AdvisorPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            let created: Vec<String> = p.created.iter().map(|n| format!("\"{n}\"")).collect();
-            format!(
-                "    {{\"rows\": {}, \"iters\": {}, \"off_p50_us\": {:.1}, \
-                 \"auto_p50_us\": {:.1}, \"speedup\": {:.2}, \"created\": [{}], \
-                 \"backfill_rows\": {}, \"identical\": {}}}",
-                p.rows,
-                p.iters,
-                p.off_p50_us,
-                p.auto_p50_us,
-                p.speedup(),
-                created.join(", "),
-                p.backfill_rows,
-                p.identical,
-            )
-        })
-        .collect();
-    let at_largest = points
-        .iter()
-        .max_by_key(|p| p.rows)
-        .map(|p| p.speedup())
-        .unwrap_or(0.0);
-    let identical = points.iter().all(|p| p.identical);
-    format!(
-        "{{\n  \"speedup_at_largest_scale\": {at_largest:.2},\n  \
-         \"answers_identical\": {identical},\n  \
-         \"acceptance\": \"speedup_at_largest_scale >= 2.0 && answers_identical == true\",\n  \
-         \"method\": \"hot single-fingerprint GROUP BY over a base table with no pre-built \
-         matching view; advisor-off session scans base tables every serving, advisor-auto \
-         crosses the hot threshold during warmup and materializes AdvView1 through the write \
-         path; warm p50 over the measured loop on both sides, answers compared \
-         bit-for-bit\",\n  \
-         \"advisor\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-    )
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let json = args.iter().any(|a| a == "--json");
-    let mut rows_override: Option<usize> = None;
-    let mut skew = 1.5f64;
+    let mut full = false;
     let mut selected: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    for arg in &args {
         match arg.as_str() {
-            "--rows" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => rows_override = Some(n),
-                _ => {
-                    eprintln!("error: --rows needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--skew" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(x) if x >= 0.0 => skew = x,
-                _ => {
-                    eprintln!("error: --skew needs a non-negative number");
-                    std::process::exit(2);
-                }
-            },
-            "--full" | "--json" => {}
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag `{flag}`");
-                std::process::exit(2);
+            "--full" => full = true,
+            name if EXPERIMENTS.iter().any(|(n, _)| *n == name) => selected.push(name),
+            other => {
+                let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+                eprintln!(
+                    "repro: unknown argument `{other}`; valid: --full {}",
+                    names.join(" ")
+                );
+                return ExitCode::from(2);
             }
-            name => selected.push(name),
         }
     }
-    let selected = selected;
-    let want = |name: &str| selected.is_empty() || selected.contains(&name);
 
-    if json && (want("f3") || want("f4")) {
-        let f3 = exp::f3_points();
-        let f4 = exp::f4_points();
-        let doc = format!(
-            "{{\n  \"f3_many_views\": {},\n  \"f4_query_size\": {}\n}}\n",
-            points_json(&f3, "views"),
-            points_json(&f4, "tables"),
-        );
-        let path = "BENCH_1.json";
-        std::fs::write(path, &doc).expect("write BENCH_1.json");
-        println!("wrote {path}");
-    }
-    if json && (want("s1") || want("s2")) {
-        let doc = serving_json(
-            &serving::serving_points(full),
-            &serving::probe_points(full, rows_override),
-        );
-        let path = "BENCH_2.json";
-        std::fs::write(path, &doc).expect("write BENCH_2.json");
-        println!("wrote {path}");
-    }
-    if json && want("s3") {
-        let doc = concurrent_json(&serving::concurrent_points(full));
-        let path = "BENCH_3.json";
-        std::fs::write(path, &doc).expect("write BENCH_3.json");
-        println!("wrote {path}");
-    }
-    if json && want("s4") {
-        let doc = obs_overhead_json(&serving::obs_overhead_points(full));
-        let path = "BENCH_4.json";
-        std::fs::write(path, &doc).expect("write BENCH_4.json");
-        println!("wrote {path}");
-    }
-    if json && want("s5") {
-        let doc = scale_json(&serving::scale_points(full, rows_override));
-        let path = "BENCH_5.json";
-        std::fs::write(path, &doc).expect("write BENCH_5.json");
-        println!("wrote {path}");
-    }
-    if json && want("s6") {
-        let doc = sharded_json(&serving::sharded_points(full, skew));
-        let path = "BENCH_6.json";
-        std::fs::write(path, &doc).expect("write BENCH_6.json");
-        println!("wrote {path}");
-    }
-    if json && want("s7") {
-        let doc = durability_json(&serving::durability_points(full));
-        let path = "BENCH_7.json";
-        std::fs::write(path, &doc).expect("write BENCH_7.json");
-        println!("wrote {path}");
-    }
-    if json && want("s8") {
-        let doc = net_json(&netbench::net_points(full));
-        let path = "BENCH_8.json";
-        std::fs::write(path, &doc).expect("write BENCH_8.json");
-        println!("wrote {path}");
-    }
-    if json && want("s9") {
-        let doc = advisor_json(&serving::advisor_points(full));
-        let path = "BENCH_9.json";
-        std::fs::write(path, &doc).expect("write BENCH_9.json");
-        println!("wrote {path}");
-    }
-
-    let trials: u64 = if full { 400 } else { 100 };
-    let mut tables: Vec<Table> = Vec::new();
-
-    if want("t1") {
-        tables.push(exp::t1_paper_examples());
-    }
-    if want("t2") {
-        tables.push(exp::t2_soundness(trials));
-    }
-    if want("t3") {
-        tables.push(exp::t3_church_rosser(trials));
-    }
-    if want("t4") {
-        tables.push(exp::t4_completeness(trials));
-    }
-    if want("t5") {
-        tables.push(exp::t5_closure_vs_syntactic());
-    }
-    if want("t6") {
-        tables.push(exp::t6_keys_ablation());
-    }
-    if want("t7") {
-        tables.push(exp::t7_having_ablation());
-    }
-    if want("t8") {
-        tables.push(exp::t8_expand());
-    }
-    if want("t9") {
-        tables.push(exp::t9_advisor());
-    }
-    if want("f1") {
-        tables.push(exp::f1_speedup(full));
-    }
-    if want("f2") {
-        tables.push(exp::f2_compression(full));
-    }
-    if want("f3") {
-        tables.push(exp::f3_many_views());
-    }
-    if want("f4") {
-        tables.push(exp::f4_query_size());
-    }
-    if want("f6") {
-        tables.push(exp::f6_maintenance(full));
-    }
-    if want("s1") {
-        tables.push(serving::s1_serving(full));
-    }
-    if want("s2") {
-        tables.push(serving::s2_probe(full, rows_override));
-    }
-    if want("s3") {
-        tables.push(serving::s3_concurrent(full));
-    }
-    if want("s4") {
-        tables.push(serving::s4_obs_overhead(full));
-    }
-    if want("s5") {
-        tables.push(serving::s5_scale(full, rows_override));
-    }
-    if want("s6") {
-        tables.push(serving::s6_sharded(full, skew));
-    }
-    if want("s7") {
-        tables.push(serving::s7_durability(full));
-    }
-    if want("s8") {
-        tables.push(netbench::s8_net(full));
-    }
-    if want("s9") {
-        tables.push(serving::s9_advisor(full));
-    }
-
-    for t in &tables {
-        println!("{}", t.render());
+    let mut regenerated = 0;
+    for (name, run) in EXPERIMENTS {
+        if selected.is_empty() || selected.contains(name) {
+            println!("{}", run(full).render());
+            regenerated += 1;
+        }
     }
     println!(
-        "{} experiment table(s) regenerated{}.",
-        tables.len(),
+        "{regenerated} experiment table(s) regenerated{}.",
         if full {
             " (full scale)"
         } else {
             " (quick scale; pass --full for the paper-scale sweep)"
         }
     );
+    ExitCode::SUCCESS
 }

@@ -8,7 +8,5 @@
 
 pub mod baseline;
 pub mod experiments;
-pub mod netbench;
 pub mod report;
-pub mod serving;
 pub mod workloads;

@@ -138,33 +138,6 @@ pub fn nat_table(max: i64) -> Relation {
 /// rows. Non-key columns keep the narrow domain: duplicates and join
 /// collisions there are the point.
 pub fn random_database(catalog: &Catalog, n_rows: usize, domain: i64, seed: u64) -> Database {
-    random_database_skewed(catalog, n_rows, domain, seed, 0.0)
-}
-
-/// One value draw from `0..d`, optionally skewed. `skew = 0` is a plain
-/// uniform draw (bit-identical to [`random_database`]'s); `skew > 0`
-/// applies a power-law transform `⌊d · u^(1+skew)⌋` (Zipf-ish: the mass
-/// piles onto small values — at `skew = 1`, half the draws land in the
-/// bottom quarter of the domain).
-fn draw_value(rng: &mut StdRng, d: i64, skew: f64) -> i64 {
-    if skew <= 0.0 {
-        return rng.random_range(0..d);
-    }
-    let u: f64 = rng.random_range(0.0..1.0);
-    ((d as f64 * u.powf(1.0 + skew)) as i64).min(d - 1)
-}
-
-/// [`random_database`] with a skew knob for the value distribution (key
-/// and non-key columns alike; declared keys still dedup by rejection).
-/// `skew = 0` is draw-for-draw identical to [`random_database`]. Used by
-/// the sharding bench to produce hot partitioning keys.
-pub fn random_database_skewed(
-    catalog: &Catalog,
-    n_rows: usize,
-    domain: i64,
-    seed: u64,
-    skew: f64,
-) -> Database {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = Database::new();
     for table in catalog.tables() {
@@ -182,7 +155,7 @@ pub fn random_database_skewed(
                     } else {
                         domain.max(1)
                     };
-                    Value::Int(draw_value(&mut rng, d, skew))
+                    Value::Int(rng.random_range(0..d))
                 })
                 .collect();
             if !keys.is_empty() {
@@ -346,59 +319,6 @@ mod tests {
             assert!(t.keys.is_empty());
         }
         assert!(a.tables().count() >= 1 && a.tables().count() <= 3);
-    }
-
-    #[test]
-    fn skew_zero_is_draw_for_draw_identical() {
-        let cat = telephony_catalog();
-        let a = random_database(&cat, 40, 8, 21);
-        let b = random_database_skewed(&cat, 40, 8, 21, 0.0);
-        for t in cat.tables() {
-            assert_eq!(
-                a.get(&t.name).unwrap().rows,
-                b.get(&t.name).unwrap().rows,
-                "{} diverges at skew 0",
-                t.name
-            );
-        }
-    }
-
-    #[test]
-    fn skew_concentrates_mass_on_small_values() {
-        let mut cat = Catalog::new();
-        cat.add_table(TableSchema::new("Bag", ["x"])).unwrap();
-        let domain = 256i64;
-        let uniform = random_database(&cat, 2000, domain, 13);
-        let skewed = random_database_skewed(&cat, 2000, domain, 13, 1.5);
-        let bottom_quarter = |db: &Database| {
-            db.get("Bag")
-                .unwrap()
-                .rows
-                .iter()
-                .filter(|r| matches!(&r[0], Value::Int(x) if *x < domain / 4))
-                .count()
-        };
-        let (u, s) = (bottom_quarter(&uniform), bottom_quarter(&skewed));
-        assert!(
-            u < 700,
-            "uniform draws put {u}/2000 in the bottom quarter (expected ~500)"
-        );
-        assert!(
-            s > 1100,
-            "skew 1.5 put only {s}/2000 in the bottom quarter (expected a clear majority)"
-        );
-        // Values stay in range and the draw stays deterministic.
-        assert!(skewed
-            .get("Bag")
-            .unwrap()
-            .rows
-            .iter()
-            .all(|r| matches!(&r[0], Value::Int(x) if (0..domain).contains(x))));
-        let again = random_database_skewed(&cat, 2000, domain, 13, 1.5);
-        assert_eq!(
-            skewed.get("Bag").unwrap().rows,
-            again.get("Bag").unwrap().rows
-        );
     }
 
     #[test]

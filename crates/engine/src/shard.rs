@@ -575,6 +575,21 @@ mod tests {
     }
 
     #[test]
+    fn uniform_keys_spread_evenly_across_shards() {
+        // BENCH_6's bar: with uniform keys the fullest shard holds at most
+        // 1.2x the mean.
+        for n in [2usize, 4] {
+            let mut counts = vec![0usize; n];
+            for x in 0..4096 {
+                counts[shard_of_value(&Value::Int(x), n)] += 1;
+            }
+            let mean = 4096.0 / n as f64;
+            let max = *counts.iter().max().unwrap() as f64;
+            assert!(max / mean <= 1.2, "{n} shards: {counts:?}");
+        }
+    }
+
+    #[test]
     fn past_2_53_declines_to_the_fallback_shard() {
         let edge = 1i64 << 53;
         for v in [

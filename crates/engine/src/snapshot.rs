@@ -172,7 +172,7 @@ mod tests {
                         assert!(v >= last, "version went backwards: {last} -> {v}");
                         last = v;
                         let snap = cell.load();
-                        assert!(*snap <= cell.version() as u64);
+                        assert!(*snap <= cell.version());
                     }
                 })
             })

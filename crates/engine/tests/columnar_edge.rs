@@ -117,7 +117,7 @@ fn edge_filters_match_row_path() {
         format!("SELECT s FROM V WHERE a = {}", EDGE + 1),
         format!("SELECT s FROM V WHERE a = {EDGE}.0"),
         format!("SELECT s FROM V WHERE a < {}", -(EDGE - 1)),
-        format!("SELECT a, COUNT(s) FROM V WHERE a > 0 GROUP BY a"),
+        "SELECT a, COUNT(s) FROM V WHERE a > 0 GROUP BY a".to_string(),
     ] {
         columnar_vs_row(&sql, &rel);
     }

@@ -31,7 +31,7 @@
 //! * **Lock-free hot path**: counters and histogram buckets are
 //!   `AtomicU64`s behind fixed-size arrays indexed by enum — recording is
 //!   a handful of relaxed atomic adds, cheap enough to leave enabled in
-//!   production serving (the `repro s4` bench budget is ≤ 5% warm-path
+//!   production serving (`BENCH_4.json` recorded ≤ 5% warm-path
 //!   overhead). Only the slow-query ring takes a mutex, and only for
 //!   queries already past the slowness threshold.
 //! * **Deterministic replay**: the span clock is a single monotonic

@@ -1,44 +1,40 @@
 #!/usr/bin/env bash
-# The tier-1 gate: release build, full test suite, formatting, clippy
-# clean, a quick serving-bench smoke (the S1/S2 harness must run and
-# produce a warm-path speedup > 1), a differential smoke (a short
-# qcheck seed sweep plus the persisted corpus, failing on any
+# The tier-1 gate: release build, the whole workspace's tests and
+# clippy, formatting, a benchmark smoke (the `benchmark/` crate compiles
+# against this tree, its tests pass, and all five workloads run once with
+# no failed operation), a columnar smoke (the same script answers
+# byte-identically with and without --no-columnar), a differential smoke
+# (a short qcheck seed sweep plus the persisted corpus, failing on any
 # regression, and the fault-injection self-test proving the sweep
-# catches a dropped join-delta term and shrinks it), a concurrency smoke (the shared-store stress test
-# under --release plus a short multi-session qcheck sweep), and a
-# columnar smoke (the S5 row-vs-columnar harness runs, and the same
-# script answers byte-identically with and without --no-columnar), and
-# a sharding smoke (the S6 sharded-write harness runs, every corpus
-# script answers identically under --shards 2, and a short sharded
-# qcheck sweep passes), and a durability smoke (the S7 harness runs,
-# a 200-seed crash-recovery sweep and both mid-stream reopen corpus
-# replays pass, `serve --data-dir` recovers a directory across two
-# invocations, and the fault-injection self-test proves the crash
-# oracle catches an unsoundly skipped fsync and shrinks the failure),
-# and a network smoke (every corpus script answered over a real
-# loopback TCP server byte-identically to the in-process runner, a
-# clean SIGTERM drain per server, a wire-axis qcheck sweep, and the
-# framing fault-injection self-test proving the wire oracle catches an
-# unsound line truncation and shrinks the failure), and an advisor
-# smoke (the S9 harness runs and creates AdvView1, the suggest-mode
-# proposal dump is byte-stable across two runs, every corpus script
-# answers identically advisor-off vs. --advisor auto, a 300-seed
-# advisor-axis qcheck sweep passes, and the fault-injection self-test
-# proves the advisor oracle catches an unsoundly stale advisor view
-# and shrinks the failure), and a benchmark smoke (the `benchmark/`
-# crate compiles against this tree, its tests pass, and all five
-# workloads run once with no failed operation).
+# catches a dropped join-delta term and shrinks it), a concurrency smoke
+# (the shared-store stress test under --release plus a short
+# multi-session qcheck sweep), a metrics smoke, a sharding smoke (every
+# corpus script answers identically under --shards 2, and a short
+# sharded qcheck sweep passes), a durability smoke (a 200-seed
+# crash-recovery sweep and both mid-stream reopen corpus replays pass,
+# `serve --data-dir` recovers a directory across two invocations, and
+# the fault-injection self-test proves the crash oracle catches an
+# unsoundly skipped fsync and shrinks the failure), a network smoke
+# (every corpus script answered over a real loopback TCP server
+# byte-identically to the in-process runner, a clean SIGTERM drain per
+# server, a wire-axis qcheck sweep, and the framing fault-injection
+# self-test), and an advisor smoke (the suggest-mode proposal dump is
+# byte-stable across two runs, every corpus script answers identically
+# advisor-off vs. --advisor auto, a 300-seed advisor-axis qcheck sweep
+# passes, and the fault-injection self-test proves the advisor oracle
+# catches an unsoundly stale advisor view and shrinks the failure).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# --workspace so the repro/qcheck binaries used below are rebuilt (a
-# bare `cargo build` only covers the root package in this workspace).
+# --workspace throughout: a bare cargo command covers only the root
+# package, which leaves the crates' own tests and lints (and the qcheck
+# binary used below) out of the gate.
 cargo build --release --workspace
-cargo test -q
+cargo test -q --workspace
 cargo fmt --check
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # benchmark/ is its own workspace, so nothing above compiles it and a
 # public-API change can break it unnoticed: build and test it against
 # this tree, then run every workload once (answers are checked against
@@ -48,23 +44,13 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 bench_smoke=$(benchmark/smoke.sh 2>&1)
 printf '%s\n' "$bench_smoke" >&2
 [ "$(grep -c 'ops_failed 0$' <<<"$bench_smoke")" -eq 5 ]
-# Capture first, then grep: `grep -q` in a pipeline would close the pipe
-# early and kill repro with SIGPIPE under `pipefail`.
-smoke=$(./target/release/repro s1 s2)
-printf '%s\n' "$smoke" >&2
-grep -q "S1 — end-to-end serving latency" <<<"$smoke"
-grep -q "S2 — view point lookups" <<<"$smoke"
-# Columnar smoke: the S5 scan/aggregate harness at a small scale (the
-# full 1k→100k sweep lives in scripts/bench_snapshot.sh), plus a
-# row-vs-columnar byte-identity check — the same script through the
-# default (vectorized) session and through --no-columnar must print
-# exactly the same bytes once wall-clock duration tokens are masked
-# (the `N.NN ms)` evaluation timings vary run to run by design — the
-# mask is anchored on the closing paren because the token sits at the
-# end of a larger parenthetical, not alone in one).
-smoke5=$(./target/release/repro --rows 2000 s5)
-printf '%s\n' "$smoke5" >&2
-grep -q "S5 — scan/aggregate latency" <<<"$smoke5"
+# Columnar smoke: a row-vs-columnar byte-identity check — the same
+# script through the default (vectorized) session and through
+# --no-columnar must print exactly the same bytes once wall-clock
+# duration tokens are masked (the `N.NN ms)` evaluation timings vary run
+# to run by design — the mask is anchored on the closing paren because
+# the token sits at the end of a larger parenthetical, not alone in
+# one).
 columnar_script='CREATE TABLE Sales (Region, Product, Amount);
 INSERT INTO Sales VALUES (1, 10, 5), (1, 11, 7), (2, 10, 3), (2, 11, 9), (1, 10, 2);
 CREATE VIEW Totals AS SELECT Region, SUM(Amount) AS T, COUNT(Amount) AS N FROM Sales GROUP BY Region;
@@ -123,18 +109,14 @@ fi
 serve_scrape=$(./target/release/aggview serve --sessions 2 --metrics <<<"$metrics_script")
 grep -q '^aggview_store_publishes_total 3$' <<<"$serve_scrape"
 grep -q '^aggview_write_queue_depth 0$' <<<"$serve_scrape"
-# Sharding smoke: the S6 scatter-gather write harness runs end to end,
-# then every corpus script must answer identically through a 2-shard
-# store and an unsharded session. Wall-clock tokens and maintenance
-# counts are masked (each shard maintains only its own partition's
-# views, so the summed count can legitimately differ), and lines are
-# sorted (a gathered relation is a shard-order permutation of the
-# unsharded row order — bag equality is the contract, and qcheck's
+# Sharding smoke: every corpus script must answer identically through a
+# 2-shard store and an unsharded session. Wall-clock tokens and
+# maintenance counts are masked (each shard maintains only its own
+# partition's views, so the summed count can legitimately differ), and
+# lines are sorted (a gathered relation is a shard-order permutation of
+# the unsharded row order — bag equality is the contract, and qcheck's
 # repeated-select check pins per-plan determinism separately). A short
 # sharded qcheck sweep closes the gate.
-smoke6=$(./target/release/repro s6)
-printf '%s\n' "$smoke6" >&2
-grep -q "S6 — sharded write throughput" <<<"$smoke6"
 shard_mask='s/[0-9.]+ ms\)/_ ms)/g; s/[0-9]+ view\(s\) maintained/_ view(s) maintained/g'
 for f in tests/corpus/*.sql; do
   un=$(./target/release/aggview "$f" | sed -E "$shard_mask" | sort)
@@ -146,17 +128,12 @@ for f in tests/corpus/*.sql; do
   fi
 done
 ./target/release/qcheck --seeds 0..200 --shards 2
-# Durability smoke: the S7 harness must run and find recovery
-# bag-identical; the crash oracle sweeps 200 seeded crash points
+# Durability smoke: the crash oracle sweeps 200 seeded crash points
 # (random crash batch, phase, and checkpoint cadence per seed) and must
 # find no discrepancy; the corpus replays through both mid-stream
 # reopen drivers; and a two-invocation `serve --data-dir` round trip
 # proves the CLI recovers a directory and answers from the recovered
 # store (the banner goes to stderr, the rows to stdout).
-smoke7=$(./target/release/repro s7)
-printf '%s\n' "$smoke7" >&2
-grep -q "S7 — durability" <<<"$smoke7"
-grep -q "true" <<<"$smoke7"
 ./target/release/qcheck --crash --seeds 0..200
 ./target/release/qcheck --replay tests/corpus --sessions 2 --reopen
 ./target/release/qcheck --replay tests/corpus --shards 2 --reopen
@@ -222,21 +199,17 @@ if unsound_net=$(AGGVIEW_UNSOUND_NET_TRUNCATE=1 ./target/release/qcheck --net --
 fi
 grep -q "net-" <<<"$unsound_net"
 grep -q "shrunk" <<<"$unsound_net"
-# Advisor smoke: the S9 harness must run and create AdvView1; the
-# suggest-mode proposal dump is deterministic (two runs over the same
-# workload print identical bytes); every corpus script answers
-# identically with the advisor off and in auto mode once the comment
-# headers are dropped (`-- answered from ...` legitimately names
-# AdvView* on the auto side), wall-clock tokens masked, maintenance
-# counts masked (the advisor's view is one more to maintain), and
-# lines sorted; an advisor-axis qcheck sweep replays advisor-off vs.
-# auto; and the fault-injection self-test proves that sweep can see a
-# stale advisor view: with maintenance of AdvView* unsoundly skipped,
-# it must FAIL with a shrunk advisor-divergence witness.
-smoke9=$(./target/release/repro s9)
-printf '%s\n' "$smoke9" >&2
-grep -q "S9 — adaptive advisor payoff" <<<"$smoke9"
-grep -q "AdvView1" <<<"$smoke9"
+# Advisor smoke: the suggest-mode proposal dump is deterministic (two
+# runs over the same workload print identical bytes); every corpus
+# script answers identically with the advisor off and in auto mode once
+# the comment headers are dropped (`-- answered from ...` legitimately
+# names AdvView* on the auto side), wall-clock tokens masked,
+# maintenance counts masked (the advisor's view is one more to
+# maintain), and lines sorted; an advisor-axis qcheck sweep replays
+# advisor-off vs. auto; and the fault-injection self-test proves that
+# sweep can see a stale advisor view: with maintenance of AdvView*
+# unsoundly skipped, it must FAIL with a shrunk advisor-divergence
+# witness.
 advise_script='CREATE TABLE Sales (Region, Product, Amount);
 INSERT INTO Sales VALUES (1, 10, 5), (1, 11, 7), (2, 10, 3), (2, 11, 9), (1, 10, 2), (3, 11, 4);
 SELECT Region, SUM(Amount) FROM Sales GROUP BY Region;

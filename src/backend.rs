@@ -1,10 +1,10 @@
 //! [`BackendSpec`]: one shared recipe for building a serving backend.
 //!
-//! Every entry point that fronts a store — `aggview serve`, `bench-net`,
-//! `bench-concurrent`, the `repro` serving benches, qcheck's driver
-//! harnesses — used to hand-roll the same `(shards, data-dir)` match:
-//! shared in-memory, shared durable, sharded in-memory, sharded durable.
-//! The copies drifted on validation and error wording. This module owns
+//! Every entry point that fronts a store — the `aggview` CLI (`serve`,
+//! `--shards`) and the `benchmark/` crate — would otherwise hand-roll the
+//! same `(shards, data-dir)` match: shared in-memory, shared durable,
+//! sharded in-memory, sharded durable, and copies drift on validation
+//! and error wording. This module owns
 //! the decision once: describe the backend with a [`BackendSpec`], call
 //! [`BackendSpec::build`], get a [`crate::net::ServeBackend`] plus the
 //! recovery banner (when a durable directory was replayed).
@@ -154,8 +154,7 @@ impl BackendSpec {
     }
 
     /// Build, requiring the unsharded [`SharedStore`] (script-mode
-    /// `serve`, `bench-concurrent`, and the serving benches drive the
-    /// store API directly).
+    /// `serve` drives the store API directly).
     pub fn build_shared(&self) -> Result<(SharedStore, Option<String>), String> {
         if self.shards.is_some() {
             return Err("this entry point serves a shared store; --shards needs --listen".into());

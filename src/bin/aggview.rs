@@ -29,13 +29,6 @@
 //!                                       # run a script silently, then print
 //!                                       # the advisor's ranked view proposals
 //!                                       # for the observed workload
-//! aggview bench-concurrent [--readers N] [--writers M] [--millis T] [FLAGS]
-//!                                       # in-process concurrent micro-bench
-//! aggview bench-net [--qps N,N,...] [--connections C] [--seconds S]
-//!                   [--max-inflight N] [FLAGS]
-//!                                       # open-loop serving curve over
-//!                                       # loopback TCP (target vs achieved
-//!                                       # QPS, p50/p99, admission rejects)
 //!
 //!   --verify         cross-check every rewritten answer against base tables
 //!   --expand         enable the footnote-3 Nat-table expansion
@@ -67,7 +60,7 @@
 
 use aggview::advisor::AdvisorPolicy;
 use aggview::backend::BackendSpec;
-use aggview::net::{loadgen, NetClient, NetConfig, NetServer};
+use aggview::net::{NetClient, NetConfig, NetServer};
 use aggview::obs::{Format, MetricsRegistry, Stage};
 use aggview::rewrite::Strategy;
 use aggview::session::{Session, SessionOptions, StatementOutcome};
@@ -81,8 +74,6 @@ fn main() -> ExitCode {
         Some("serve") => return serve(&argv[1..]),
         Some("metrics") => return metrics(&argv[1..]),
         Some("advise") => return advise(&argv[1..]),
-        Some("bench-concurrent") => return bench_concurrent(&argv[1..]),
-        Some("bench-net") => return bench_net(&argv[1..]),
         Some("net-client") => return net_client(&argv[1..]),
         _ => {}
     }
@@ -121,10 +112,7 @@ fn main() -> ExitCode {
                             [--shards N] [--data-dir DIR] [--metrics] [FLAGS] [preload.sql ...]\n       \
                             aggview net-client --connect ADDR [--tenant T] [script.sql ...]\n       \
                             aggview metrics [--human] [FLAGS] [script.sql ...]\n       \
-                            aggview advise [FLAGS] [script.sql ...]\n       \
-                            aggview bench-concurrent [--readers N] [--writers M] [--millis T] [FLAGS]\n       \
-                            aggview bench-net [--qps N,N,...] [--connections C] [--seconds S] \
-                            [--max-inflight N] [FLAGS]"
+                            aggview advise [FLAGS] [script.sql ...]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -589,87 +577,6 @@ fn net_client(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `aggview bench-net`: the open-loop serving curve. Each `--qps` target
-/// gets a fresh in-process server on a loopback ephemeral port; the
-/// generator reports target vs. achieved throughput and p50/p99 wire
-/// latency (measured from the *scheduled* send instant, so overload
-/// queueing is not hidden), plus the admission rejects drawn by the
-/// past-capacity probe connections.
-fn bench_net(args: &[String]) -> ExitCode {
-    let mut targets: Vec<u64> = Vec::new();
-    let mut cfg = loadgen::LoadConfig::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            flag if session_flag(flag, &mut cfg.options) => {}
-            "--qps" => match iter.next() {
-                Some(list) => {
-                    for part in list.split(',') {
-                        match part.trim().parse::<u64>() {
-                            Ok(qps) if qps >= 1 => targets.push(qps),
-                            _ => {
-                                eprintln!("error: --qps needs positive integer(s), e.g. 100,500");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    eprintln!("error: --qps needs positive integer(s), e.g. 100,500");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--connections" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => cfg.connections = n,
-                _ => {
-                    eprintln!("error: --connections needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seconds" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 => cfg.seconds = s,
-                _ => {
-                    eprintln!("error: --seconds needs a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-inflight" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => cfg.max_inflight = n,
-                _ => {
-                    eprintln!("error: --max-inflight needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            flag => {
-                eprintln!("unknown flag `{flag}` (try --help)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if targets.is_empty() {
-        targets = vec![200, 1000, 5000];
-    }
-    println!(
-        "bench-net: connections={} seconds={} max-inflight={}",
-        cfg.connections, cfg.seconds, cfg.max_inflight
-    );
-    for point in loadgen::run_curve(&targets, &cfg) {
-        println!(
-            "qps target={} achieved={:.0} sent={} completed={} rejected={} errors={} \
-             p50={:.0}us p99={:.0}us",
-            point.target_qps,
-            point.achieved_qps,
-            point.sent,
-            point.completed,
-            point.rejected,
-            point.errors,
-            point.p50_us,
-            point.p99_us,
-        );
-    }
-    ExitCode::SUCCESS
-}
-
 /// `aggview metrics`: execute a script with per-statement output
 /// suppressed, then dump the session's observability snapshot. The dump
 /// is the whole of stdout, so it pipes straight into a scraper or
@@ -783,145 +690,6 @@ fn advise(args: &[String]) -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `aggview bench-concurrent`: an in-process concurrent micro-benchmark.
-/// N reader handles hammer a warm aggregation query against their pinned
-/// snapshots while M writer handles stream single-row inserts; reports
-/// read/write throughput and the store's batching counters. `--no-obs`
-/// runs without a metrics registry (the two runs bracket the
-/// observability overhead).
-fn bench_concurrent(args: &[String]) -> ExitCode {
-    let mut readers = 4usize;
-    let mut writers = 1usize;
-    let mut millis = 250u64;
-    let mut options = SessionOptions::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut num = |name: &str| -> Option<u64> {
-            let v = iter.next().and_then(|v| v.parse::<u64>().ok());
-            if v.is_none() {
-                eprintln!("error: {name} needs a non-negative integer");
-            }
-            v
-        };
-        match arg.as_str() {
-            flag if session_flag(flag, &mut options) => {}
-            "--readers" => match num("--readers") {
-                Some(n) if n >= 1 => readers = n as usize,
-                _ => return ExitCode::FAILURE,
-            },
-            "--writers" => match num("--writers") {
-                Some(n) => writers = n as usize,
-                None => return ExitCode::FAILURE,
-            },
-            "--millis" => match num("--millis") {
-                Some(n) if n >= 1 => millis = n,
-                _ => return ExitCode::FAILURE,
-            },
-            flag => {
-                eprintln!("unknown flag `{flag}` (try --help)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // The store's write policy mirrors the session flags, so
-    // `--no-columnar` / `--no-view-index` shape maintenance here exactly
-    // as they do in the serving and net benches.
-    let (store, _) = BackendSpec::from_options(&options)
-        .build_shared()
-        .expect("in-memory store builds");
-    let session_options = || options.clone();
-    let mut setup = store.session(session_options());
-    let setup_sql = "CREATE TABLE Sales (Region, Product, Amount);
-         CREATE VIEW Totals AS
-           SELECT Region, Product, SUM(Amount) AS T, COUNT(Amount) AS N
-           FROM Sales GROUP BY Region, Product;
-         INSERT INTO Sales VALUES (1, 1, 10), (1, 2, 20), (2, 1, 30), (2, 2, 40);";
-    let stmts = parse_script(setup_sql).expect("setup parses");
-    if let Err(e) = setup.run_script(&stmts) {
-        eprintln!("error: setup failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    let query = aggview::sql::parse_query("SELECT Region, SUM(Amount) FROM Sales GROUP BY Region")
-        .expect("query parses");
-    let read_stmt = aggview::sql::Statement::Select(query);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(millis);
-
-    let mut threads = Vec::new();
-    for r in 0..readers {
-        let mut session = store.session(session_options());
-        let stmt = read_stmt.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("bench-reader-{r}"))
-                .spawn(move || {
-                    let mut n = 0u64;
-                    while std::time::Instant::now() < deadline {
-                        session.execute(&stmt).expect("read succeeds");
-                        n += 1;
-                    }
-                    (n, 0u64)
-                })
-                .expect("spawn reader"),
-        );
-    }
-    for w in 0..writers {
-        let mut session = store.session(session_options());
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("bench-writer-{w}"))
-                .spawn(move || {
-                    let mut n = 0u64;
-                    while std::time::Instant::now() < deadline {
-                        let region = (n % 4 + 1) as i64;
-                        let sql = format!(
-                            "INSERT INTO Sales VALUES ({region}, {}, {});",
-                            n % 7 + 1,
-                            n % 100
-                        );
-                        let stmts = parse_script(&sql).expect("insert parses");
-                        session.run_script(&stmts).expect("write succeeds");
-                        n += 1;
-                    }
-                    (0u64, n)
-                })
-                .expect("spawn writer"),
-        );
-    }
-    let (mut reads, mut writes) = (0u64, 0u64);
-    for t in threads {
-        let (r, w) = t.join().expect("bench thread");
-        reads += r;
-        writes += w;
-    }
-    let secs = millis as f64 / 1e3;
-    println!("bench-concurrent: readers={readers} writers={writers} millis={millis}");
-    println!(
-        "reads:  {reads} ({:.0}/s total, {:.0}/s per reader)",
-        reads as f64 / secs,
-        reads as f64 / secs / readers.max(1) as f64
-    );
-    println!("writes: {writes} ({:.0}/s total)", writes as f64 / secs);
-    let summary = store.store_section().summary();
-    let tail = summary.strip_prefix("store: ").unwrap_or(&summary);
-    println!("store:  {tail}");
-    if let Some(snap) = store.obs_snapshot() {
-        for stage in &snap.stages {
-            let h = &stage.hist;
-            println!(
-                "stage:  {} count={} p50={} p95={} p99={} max={}",
-                stage.stage.name(),
-                h.count,
-                h.p50_ns(),
-                h.p95_ns(),
-                h.p99_ns(),
-                h.max_ns,
-            );
         }
     }
     ExitCode::SUCCESS

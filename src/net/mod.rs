@@ -32,7 +32,6 @@
 pub mod client;
 pub mod frame;
 pub mod json;
-pub mod loadgen;
 pub mod protocol;
 mod server;
 

@@ -138,30 +138,6 @@ fn serve_rejects_bad_session_count() {
     assert!(stderr.contains("--sessions"), "stderr: {stderr}");
 }
 
-#[test]
-fn bench_concurrent_smoke() {
-    let (stdout, stderr, ok) = run_cli(
-        &[
-            "bench-concurrent",
-            "--readers",
-            "2",
-            "--writers",
-            "1",
-            "--millis",
-            "40",
-        ],
-        "",
-    );
-    assert!(ok, "stderr: {stderr}");
-    assert!(
-        stdout.contains("bench-concurrent: readers=2 writers=1 millis=40"),
-        "stdout: {stdout}"
-    );
-    assert!(stdout.contains("reads:"), "stdout: {stdout}");
-    assert!(stdout.contains("writes:"), "stdout: {stdout}");
-    assert!(stdout.contains("store:  epoch="), "stdout: {stdout}");
-}
-
 /// Mask the unstable parts of an observability line so golden tests
 /// compare shape, not timings: whitespace collapses to single spaces,
 /// `fingerprint=<hex>` becomes `fingerprint=<FP>`, purely numeric

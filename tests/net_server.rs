@@ -1,13 +1,14 @@
 //! Tier-1 integration tests for the TCP serving layer: round trips,
-//! pipelining, cross-connection consistency, graceful drain, and durable
-//! restart — all over real loopback sockets.
+//! pipelining, cross-connection consistency, graceful drain, durable
+//! restart, and the admission gate — all over real loopback sockets.
 
 use aggview::durability::DurabilityOptions;
 use aggview::net::{NetClient, NetConfig, NetServer, ServeBackend};
+use aggview::obs::CounterId;
 use aggview::server::SharedStore;
 use aggview::session::StatementOutcome;
 use aggview::state::WritePolicy;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -321,4 +322,61 @@ fn malformed_frames_do_not_poison_other_connections() {
     }
     let summary = server.shutdown();
     assert_eq!(summary.rejects, 0);
+}
+
+/// The admission gate at `max_connections: 1`: a connection past the cap
+/// reads one error frame and EOF, the admitted client is undisturbed, and
+/// the slot is free again once that client leaves.
+#[test]
+fn admission_gate_refuses_past_capacity_then_readmits() {
+    let store = SharedStore::new(WritePolicy::default());
+    let server = NetServer::start(
+        ServeBackend::Shared(store.clone()),
+        "127.0.0.1:0",
+        NetConfig {
+            max_connections: 1,
+            ..NetConfig::default()
+        },
+    )
+    .expect("server binds");
+    let addr = server.addr();
+    let mut first = NetClient::connect(addr).expect("connect first");
+    first
+        .request("CREATE TABLE T (A, B)")
+        .expect("transport")
+        .expect("first client is admitted");
+
+    let mut refused = TcpStream::connect(addr).expect("the kernel accepts the dial");
+    refused
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut frames = String::new();
+    refused
+        .read_to_string(&mut frames)
+        .expect("one frame, then EOF");
+    assert_eq!(frames.lines().count(), 1, "{frames:?}");
+    assert!(frames.contains("connection capacity (1)"), "{frames:?}");
+
+    first
+        .request("INSERT INTO T VALUES (1, 2)")
+        .expect("transport")
+        .expect("first client still answers");
+    drop(first);
+
+    // The slot frees when the connection thread sees EOF; wait for the
+    // gauge rather than racing it (a second refusal would break the count).
+    let metrics = store.metrics().expect("obs on by default");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while metrics.get(CounterId::NetConnectionsOpen) != 0 {
+        assert!(std::time::Instant::now() < deadline, "slot never freed");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let mut next = NetClient::connect(addr).expect("connect again");
+    let rel = expect_answer(&mut next, "SELECT A, B FROM T");
+    assert_eq!(rel.sorted_rows().len(), 1);
+    drop(next);
+
+    let summary = server.shutdown();
+    assert_eq!(summary.rejects, 1);
+    assert_eq!(summary.connections, 2);
 }
