@@ -12,7 +12,10 @@
 //!
 //! This is exactly the \[CS94\]/\[YL94\] group-by pushdown space seen through
 //! the paper's lens (Section 6: "their transformations … are special cases
-//! of our conditions of view usability").
+//! of our conditions of view usability"). [`pushdown_candidates`] is that
+//! space for one query: [`suggest_views`] proposes its candidates as views
+//! to store, and the serving path computes one inline when no stored view
+//! answers (eager aggregation).
 
 use crate::canon::{AggExpr, AggSpec, Canonical, ColId, SelItem, Term};
 use crate::cost::{estimate_cost, TableStats};
@@ -154,6 +157,21 @@ pub fn suggest_views(
     catalog: &Catalog,
     stats: &TableStats,
 ) -> Result<Vec<ViewSuggestion>, crate::rewrite::RewriteError> {
+    pushdown_candidates(query, catalog, stats, "Suggested")
+}
+
+/// Synthesize the group-by pushdown candidate over each non-empty subset
+/// of `query`'s `FROM` occurrences, validate it through the rewriter, and
+/// price it — [`suggest_views`] for stored views, the serving path for a
+/// summary computed inline. Candidates are named `{prefix}1`,
+/// `{prefix}2`, ... in validation order; the result is sorted by
+/// descending benefit.
+pub fn pushdown_candidates(
+    query: &Query,
+    catalog: &Catalog,
+    stats: &TableStats,
+    prefix: &str,
+) -> Result<Vec<ViewSuggestion>, crate::rewrite::RewriteError> {
     let canonical =
         Canonical::from_query(query, catalog).map_err(crate::rewrite::RewriteError::Query)?;
     if !canonical.is_plain() {
@@ -168,6 +186,15 @@ pub fn suggest_views(
     }
     let mut suggestions: Vec<ViewSuggestion> = Vec::new();
     let mut seen_defs: BTreeSet<String> = BTreeSet::new();
+    // Validate through the rewriter (single-view, single-step).
+    let rewriter = Rewriter::with_options(
+        catalog,
+        RewriteOptions {
+            multi_view: false,
+            max_rewritings: 4,
+            ..RewriteOptions::default()
+        },
+    );
 
     for mask in 1u32..(1 << n) {
         let subset: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
@@ -179,18 +206,9 @@ pub fn suggest_views(
         if !seen_defs.insert(key) {
             continue;
         }
-        let name = format!("Suggested{}", suggestions.len() + 1);
+        let name = format!("{prefix}{}", suggestions.len() + 1);
         let view = ViewDef::new(name.clone(), view_sql);
 
-        // Validate through the rewriter (single-view, single-step).
-        let rewriter = Rewriter::with_options(
-            catalog,
-            RewriteOptions {
-                multi_view: false,
-                max_rewritings: 4,
-                ..RewriteOptions::default()
-            },
-        );
         let rewritings = rewriter.rewrite(query, std::slice::from_ref(&view))?;
         let Some(rewriting) = rewritings.into_iter().next() else {
             continue;
@@ -375,6 +393,20 @@ mod tests {
         assert!(sql.contains("SUM"), "got {sql}");
         // And the rewriting actually uses it.
         assert_eq!(best.rewriting.views_used, vec![best.view.name.clone()]);
+    }
+
+    #[test]
+    fn pushdown_candidates_are_named_by_prefix() {
+        let q = parse_query("SELECT Name, SUM(M) FROM Facts, Dims WHERE Dim = D GROUP BY Name")
+            .unwrap();
+        let candidates = pushdown_candidates(&q, &catalog(), &stats(), "Eager").unwrap();
+        let suggestions = suggest_views(&q, &catalog(), &stats()).unwrap();
+        assert_eq!(candidates.len(), suggestions.len());
+        for (c, s) in candidates.iter().zip(&suggestions) {
+            assert_eq!(c.view.query, s.view.query);
+            assert!(c.view.name.starts_with("Eager"), "{}", c.view.name);
+            assert_eq!(c.rewriting.views_used, vec![c.view.name.clone()]);
+        }
     }
 
     #[test]

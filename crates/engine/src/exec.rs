@@ -1009,6 +1009,14 @@ enum Grouper<'a> {
         col: &'a [i64],
         map: HashMap<i64, usize>,
     },
+    /// Two or more clean Int grouping columns: each row's key is gathered
+    /// into the reused `scratch` and looked up as a slice, so a key is
+    /// allocated only when a new group appears.
+    Ints {
+        cols: Vec<&'a [i64]>,
+        scratch: Vec<i64>,
+        map: HashMap<Box<[i64]>, usize>,
+    },
     /// General case: exact `Value` keys — the same `cmp_total` equality the
     /// row path's `HashMap<Vec<Value>, _>` uses.
     Generic {
@@ -1020,18 +1028,24 @@ enum Grouper<'a> {
 
 impl<'a> Grouper<'a> {
     fn new(crel: &'a ColumnarRelation, group_exprs: &'a [usize]) -> Self {
-        if let [c] = group_exprs {
-            if let Some(col) = crel.col(*c).ints() {
-                return Grouper::Int {
-                    col,
-                    map: HashMap::new(),
-                };
-            }
-        }
-        Grouper::Generic {
-            crel,
-            cols: group_exprs,
-            map: HashMap::new(),
+        let ints: Option<Vec<&[i64]>> = group_exprs.iter().map(|&c| crel.col(c).ints()).collect();
+        match ints {
+            Some(cols) if cols.len() == 1 => Grouper::Int {
+                col: cols[0],
+                map: HashMap::new(),
+            },
+            Some(cols) if cols.len() > 1 => Grouper::Ints {
+                scratch: vec![0; cols.len()],
+                cols,
+                map: HashMap::new(),
+            },
+            // No grouping column (one group) or a column that is not
+            // clean Int.
+            _ => Grouper::Generic {
+                crel,
+                cols: group_exprs,
+                map: HashMap::new(),
+            },
         }
     }
 
@@ -1041,6 +1055,17 @@ impl<'a> Grouper<'a> {
             Grouper::Int { col, map } => {
                 let next = map.len();
                 *map.entry(col[i]).or_insert(next)
+            }
+            Grouper::Ints { cols, scratch, map } => {
+                for (k, col) in scratch.iter_mut().zip(cols.iter()) {
+                    *k = col[i];
+                }
+                if let Some(&gid) = map.get(&scratch[..]) {
+                    return gid;
+                }
+                let next = map.len();
+                map.insert(scratch.as_slice().into(), next);
+                next
             }
             Grouper::Generic { crel, cols, map } => {
                 let key: Vec<Value> = cols.iter().map(|&c| crel.value(i, c)).collect();
@@ -1987,8 +2012,30 @@ mod tests {
 
     #[test]
     fn vectorized_matches_row_path_exactly() {
-        let db = db2();
+        let mut db = db2();
+        // Multi-column Int keys at the i64 edges, with groups recurring
+        // out of order so first-seen group order is pinned too.
+        db.insert(
+            "R3",
+            rel_of_ints(
+                ["X", "Y", "Z", "W"],
+                &[
+                    &[i64::MIN, 0, 1, 5],
+                    &[i64::MAX, 0, 1, 6],
+                    &[i64::MIN, 0, 1, 7],
+                    &[0, i64::MAX, i64::MIN, 1],
+                    &[i64::MAX, 0, 2, 2],
+                    &[0, i64::MAX, i64::MIN, 3],
+                    &[i64::MIN, 0, 2, 4],
+                    &[0, i64::MIN, i64::MAX, 8],
+                ],
+            ),
+        );
         for sql in [
+            "SELECT A, B, SUM(A), COUNT(*) FROM R1 GROUP BY A, B",
+            "SELECT X, Y, SUM(W), MIN(W), COUNT(*) FROM R3 GROUP BY X, Y",
+            "SELECT Z, X, Y, COUNT(*), MAX(W) FROM R3 GROUP BY Z, X, Y",
+            "SELECT X, Y, SUM(W) FROM R3 WHERE W > 1 GROUP BY X, Y HAVING COUNT(*) > 1",
             "SELECT A, B FROM R1",
             "SELECT A FROM R1 WHERE B > 15",
             "SELECT A FROM R1 WHERE 15 < B",
@@ -2059,6 +2106,34 @@ mod tests {
                 "query `{sql}` diverged"
             );
         }
+    }
+
+    #[test]
+    fn int_keys_take_the_int_grouper_and_a_mixed_column_falls_back() {
+        let rows = vec![
+            vec![Value::Int(1), Value::Int(1), Value::Int(5)],
+            vec![Value::Int(1), Value::Double(2.5), Value::Int(6)],
+            vec![Value::Int(1), Value::Int(1), Value::Int(7)],
+        ];
+        let rel = Relation::new(["k", "m", "v"], rows);
+        let crel = ColumnarRelation::from_rows(&rel);
+        assert!(matches!(Grouper::new(&crel, &[0]), Grouper::Int { .. }));
+        assert!(matches!(Grouper::new(&crel, &[0, 2]), Grouper::Ints { .. }));
+        // `m` holds a Double among its Ints: not a clean Int column.
+        assert!(matches!(
+            Grouper::new(&crel, &[0, 1]),
+            Grouper::Generic { .. }
+        ));
+
+        let mut db = Database::new();
+        db.insert("M", rel);
+        let sql = "SELECT k, m, SUM(v) FROM M GROUP BY k, m";
+        let v = run_with(sql, &db, true);
+        assert_eq!(v.rows, run_with(sql, &db, false).rows);
+        assert_eq!(
+            v.rows[0],
+            vec![Value::Int(1), Value::Int(1), Value::Int(12)]
+        );
     }
 
     #[test]

@@ -166,11 +166,15 @@ pub enum CounterId {
     AdvisorCreated,
     /// Rows backfilled into advisor-created views.
     AdvisorBackfillRows,
+    /// Answers served through an inline summary (eager aggregation: a
+    /// group-by pushdown computed per execution when no stored view
+    /// answers).
+    EagerInline,
 }
 
 impl CounterId {
     /// Every counter, in declaration order.
-    pub const ALL: [CounterId; 46] = [
+    pub const ALL: [CounterId; 47] = [
         CounterId::Statements,
         CounterId::Queries,
         CounterId::Writes,
@@ -217,6 +221,7 @@ impl CounterId {
         CounterId::AdvisorProposals,
         CounterId::AdvisorCreated,
         CounterId::AdvisorBackfillRows,
+        CounterId::EagerInline,
     ];
 
     /// Stable snake_case name; the Prometheus metric is
@@ -269,6 +274,7 @@ impl CounterId {
             CounterId::AdvisorProposals => "advisor_proposals",
             CounterId::AdvisorCreated => "advisor_created",
             CounterId::AdvisorBackfillRows => "advisor_backfill_rows",
+            CounterId::EagerInline => "eager_inline",
         }
     }
 

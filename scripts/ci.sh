@@ -5,8 +5,9 @@
 # no failed operation), a columnar smoke (the same script answers
 # byte-identically with and without --no-columnar), a differential smoke
 # (a short qcheck seed sweep plus the persisted corpus, failing on any
-# regression, and the fault-injection self-test proving the sweep
-# catches a dropped join-delta term and shrinks it), a concurrency smoke
+# regression, and the fault-injection self-tests proving the sweep
+# catches a dropped join-delta term and a stale inline summary and
+# shrinks both), a concurrency smoke
 # (the shared-store stress test under --release plus a short
 # multi-session qcheck sweep), a metrics smoke, a sharding smoke (every
 # corpus script answers identically under --shards 2, and a short
@@ -80,6 +81,16 @@ if unsound_delta=$(AGGVIEW_UNSOUND_DROP_DIM_DELTA=1 ./target/release/qcheck --se
 fi
 grep -q "view-content-mismatch" <<<"$unsound_delta"
 grep -q "shrunk" <<<"$unsound_delta"
+# Fault-injection self-test: with every inline summary (eager
+# aggregation) unsoundly reused from its first materialization instead of
+# rebuilt from the pinned snapshot, the stream's writes leave later joins
+# answered stale, and the same sweep must FAIL with a shrunk witness.
+if unsound_eager=$(AGGVIEW_UNSOUND_EAGER_STALE=1 ./target/release/qcheck --seeds 0..100 2>&1); then
+  echo "ci: differential oracle failed to catch a stale inline summary" >&2
+  exit 1
+fi
+grep -q "answer-mismatch" <<<"$unsound_eager"
+grep -q "shrunk" <<<"$unsound_eager"
 # Concurrency smoke: the 4-reader/1-writer stress test runs under
 # --release (debug-mode timing starves the readers), and a short
 # multi-session sweep replays the differential stream round-robined

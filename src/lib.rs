@@ -59,6 +59,7 @@
 pub mod advisor;
 pub mod backend;
 pub mod durability;
+mod eager;
 pub mod gen;
 pub mod net;
 pub mod plan_cache;

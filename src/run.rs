@@ -13,17 +13,29 @@ use aggview_sql::Query;
 /// Materialize each view into `db` under its name, in definition order
 /// (later views may reference earlier ones).
 pub fn materialize_views(db: &mut Database, views: &[ViewDef]) -> EngineResult<()> {
+    materialize_views_ctx(db, views, &ExecContext::new())
+}
+
+fn materialize_views_ctx(
+    db: &mut Database,
+    views: &[ViewDef],
+    cx: &ExecContext,
+) -> EngineResult<()> {
     for v in views {
-        let rel = materialize_view(db, v)?;
+        let rel = materialize_view(db, v, cx)?;
         db.insert(v.name.clone(), rel);
     }
     Ok(())
 }
 
-/// Evaluate one view definition against `db` and name its output columns
-/// per [`Query::output_names`].
-fn materialize_view(db: &Database, view: &ViewDef) -> EngineResult<Relation> {
-    let mut rel = execute(&view.query, db)?;
+/// Evaluate one view definition against `db` under `cx` and name its
+/// output columns per [`Query::output_names`].
+pub(crate) fn materialize_view(
+    db: &Database,
+    view: &ViewDef,
+    cx: &ExecContext,
+) -> EngineResult<Relation> {
+    let mut rel = execute_ctx(&view.query, db, cx)?;
     rel.columns = view.output_names();
     Ok(rel)
 }
@@ -37,9 +49,8 @@ pub fn execute_rewriting(rw: &Rewriting, db: &Database) -> EngineResult<Relation
     execute_rewriting_ctx(rw, db, &ExecContext::new())
 }
 
-/// [`execute_rewriting`] under an explicit [`ExecContext`] (the auxiliary
-/// views are still materialized through the default path — their contents
-/// are path-independent by construction).
+/// [`execute_rewriting`] under an explicit [`ExecContext`], which the
+/// auxiliary views are materialized under too.
 pub fn execute_rewriting_ctx(
     rw: &Rewriting,
     db: &Database,
@@ -49,7 +60,7 @@ pub fn execute_rewriting_ctx(
         return execute_ctx(&rw.query, db, cx);
     }
     let mut scratch = db.clone();
-    materialize_views(&mut scratch, &rw.aux_views)?;
+    materialize_views_ctx(&mut scratch, &rw.aux_views, cx)?;
     if rw.requires_nat && !scratch.contains(NAT_TABLE) {
         ensure_nat(&mut scratch);
     }
@@ -119,4 +130,43 @@ pub fn rewrite_and_verify(
         );
     }
     rewritings
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aggview_core::Canonical;
+    use aggview_engine::relation::rel_of_ints;
+    use aggview_obs::{CounterId, MetricsRegistry};
+    use aggview_sql::parse_query;
+    use std::sync::Arc;
+
+    /// `--no-columnar` reaches the auxiliary views: with the context's
+    /// columnar path off, the aux run and the main query both take the
+    /// row interpreter.
+    #[test]
+    fn aux_views_run_under_the_callers_context() {
+        let mut db = Database::new();
+        db.insert("T", rel_of_ints(["a", "b"], &[&[1, 5], &[1, 6], &[2, 7]]));
+        let m = Arc::new(MetricsRegistry::default());
+        db.set_metrics(Arc::clone(&m));
+        let rw = Rewriting {
+            query: parse_query("SELECT a, s FROM Aux").unwrap(),
+            canonical: Canonical::empty(),
+            aux_views: vec![ViewDef::new(
+                "Aux",
+                parse_query("SELECT a, SUM(b) AS s FROM T GROUP BY a").unwrap(),
+            )],
+            views_used: Vec::new(),
+            used_paper_va: false,
+            set_semantics: false,
+            requires_nat: false,
+        };
+        let rows = execute_rewriting_ctx(&rw, &db, &ExecContext::columnar(false))
+            .unwrap()
+            .sorted_rows();
+        assert_eq!(rows, rel_of_ints(["a", "s"], &[&[1, 11], &[2, 7]]).rows);
+        assert_eq!(m.get(CounterId::ExecRowFallback), 2, "aux run + main query");
+        assert_eq!(m.get(CounterId::ExecVectorized), 0);
+    }
 }

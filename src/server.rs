@@ -138,6 +138,36 @@ impl std::fmt::Debug for SharedStore {
     }
 }
 
+/// Cap glibc malloc at one arena per CPU the process may run on, once,
+/// before a store spawns its first thread. glibc gives each new thread
+/// its own arena (up to 8 per core) and keeps freed pages in the arena
+/// that freed them; a later store's threads pick those arenas up in
+/// whatever order they start, so its peak RSS depended on which thread
+/// landed where: `benchmark/`'s `sharded_rw` peaked at 107 or 131 MB run
+/// to run, and at 61–66 MB under one arena. More arenas than CPUs buy
+/// no parallelism. Left alone when the user set `MALLOC_ARENA_MAX`.
+fn cap_malloc_arenas() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_ARENA_MAX: i32 = -8;
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            if std::env::var_os("MALLOC_ARENA_MAX").is_some() {
+                return;
+            }
+            let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+            // SAFETY: `mallopt` only sets a malloc tuning parameter; it
+            // takes glibc's own lock and is safe to call at any time.
+            unsafe {
+                mallopt(M_ARENA_MAX, cpus.min(i32::MAX as usize) as i32);
+            }
+        });
+    }
+}
+
 impl SharedStore {
     /// An empty store. `policy` fixes the store-wide maintenance policy
     /// (group indexes on materialized views, delta vs. recompute) — the
@@ -223,6 +253,7 @@ impl SharedStore {
             metrics,
             recovery,
         });
+        cap_malloc_arenas();
         let writer = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()

@@ -32,6 +32,7 @@
 use crate::advisor::{
     proposal_lines, workload_proposals, AdvisorMode, AdvisorPolicy, AdvisorState,
 };
+use crate::eager::{self, Served};
 use crate::plan_cache::{AnswerMeta, CacheKey, PlanCache, DEFAULT_PLAN_CACHE_CAP};
 use crate::run::{execute_rewriting_ctx, rewriting_equivalent};
 use crate::server::{SharedStore, StoreSnapshot, WriteOp};
@@ -226,17 +227,8 @@ impl fmt::Display for StatementOutcome {
                 search: _,
                 obs: _,
             } => {
-                if views_used.is_empty() {
-                    writeln!(
-                        f,
-                        "-- no usable view; evaluated against base tables ({elapsed_ms:.2} ms)"
-                    )?;
-                } else {
-                    writeln!(
-                        f,
-                        "-- answered from {views_used:?} ({candidates} candidate rewriting(s), {elapsed_ms:.2} ms)"
-                    )?;
-                    writeln!(f, "-- executed: {executed}")?;
+                for line in answer_header(views_used, *candidates, executed, Some(*elapsed_ms)) {
+                    writeln!(f, "{line}")?;
                 }
                 if let Some(ok) = verified {
                     writeln!(
@@ -254,6 +246,37 @@ impl fmt::Display for StatementOutcome {
                 Ok(())
             }
         }
+    }
+}
+
+/// The first lines of an answer's report: where it came from (stored
+/// views, an inline summary, the base tables) and, unless it ran the
+/// query as written, what it executed. `elapsed_ms` is shown when
+/// `Display` prints it; `EXPLAIN ANALYZE` times stages instead.
+fn answer_header(
+    views_used: &[String],
+    candidates: usize,
+    executed: &str,
+    elapsed_ms: Option<f64>,
+) -> Vec<String> {
+    if !views_used.is_empty() {
+        let ms = elapsed_ms.map_or(String::new(), |ms| format!(", {ms:.2} ms"));
+        return vec![
+            format!("-- answered from {views_used:?} ({candidates} candidate rewriting(s){ms})"),
+            format!("-- executed: {executed}"),
+        ];
+    }
+    let ms = elapsed_ms.map_or(String::new(), |ms| format!(" ({ms:.2} ms)"));
+    match eager::summary_name(executed) {
+        Some(summary) => vec![
+            format!(
+                "-- no usable view; answered from inline summary {summary} over base tables{ms}"
+            ),
+            format!("-- executed: {executed}"),
+        ],
+        None => vec![format!(
+            "-- no usable view; evaluated against base tables{ms}"
+        )],
     }
 }
 
@@ -920,18 +943,34 @@ impl Session {
         let reports = rewriter
             .explain(q, &state.views)
             .map_err(|e| err(e.to_string()))?;
-        if reports.is_empty() {
+        let (rewritings, search) = rewriter
+            .rewrite_with_stats(q, &state.views)
+            .map_err(|e| err(e.to_string()))?;
+        // With no stored rewriting, name the inline summary the serving
+        // path would build instead (eager aggregation).
+        let inline = rewritings
+            .is_empty()
+            .then(|| eager::inline_rewriting(q, state, &state.table_stats()))
+            .flatten()
+            .map(|rw| {
+                format!(
+                    "-- eager: no stored view answers; inline summary: {}",
+                    eager::executed_text(&rw)
+                )
+            });
+        if reports.is_empty() && inline.is_none() {
             return Ok(StatementOutcome::Explanation(vec![
                 "no views defined".to_string()
             ]));
         }
         let mut lines: Vec<String> = reports.iter().map(|r| r.to_string()).collect();
+        if lines.is_empty() {
+            lines.push("no views defined".to_string());
+        }
+        lines.extend(inline);
         // Tail: what the full search does with these candidates, the
         // serving-cache status for this query, and the shared store (if
         // any) — one ObsSnapshot, rendered by the shared renderer.
-        let (_, search) = rewriter
-            .rewrite_with_stats(q, &state.views)
-            .map_err(|e| err(e.to_string()))?;
         let status = match cache_key(state, q) {
             Some(k) if self.plan_cache.peek(&k) => {
                 format!("cached (fingerprint {:016x})", k.fingerprint())
@@ -968,6 +1007,7 @@ impl Session {
             (
                 m.get(CounterId::ExecVectorized),
                 m.get(CounterId::ExecRowFallback),
+                m.get(CounterId::EagerInline),
             )
         });
         let outcome = self.select(q, true)?;
@@ -982,17 +1022,13 @@ impl Session {
         else {
             return Err(err("EXPLAIN ANALYZE: select path returned no answer"));
         };
-        let mut lines = Vec::new();
-        if views_used.is_empty() {
-            lines.push("-- no usable view; evaluated against base tables".to_string());
-        } else {
-            lines.push(format!(
-                "-- answered from {views_used:?} ({candidates} candidate rewriting(s))"
-            ));
-        }
+        let mut lines = answer_header(&views_used, candidates, &executed, None);
+        lines.truncate(1);
         lines.push(format!("-- executed: {executed}"));
         lines.push(format!("-- rows: {}", relation.len()));
-        if let (Some(m), Some((vec_before, row_before))) = (&self.metrics, exec_before) {
+        if let (Some(m), Some((vec_before, row_before, eager_before))) =
+            (&self.metrics, exec_before)
+        {
             let vectorized = m.get(CounterId::ExecVectorized) - vec_before;
             let fallback = m.get(CounterId::ExecRowFallback) - row_before;
             let path = match (vectorized, fallback) {
@@ -1006,6 +1042,13 @@ impl Session {
                 m.get(CounterId::ExecVectorized),
                 m.get(CounterId::ExecRowFallback),
             ));
+            if m.get(CounterId::EagerInline) > eager_before {
+                lines.push(format!(
+                    "-- eager: inline summary built from the pinned snapshot for this \
+                     execution; session totals: eager_inline={}",
+                    m.get(CounterId::EagerInline)
+                ));
+            }
         }
         let advisor_views: Vec<&String> = views_used
             .iter()
@@ -1173,13 +1216,17 @@ fn select_on(
             // Instant pair.)
             let exec_start_ns = metrics.map(|m| m.now_ns());
             let t = metrics.is_none().then(std::time::Instant::now);
-            let relation = match (&cached.plan, &cached.rewriting) {
-                (Some(plan), _) => plan.run(&state.db).map_err(|e| err(e.to_string()))?,
-                (None, Some(rw)) => {
-                    execute_rewriting_ctx(rw, &state.db, &cx).map_err(|e| err(e.to_string()))?
-                }
-                (None, None) => execute_ctx(q, &state.db, &cx).map_err(|e| err(e.to_string()))?,
-            };
+            let (relation, served) = run_decision(
+                q,
+                cached.rewriting.as_ref(),
+                cached.plan.as_ref(),
+                &state.db,
+                &cx,
+                metrics,
+            )?;
+            // The cached decision stands even when a summary no longer
+            // shrinks: it was judged on the miss that made it.
+            let fell_back = served == Some(Served::BaseTables);
             let (elapsed_ms, hit_timing) = match (metrics, exec_start_ns, total_start_ns) {
                 (Some(m), Some(exec_start), Some(total_start)) => {
                     let end = m.now_ns();
@@ -1193,12 +1240,16 @@ fn select_on(
                 _ => (t.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3), None),
             };
             let verified = match (options.verify, &cached.rewriting) {
-                (true, Some(rw)) => {
+                (true, Some(rw)) if !fell_back => {
                     Some(rewriting_equivalent(q, rw, &state.db).map_err(|e| err(e.to_string()))?)
                 }
                 _ => None,
             };
-            let executed = cached.meta.executed.clone();
+            let executed = if fell_back {
+                q.to_string()
+            } else {
+                cached.meta.executed.clone()
+            };
             let views_used = cached.meta.views_used.clone();
             let candidates = cached.meta.candidates;
             let set_semantics = cached.meta.set_semantics;
@@ -1237,6 +1288,25 @@ fn select_on(
     let (mut rewritings, mut search): (Vec<Rewriting>, RewriteStats) = rewriter
         .rewrite_with_stats(q, &state.views)
         .map_err(|e| err(e.to_string()))?;
+    let stats = state.table_stats();
+    rewritings.sort_by(|a, b| {
+        a.cost(&stats)
+            .partial_cmp(&b.cost(&stats))
+            .expect("finite costs")
+    });
+    let candidates = rewritings.len();
+    // The serving decision: the cheapest stored-view rewriting; failing
+    // that, an inline summary over part of `FROM` (eager aggregation,
+    // timed as part of the search); failing that, the base tables.
+    let chosen = match rewritings.into_iter().next() {
+        Some(best) => Some(best),
+        None => {
+            let t = std::time::Instant::now();
+            let inline = eager::inline_rewriting(q, state, &stats);
+            search.search_time += t.elapsed();
+            inline
+        }
+    };
     if let Some(m) = metrics {
         // Folds the search counters in and observes the rewrite stage
         // with the search's own prepare+search wall time.
@@ -1246,132 +1316,122 @@ fn select_on(
         .as_nanos()
         .min(u64::MAX as u128) as u64;
     plan_cache.fill_stats(&mut search);
-    let stats = state.table_stats();
-    rewritings.sort_by(|a, b| {
-        a.cost(&stats)
-            .partial_cmp(&b.cost(&stats))
-            .expect("finite costs")
-    });
-    let candidates = rewritings.len();
-    match rewritings.first() {
-        None => {
-            // Base-table answer. Compile once, run, and cache the
-            // compiled plan for canonically identical arrivals.
-            let plan_span = metrics.map(|m| m.span(Stage::Plan));
-            let plan = PhysicalPlan::compile(q, &state.db).ok().map(|mut p| {
-                p.set_columnar(options.columnar);
-                p
-            });
-            let plan_ns = plan_span.map(|s| s.finish());
-            if let (Some(m), true) = (metrics, plan.is_some()) {
-                m.incr(CounterId::PlanCompiles);
-            }
-            let exec_span = metrics.map(|m| m.span(Stage::Execute));
-            let t = std::time::Instant::now();
-            let relation = match &plan {
-                Some(p) => p.run(&state.db).map_err(|e| err(e.to_string()))?,
-                None => execute_ctx(q, &state.db, &cx).map_err(|e| err(e.to_string()))?,
-            };
-            let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
-            let exec_ns = exec_span.map(|s| s.finish());
-            if let Some(k) = key {
-                let meta = AnswerMeta {
-                    executed: q.to_string(),
-                    views_used: Vec::new(),
-                    candidates: 0,
-                    set_semantics: false,
-                };
-                plan_cache.store(k, None, plan, meta, search.clone());
-            }
-            let obs = finish_query_obs(
-                metrics,
-                attach_obs,
-                q,
-                fingerprint,
-                false,
-                total_ns_since(metrics, total_start_ns),
-                &miss_stage_timings(rewrite_ns, plan_ns, exec_ns),
-                &search,
-            );
-            Ok(StatementOutcome::Answer {
-                relation,
-                executed: q.to_string(),
-                views_used: Vec::new(),
-                candidates: 0,
-                verified: None,
-                elapsed_ms,
-                set_semantics: false,
-                search: Box::new(search),
-                obs,
-            })
+
+    // Compile once and cache the plan for canonically identical arrivals:
+    // the query itself, or a rewriting that needs no scaffolding (the
+    // auxiliary views or inline summary, the Nat table) and so is a single
+    // block over stored relations. Scaffolded rewritings cache without a
+    // plan — the hit still skips the whole search.
+    let compile = |query: &Query| {
+        let plan = PhysicalPlan::compile(query, &state.db).ok().map(|mut p| {
+            p.set_columnar(options.columnar);
+            p
+        });
+        if let (Some(m), true) = (metrics, plan.is_some()) {
+            m.incr(CounterId::PlanCompiles);
         }
-        Some(best) => {
-            // A rewriting that needs no scaffolding (auxiliary views,
-            // the Nat table) is a single block over stored relations:
-            // compile it once. Scaffolded rewritings cache without a
-            // plan — the hit still skips the whole search.
-            let plan_span = metrics.map(|m| m.span(Stage::Plan));
-            let plan = (best.aux_views.is_empty() && !best.requires_nat)
-                .then(|| PhysicalPlan::compile(&best.query, &state.db).ok())
-                .flatten()
-                .map(|mut p| {
-                    p.set_columnar(options.columnar);
-                    p
-                });
-            let plan_ns = plan_span.map(|s| s.finish());
-            if let (Some(m), true) = (metrics, plan.is_some()) {
-                m.incr(CounterId::PlanCompiles);
-            }
-            let exec_span = metrics.map(|m| m.span(Stage::Execute));
-            let t = std::time::Instant::now();
-            let relation = match &plan {
-                Some(p) => p.run(&state.db).map_err(|e| err(e.to_string()))?,
-                None => {
-                    execute_rewriting_ctx(best, &state.db, &cx).map_err(|e| err(e.to_string()))?
-                }
-            };
-            let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
-            let exec_ns = exec_span.map(|s| s.finish());
-            let verified = if options.verify {
-                Some(rewriting_equivalent(q, best, &state.db).map_err(|e| err(e.to_string()))?)
+        plan
+    };
+    let plan_span = metrics.map(|m| m.span(Stage::Plan));
+    let plan = match &chosen {
+        None => compile(q),
+        Some(rw) if rw.aux_views.is_empty() && !rw.requires_nat => compile(&rw.query),
+        Some(_) => None,
+    };
+    let plan_ns = plan_span.map(|s| s.finish());
+    let exec_span = metrics.map(|m| m.span(Stage::Execute));
+    let t = std::time::Instant::now();
+    let (relation, served) =
+        run_decision(q, chosen.as_ref(), plan.as_ref(), &state.db, &cx, metrics)?;
+    let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
+    let exec_ns = exec_span.map(|s| s.finish());
+    let fell_back = served == Some(Served::BaseTables);
+    let verified = match (options.verify, &chosen) {
+        (true, Some(rw)) if !fell_back => {
+            Some(rewriting_equivalent(q, rw, &state.db).map_err(|e| err(e.to_string()))?)
+        }
+        _ => None,
+    };
+    let base_meta = || AnswerMeta {
+        executed: q.to_string(),
+        ..AnswerMeta::default()
+    };
+    let meta = match &chosen {
+        None => base_meta(),
+        Some(rw) => AnswerMeta {
+            executed: if eager::is_inline(rw) {
+                eager::executed_text(rw)
             } else {
-                None
-            };
-            let executed = best.query.to_string();
-            let views_used = best.views_used.clone();
-            let set_semantics = best.set_semantics;
-            if let Some(k) = key {
-                let meta = AnswerMeta {
-                    executed: executed.clone(),
-                    views_used: views_used.clone(),
-                    candidates,
-                    set_semantics,
-                };
-                plan_cache.store(k, Some(best.clone()), plan, meta, search.clone());
-            }
-            let obs = finish_query_obs(
-                metrics,
-                attach_obs,
-                q,
-                fingerprint,
-                false,
-                total_ns_since(metrics, total_start_ns),
-                &miss_stage_timings(rewrite_ns, plan_ns, exec_ns),
-                &search,
-            );
-            Ok(StatementOutcome::Answer {
-                relation,
-                executed,
-                views_used,
-                candidates,
-                verified,
-                elapsed_ms,
-                set_semantics,
-                search: Box::new(search),
-                obs,
-            })
+                rw.query.to_string()
+            },
+            views_used: rw.views_used.clone(),
+            candidates,
+            set_semantics: rw.set_semantics,
+        },
+    };
+    let executed = if fell_back {
+        q.to_string()
+    } else {
+        meta.executed.clone()
+    };
+    let (views_used, candidates, set_semantics) =
+        (meta.views_used.clone(), meta.candidates, meta.set_semantics);
+    if let Some(k) = key {
+        // An inline summary that failed or did not shrink leaves later
+        // arrivals the base-table plan.
+        if served.is_some_and(|s| s != Served::Summary) {
+            plan_cache.store(k, None, compile(q), base_meta(), search.clone());
+        } else {
+            plan_cache.store(k, chosen, plan, meta, search.clone());
         }
     }
+    let obs = finish_query_obs(
+        metrics,
+        attach_obs,
+        q,
+        fingerprint,
+        false,
+        total_ns_since(metrics, total_start_ns),
+        &miss_stage_timings(rewrite_ns, plan_ns, exec_ns),
+        &search,
+    );
+    Ok(StatementOutcome::Answer {
+        relation,
+        executed,
+        views_used,
+        candidates,
+        verified,
+        elapsed_ms,
+        set_semantics,
+        search: Box::new(search),
+        obs,
+    })
+}
+
+/// Execute a serving decision, fresh or cached: its compiled plan when it
+/// has one, else its rewriting, else the query over the base tables. An
+/// inline-summary rewriting answers through [`eager::answer`] and reports
+/// how it was served; any other decision reports `None`.
+fn run_decision(
+    q: &Query,
+    rewriting: Option<&Rewriting>,
+    plan: Option<&PhysicalPlan>,
+    db: &Database,
+    cx: &ExecContext,
+    metrics: Option<&MetricsRegistry>,
+) -> Result<(Relation, Option<Served>), SessionError> {
+    let ran = match (plan, rewriting) {
+        (Some(plan), _) => plan.run(db).map(|rel| (rel, None)),
+        (None, Some(rw)) if eager::is_inline(rw) => eager::answer(q, rw, db, cx).map(|(rel, s)| {
+            if let (Some(m), true) = (metrics, s != Served::BaseTables) {
+                m.incr(CounterId::EagerInline);
+            }
+            (rel, Some(s))
+        }),
+        (None, Some(rw)) => execute_rewriting_ctx(rw, db, cx).map(|rel| (rel, None)),
+        (None, None) => execute_ctx(q, db, cx).map(|rel| (rel, None)),
+    };
+    ran.map_err(|e| err(e.to_string()))
 }
 
 /// Elapsed registry-clock nanoseconds since `start_ns` (0 when
@@ -1721,6 +1781,198 @@ mod tests {
         assert!(*candidates >= 2);
         assert_eq!(views_used, &vec!["Coarse".to_string()]);
         assert_eq!(verified, &Some(true));
+    }
+
+    const EAGER_SETUP: &str = "CREATE TABLE Calling_Plans (Plan_Id, Plan_Name, KEY (Plan_Id));
+         CREATE TABLE Calls (Call_Id, Plan_Id, Day, Charge, KEY (Call_Id));
+         INSERT INTO Calling_Plans VALUES (1, 'basic'), (2, 'gold');
+         INSERT INTO Calls VALUES (1, 1, 1, 10), (2, 2, 1, 5), (3, 1, 2, 7), (4, 1, 2, 1);";
+    const EAGER_PROBE: &str = "SELECT Plan_Name, Day, SUM(Charge) FROM Calls, Calling_Plans
+         WHERE Calls.Plan_Id = Calling_Plans.Plan_Id GROUP BY Plan_Name, Day";
+
+    fn eager_inline(session: &Session) -> u64 {
+        session
+            .metrics()
+            .expect("obs on by default")
+            .get(CounterId::EagerInline)
+    }
+
+    /// With no stored view, the join-then-group probe is answered through
+    /// an inline summary of `Calls`: cross-checked equivalent, reported as
+    /// a base-table answer under the query's own column names, served
+    /// again from the plan cache after a write with a fresh summary.
+    #[test]
+    fn join_without_a_view_is_answered_through_an_inline_summary() {
+        let mut session = Session::new(SessionOptions {
+            verify: true,
+            ..SessionOptions::default()
+        });
+        session
+            .run_script(&parse_script(EAGER_SETUP).unwrap())
+            .unwrap();
+        let probe = Statement::Select(aggview_sql::parse_query(EAGER_PROBE).unwrap());
+        let first = session.execute(&probe).unwrap();
+        let StatementOutcome::Answer {
+            relation,
+            executed,
+            views_used,
+            candidates,
+            verified,
+            ..
+        } = &first
+        else {
+            panic!("expected an answer")
+        };
+        assert!(views_used.is_empty(), "{views_used:?}");
+        assert_eq!(*candidates, 0);
+        assert_eq!(verified, &Some(true));
+        assert_eq!(relation.columns, ["Plan_Name", "Day", "sum_charge"]);
+        assert!(executed.starts_with("WITH Eager1 AS (SELECT"), "{executed}");
+        assert!(executed.contains("FROM Calls GROUP BY"), "{executed}");
+        let shown = first.to_string();
+        assert!(
+            shown.starts_with("-- no usable view; answered from inline summary Eager1"),
+            "{shown}"
+        );
+        assert_eq!(eager_inline(&session), 1);
+
+        session
+            .execute(
+                &aggview_sql::parse_statement("INSERT INTO Calls VALUES (5, 2, 1, 100)").unwrap(),
+            )
+            .unwrap();
+        let StatementOutcome::Answer {
+            relation, verified, ..
+        } = session.execute(&probe).unwrap()
+        else {
+            panic!("expected an answer")
+        };
+        assert_eq!(session.plan_cache().hits(), 1);
+        assert_eq!(verified, Some(true));
+        assert_eq!(eager_inline(&session), 2);
+        let gold = vec![Value::Str("gold".into()), Value::Int(1), Value::Int(105)];
+        assert!(relation.rows.contains(&gold), "{relation}");
+    }
+
+    /// `EXPLAIN` names the inline summary the serving path would build;
+    /// `EXPLAIN ANALYZE` names the one it built and the session's count.
+    #[test]
+    fn explain_names_the_inline_summary() {
+        let script =
+            format!("{EAGER_SETUP}\n EXPLAIN {EAGER_PROBE}; EXPLAIN ANALYZE {EAGER_PROBE};");
+        let outcomes = run(&script, false);
+        let n = outcomes.len();
+        let (StatementOutcome::Explanation(plain), StatementOutcome::Explanation(analyzed)) =
+            (&outcomes[n - 2], &outcomes[n - 1])
+        else {
+            panic!("expected two explanations")
+        };
+        assert_eq!(plain[0], "no views defined");
+        assert!(
+            plain[1]
+                .starts_with("-- eager: no stored view answers; inline summary: WITH Eager1 AS"),
+            "{plain:#?}"
+        );
+        assert_eq!(
+            analyzed[0],
+            "-- no usable view; answered from inline summary Eager1 over base tables"
+        );
+        assert!(
+            analyzed
+                .iter()
+                .any(|l| l.starts_with("-- eager: inline summary built")
+                    && l.ends_with("eager_inline=1")),
+            "{analyzed:#?}"
+        );
+    }
+
+    /// The serving decision the plan cache holds for `q`: (has a
+    /// rewriting, has a compiled plan). Counts as a cache hit.
+    fn cached_decision(session: &mut Session, q: &Query) -> (bool, bool) {
+        let key = cache_key(session.state(), q).expect("cacheable");
+        let cached = session.plan_cache.lookup(&key).expect("cached");
+        (cached.rewriting.is_some(), cached.plan.is_some())
+    }
+
+    /// A summary that cannot be built — `SUM` over a string in a `Calls`
+    /// row no plan matches, which the join would drop — falls back to the
+    /// base tables, and the cache keeps the compiled base-table plan.
+    #[test]
+    fn inline_summary_failure_falls_back_to_the_base_tables() {
+        let mut session = Session::new(SessionOptions::default());
+        let script = format!("{EAGER_SETUP}\n INSERT INTO Calls VALUES (9, 7, 1, 'x');");
+        session.run_script(&parse_script(&script).unwrap()).unwrap();
+        let probe = Statement::Select(aggview_sql::parse_query(EAGER_PROBE).unwrap());
+        for _ in 0..2 {
+            let outcome = session.execute(&probe).unwrap();
+            let StatementOutcome::Answer {
+                relation, executed, ..
+            } = &outcome
+            else {
+                panic!("expected an answer")
+            };
+            assert!(executed.starts_with("SELECT"), "{executed}");
+            assert!(outcome
+                .to_string()
+                .starts_with("-- no usable view; evaluated against base tables"));
+            assert_eq!(
+                relation.sorted_rows(),
+                vec![
+                    vec![Value::Str("basic".into()), Value::Int(1), Value::Int(10)],
+                    vec![Value::Str("basic".into()), Value::Int(2), Value::Int(8)],
+                    vec![Value::Str("gold".into()), Value::Int(1), Value::Int(5)],
+                ]
+            );
+        }
+        assert_eq!(session.plan_cache().hits(), 1);
+        assert_eq!(eager_inline(&session), 0);
+        let Statement::Select(q) = &probe else {
+            unreachable!()
+        };
+        assert_eq!(cached_decision(&mut session, q), (false, true));
+    }
+
+    /// A summary that keeps more than half of its input's rows (grouped
+    /// by `Calls`' key) answers the miss, and the cache then holds the
+    /// base-table plan: later arrivals run the parent's plan.
+    #[test]
+    fn unshrunk_summary_caches_the_base_table_plan() {
+        let mut session = Session::new(SessionOptions::default());
+        let rows: Vec<String> = (10..2010)
+            .map(|i| format!("({i}, {}, {}, {i})", 1 + i % 2, i % 28))
+            .collect();
+        let script = format!(
+            "{EAGER_SETUP}\n INSERT INTO Calls VALUES {};",
+            rows.join(", ")
+        );
+        session.run_script(&parse_script(&script).unwrap()).unwrap();
+        let q = aggview_sql::parse_query(
+            "SELECT Call_Id, Plan_Name, SUM(Charge) FROM Calls, Calling_Plans
+             WHERE Calls.Plan_Id = Calling_Plans.Plan_Id GROUP BY Call_Id, Plan_Name",
+        )
+        .unwrap();
+        let probe = Statement::Select(q.clone());
+        let StatementOutcome::Answer {
+            relation, executed, ..
+        } = session.execute(&probe).unwrap()
+        else {
+            panic!("expected an answer")
+        };
+        assert!(executed.starts_with("WITH Eager1 AS"), "{executed}");
+        assert_eq!(eager_inline(&session), 1);
+        let StatementOutcome::Answer {
+            relation: again,
+            executed,
+            ..
+        } = session.execute(&probe).unwrap()
+        else {
+            panic!("expected an answer")
+        };
+        assert!(executed.starts_with("SELECT"), "{executed}");
+        assert_eq!(eager_inline(&session), 1);
+        assert_eq!(session.plan_cache().hits(), 1);
+        assert_eq!(relation.sorted_rows(), again.sorted_rows());
+        assert_eq!(cached_decision(&mut session, &q), (false, true));
     }
 
     const SHARDED_SCRIPT: &str = "CREATE TABLE Sales (Region, Product, Amount);

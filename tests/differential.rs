@@ -4,9 +4,12 @@
 //! range across the whole engine-configuration lattice, plus a replay of
 //! the persisted corpus so previously interesting cases stay green.
 
+use aggview::obs::CounterId;
+use aggview::session::{Session, SessionOptions};
+use aggview::sql::parse_script;
 use aggview_qcheck::{
-    check_case, check_case_sessions, check_case_shards, corpus, run_range, run_range_sessions,
-    run_range_shards, CaseConfig,
+    check_case, check_case_sessions, check_case_shards, corpus, generate, run_range,
+    run_range_sessions, run_range_shards, Case, CaseConfig,
 };
 use std::path::Path;
 
@@ -63,6 +66,32 @@ fn short_seed_range_is_discrepancy_free_across_shards() {
             ),
         }
     }
+}
+
+/// The sweep above reaches the eager-aggregation path: its first `SELECT`
+/// runs before any view exists, so every join-then-group query there is
+/// answered through an inline summary when one pays off. Replaying the
+/// same seeds' tables and query counts those answers; a gate that
+/// silently turned the path off would leave the oracle green and this
+/// count at zero.
+#[test]
+fn short_seed_range_exercises_inline_summaries() {
+    let cfg = CaseConfig::default();
+    let mut inline = 0;
+    for seed in 0..50 {
+        let case = Case {
+            views: Vec::new(),
+            ..generate(seed, &cfg)
+        };
+        let stmts = parse_script(&case.to_string()).expect("case scripts parse");
+        let mut session = Session::new(SessionOptions::default());
+        session.run_script(&stmts).expect("case scripts run");
+        inline += session
+            .metrics()
+            .expect("obs on by default")
+            .get(CounterId::EagerInline);
+    }
+    assert!(inline > 0, "no inline-summary answer in seeds 0..50");
 }
 
 /// Replay the persisted corpus. Each file is a plain SQL script that once
