@@ -1,5 +1,5 @@
 //! F7 — differential-harness throughput: full seconds-per-seed cost of one
-//! qcheck case (generate, reference-execute, drive the 16-point engine
+//! qcheck case (generate, reference-execute, drive the 8-point engine
 //! lattice, cross-check every rewriting). Tracks how expensive a soak
 //! iteration is so `scripts/soak.sh` seed budgets stay calibrated.
 

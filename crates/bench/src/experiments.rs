@@ -933,19 +933,16 @@ pub fn f2_compression(full: bool) -> Table {
     table
 }
 
-/// One measured point of the F3/F4 search-scaling sweeps: sequential vs.
-/// parallel timing plus the [`aggview_core::RewriteStats`] counters of the
-/// indexed search.
+/// One measured point of the F3/F4 search-scaling sweeps: the shipped
+/// search's timing plus its [`aggview_core::RewriteStats`] counters.
 #[derive(Debug, Clone)]
 pub struct SearchPoint {
     /// The swept axis value (candidate views for F3, chain length for F4).
     pub x: usize,
-    /// Rewritings produced (identical on both paths by construction).
+    /// Rewritings produced.
     pub rewritings: usize,
-    /// Best-of-k wall time, sequential (`threads = 1`), microseconds.
-    pub seq_us: f64,
-    /// Best-of-k wall time, parallel (default thread count), microseconds.
-    pub par_us: f64,
+    /// Best-of-k wall time, microseconds.
+    pub us: f64,
     /// Candidate `(state, view)` pairs rejected by the signature prefilter.
     pub prefiltered: usize,
     /// Candidate pairs that reached mapping enumeration.
@@ -954,73 +951,35 @@ pub struct SearchPoint {
     pub mappings: usize,
     /// Closure-cache hit rate over the measured (warm) run.
     pub closure_hit_rate: f64,
-    /// Worker threads the parallel path used.
-    pub threads: usize,
 }
 
-impl SearchPoint {
-    /// Parallel speedup over sequential.
-    pub fn speedup(&self) -> f64 {
-        self.seq_us / self.par_us.max(1e-9)
-    }
-}
-
-/// Measure one (query, view pool) search point: best-of-`runs` wall times
-/// for the sequential baseline (the seed configuration: one thread, no
-/// signature prefilter, no closure cache) and the optimized path
-/// (parallel + indexed + cached), plus the stats of a final instrumented
-/// run. Note the container the repro runs in may expose a single core, in
-/// which case the parallel path degenerates to sequential and the whole
-/// speedup comes from the prefilter and the closure cache.
+/// Measure one (query, view pool) search point: the best-of-`runs` wall
+/// time of the search under `options`, plus the stats of a final
+/// instrumented run on the same (warm) rewriter.
 fn measure_search_point(
     catalog: &Catalog,
-    base: &RewriteOptions,
+    options: &RewriteOptions,
     q: &aggview_sql::ast::Query,
     pool: &[ViewDef],
     x: usize,
     runs: usize,
 ) -> SearchPoint {
-    use std::num::NonZeroUsize;
-    let seq_rewriter = Rewriter::with_options(
-        catalog,
-        RewriteOptions {
-            threads: Some(NonZeroUsize::new(1).expect("nonzero")),
-            prefilter: false,
-            closure_cache: false,
-            ..base.clone()
-        },
-    );
-    let par_rewriter = Rewriter::with_options(catalog, base.clone());
-    let mut seq_us = f64::INFINITY;
-    let mut par_us = f64::INFINITY;
-    let mut n_rws = 0;
+    let rewriter = Rewriter::with_options(catalog, options.clone());
+    let mut us = f64::INFINITY;
     for _ in 0..runs {
         let t = Instant::now();
-        let rws = seq_rewriter.rewrite(q, pool).expect("rewrite runs");
-        seq_us = seq_us.min(t.elapsed().as_secs_f64() * 1e6);
-        n_rws = rws.len();
-        let t = Instant::now();
-        par_rewriter.rewrite(q, pool).expect("rewrite runs");
-        par_us = par_us.min(t.elapsed().as_secs_f64() * 1e6);
+        rewriter.rewrite(q, pool).expect("rewrite runs");
+        us = us.min(t.elapsed().as_secs_f64() * 1e6);
     }
-    let (rws, stats) = par_rewriter
-        .rewrite_with_stats(q, pool)
-        .expect("rewrite runs");
-    assert_eq!(
-        rws.len(),
-        n_rws,
-        "sequential and parallel counts must agree"
-    );
+    let (rws, stats) = rewriter.rewrite_with_stats(q, pool).expect("rewrite runs");
     SearchPoint {
         x,
-        rewritings: n_rws,
-        seq_us,
-        par_us,
+        rewritings: rws.len(),
+        us,
         prefiltered: stats.candidates_prefiltered,
         attempted: stats.candidates_attempted,
         mappings: stats.mappings_enumerated,
         closure_hit_rate: stats.closure_hit_rate(),
-        threads: stats.threads,
     }
 }
 
@@ -1030,9 +989,7 @@ fn search_table(title: &str, axis: &str, points: &[SearchPoint]) -> Table {
         &[
             axis,
             "rewritings",
-            "seq us",
-            "par us",
-            "speedup",
+            "search us",
             "prefiltered",
             "attempted",
             "cache hit %",
@@ -1042,9 +999,7 @@ fn search_table(title: &str, axis: &str, points: &[SearchPoint]) -> Table {
         table.push(vec![
             p.x.to_string(),
             p.rewritings.to_string(),
-            format!("{:.0}", p.seq_us),
-            format!("{:.0}", p.par_us),
-            format!("{:.2}x", p.speedup()),
+            format!("{:.0}", p.us),
             p.prefiltered.to_string(),
             p.attempted.to_string(),
             format!("{:.0}", p.closure_hit_rate * 100.0),
@@ -1064,8 +1019,8 @@ pub fn f3_points() -> Vec<SearchPoint> {
         .collect()
 }
 
-/// F3 — rewrite-search time vs. number of candidate views, sequential vs.
-/// parallel, with prefilter / closure-cache counters.
+/// F3 — rewrite-search time vs. number of candidate views, with prefilter /
+/// closure-cache counters.
 pub fn f3_many_views() -> Table {
     search_table(
         "F3 — rewrite-search time vs. candidate view count",
@@ -1098,7 +1053,7 @@ pub fn f4_points() -> Vec<SearchPoint> {
 }
 
 /// F4 — rewrite-search time vs. query size (self-join chain; the C1
-/// mapping space grows combinatorially), sequential vs. parallel.
+/// mapping space grows combinatorially).
 pub fn f4_query_size() -> Table {
     search_table(
         "F4 — rewrite-search time vs. query size (n self-joined tables)",
@@ -1143,7 +1098,7 @@ pub fn f6_database(view_q: &Query, n_calls: usize) -> Database {
     view.columns = view_q.output_names();
     let plan = FoldPlan::compile(view_q, &db, &ExecContext::new()).expect("both F6 shapes fold");
     db.insert("V", view);
-    db.set_fold_plan("V", plan, true);
+    db.set_fold_plan("V", plan);
     db
 }
 

@@ -188,7 +188,7 @@ pub fn rewrite_conjunctive(
 }
 
 /// Is the hidden `AGGVIEW_UNSOUND_SKIP_C3` fault-injection flag set? Read
-/// once per process (the parallel search consults this per mapping). Both
+/// once per process (the search consults this per mapping). Both
 /// implementations of the first half of C3 consult it: the check here and
 /// the entailment prune inside the search's mapping enumeration (which
 /// would otherwise cut the same unsound candidates for efficiency).

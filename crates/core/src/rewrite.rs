@@ -20,36 +20,32 @@
 //!
 //! # Search architecture
 //!
-//! The BFS over states runs **level-synchronously**: all `(state, view)`
-//! candidate evaluations of one depth level are independent (each reads
-//! only its own state plus the immutable prepared views), so they are
-//! fanned out across [`std::thread::scope`] workers — see
-//! [`RewriteOptions::threads`]. Results are then reduced **in task order**
-//! (state-major, view-major, mapping enumeration order), which is exactly
-//! the order the sequential loop produces; the `seen` application-set
-//! dedup, the output ordering, and the `max_rewritings` cut-off are applied
-//! during that reduction, so the produced `Vec<Rewriting>` is byte-for-byte
-//! identical for any thread count. Theorem 3.2's Church-Rosser property is
-//! what makes the parallel exploration *complete* regardless of evaluation
-//! order: states are identified by their application set, so every
-//! interleaving of view applications converges to the same state set.
+//! The search is a breadth-first walk over states: a FIFO queue of states,
+//! each expanded against every prepared view in pool order, every
+//! successor appended behind the queue. A state is identified by its
+//! application set, and Theorem 3.2's Church-Rosser property is what makes
+//! deduplicating on that set complete: every interleaving of the same view
+//! applications converges to the same state, so the first one reached
+//! stands for all of them. The output is therefore ordered by depth, then
+//! state, then view, then mapping enumeration order, and the
+//! `max_rewritings` cut-off stops the walk at the rewriting that reaches it.
 //!
-//! Three per-level optimizations keep candidate evaluation cheap:
+//! Three optimizations keep candidate evaluation cheap:
 //! * a **prefilter index** ([`TableSignature`]) rejects `(state, view)`
 //!   pairs whose per-relation occurrence counts already rule out any
 //!   column mapping (a necessary condition for C1), before
 //!   [`enumerate_mappings`] runs;
-//! * **per-pair closure universes**: the closure a `(state, view)` task
+//! * **per-pair closure universes**: the closure a `(state, view)` pair
 //!   reasons over spans the state's columns and constants plus *that*
 //!   view's constants only. Pooling every candidate view's constants into
 //!   one shared universe (the obvious alternative) makes each closure
-//!   `O(pool size)` wide and the whole level superlinear in the number of
+//!   `O(pool size)` wide and the whole search superlinear in the number of
 //!   candidate views, yet enables no extra derivations: every implication
 //!   checked for the pair only mentions the pair's own terms, and
 //!   constant-to-constant order facts are derived directly from values;
 //! * a **closure cache** ([`crate::ClosureCache`]) memoizes
 //!   [`PredClosure::build`] keyed by `(conds, universe)`, shared across
-//!   states, levels, and repeated `rewrite` calls on one [`Rewriter`].
+//!   states and repeated `rewrite` calls on one [`Rewriter`].
 //!
 //! [`Rewriter::rewrite_with_stats`] reports counters and per-phase wall
 //! times for all of the above as [`RewriteStats`].
@@ -66,11 +62,8 @@ use crate::mapping::{enumerate_mappings, Mapping, TableSignature};
 use crate::set_mode::{result_is_set, rewrite_set_mode};
 use aggview_catalog::{Catalog, SchemaSource};
 use aggview_sql::ast::Query;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A materialized view: a name and its defining query.
@@ -132,20 +125,10 @@ pub struct RewriteOptions {
     /// [`Rewriting::requires_nat`] and need the `Nat` relation at
     /// execution time (`aggview::run::ensure_nat`).
     pub enable_expand: bool,
-    /// Worker threads for frontier-level candidate evaluation. `None`
-    /// (the default) uses [`std::thread::available_parallelism`];
-    /// `Some(1)` runs fully sequentially. The produced rewritings are
-    /// identical for every value (see the module docs).
-    pub threads: Option<NonZeroUsize>,
     /// Consult the [`TableSignature`] index before enumerating mappings.
     /// On by default; turning it off is an ablation switch for tests and
     /// benchmarks — it never changes the produced rewritings.
     pub prefilter: bool,
-    /// Memoize [`PredClosure`] builds in the rewriter's [`ClosureCache`].
-    /// On by default; turning it off is an ablation switch that rebuilds
-    /// every closure from scratch (the seed behaviour) — it never changes
-    /// the produced rewritings.
-    pub closure_cache: bool,
 }
 
 impl Default for RewriteOptions {
@@ -158,9 +141,7 @@ impl Default for RewriteOptions {
             max_depth: 8,
             normalize_having: true,
             enable_expand: false,
-            threads: None,
             prefilter: true,
-            closure_cache: true,
         }
     }
 }
@@ -168,7 +149,7 @@ impl Default for RewriteOptions {
 /// Counters and timings from one [`Rewriter::rewrite_with_stats`] call.
 #[derive(Debug, Clone, Default)]
 pub struct RewriteStats {
-    /// States popped from the frontier and expanded.
+    /// States popped from the search queue and expanded.
     pub states_expanded: usize,
     /// `(state, view)` pairs rejected by the signature prefilter (or by
     /// mode routing) before mapping enumeration.
@@ -187,8 +168,6 @@ pub struct RewriteStats {
     pub prepare_time: Duration,
     /// Wall time spent in the search itself.
     pub search_time: Duration,
-    /// Worker threads used for candidate evaluation.
-    pub threads: usize,
     /// Serving-layer plan-cache hits (the search and planning above were
     /// skipped entirely). Filled in by the session, not the search.
     pub plan_cache_hits: u64,
@@ -251,7 +230,6 @@ impl RewriteStats {
             closure_cache_misses: self.closure_cache_misses,
             prepare_ns: self.prepare_time.as_nanos().min(u64::MAX as u128) as u64,
             search_ns: self.search_time.as_nanos().min(u64::MAX as u128) as u64,
-            threads: self.threads,
         }
     }
 
@@ -411,10 +389,6 @@ impl std::error::Error for RewriteError {}
 pub struct Rewriter<'a> {
     catalog: &'a Catalog,
     options: RewriteOptions,
-    /// `options.threads` resolved once at construction: on Linux,
-    /// `available_parallelism()` re-reads cgroup limits on every call
-    /// (several µs), which would dominate small searches.
-    threads: usize,
     /// Memoized predicate closures, shared across states, levels, and
     /// repeated `rewrite` calls on this rewriter.
     closure_cache: ClosureCache,
@@ -471,10 +445,6 @@ struct State {
     requires_nat: bool,
 }
 
-/// What one `(state, view)` task yields: the successor states its mappings
-/// produce (in enumeration order) and how many mappings were enumerated.
-type TaskOutcome = (Vec<State>, usize);
-
 impl<'a> Rewriter<'a> {
     /// A rewriter with default options.
     pub fn new(catalog: &'a Catalog) -> Self {
@@ -483,21 +453,11 @@ impl<'a> Rewriter<'a> {
 
     /// A rewriter with explicit options.
     pub fn with_options(catalog: &'a Catalog, options: RewriteOptions) -> Self {
-        let threads = match options.threads {
-            Some(n) => n.get(),
-            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        };
         Rewriter {
             catalog,
             options,
-            threads,
             closure_cache: ClosureCache::default(),
         }
-    }
-
-    /// The number of worker threads candidate evaluation will use.
-    fn thread_count(&self) -> usize {
-        self.threads
     }
 
     /// The active options.
@@ -593,7 +553,7 @@ impl<'a> Rewriter<'a> {
         let mut results: Vec<Rewriting> = Vec::new();
         let mut seen: HashSet<BTreeSet<String>> = HashSet::new();
         seen.insert(BTreeSet::new());
-        let mut frontier: Vec<State> = vec![State {
+        let mut queue: VecDeque<State> = VecDeque::from([State {
             labels: (0..root.tables.len()).map(|i| format!("q{i}")).collect(),
             canonical: root,
             apps: BTreeSet::new(),
@@ -602,69 +562,56 @@ impl<'a> Rewriter<'a> {
             used_va: false,
             set_semantics: false,
             requires_nat: false,
-        }];
-        let threads = self.thread_count();
+        }]);
+        // The closure universe, one buffer so it is not reallocated per
+        // `(state, view)` pair.
+        let mut universe: Vec<Term> = Vec::new();
 
-        // Level-synchronous BFS. The sequential formulation is a FIFO
-        // queue, which processes states in exact level order and appends
-        // children behind the current level — so taking the whole frontier,
-        // evaluating its (state, view) tasks in any order, and reducing in
-        // task order reproduces the sequential output byte for byte.
-        'search: while !frontier.is_empty() {
+        'search: while let Some(state) = queue.pop_front() {
             if results.len() >= self.options.max_rewritings {
                 break;
             }
-            // Expandable states of this level, with their constants and
-            // per-state context. Closures are built per `(state, view)`
-            // task (inside the workers): the universe of a pair is the
-            // state's columns and constants plus that view's constants, so
-            // closure cost is independent of the candidate-pool size.
-            let mut expandable: Vec<(State, Vec<Term>, StateCtx)> = Vec::new();
-            for state in std::mem::take(&mut frontier) {
-                if state.apps.len() >= self.options.max_depth {
-                    continue;
-                }
-                if !state.canonical.is_plain() {
-                    continue; // terminal: derived aggregate forms
-                }
-                if !self.options.multi_view && !state.apps.is_empty() {
-                    continue;
-                }
-                let state_consts = const_terms_of(&state.canonical.conds);
-                let ctx = StateCtx {
-                    signature: TableSignature::of(&state.canonical),
-                    is_aggregation: state.canonical.is_aggregation_query(),
-                    set_eligible: self.options.enable_set_mode
-                        && is_conjunctive_core(&state.canonical)
-                        && result_is_set(&state.canonical, self.catalog),
-                };
-                expandable.push((state, state_consts, ctx));
+            if state.apps.len() >= self.options.max_depth
+                || !state.canonical.is_plain() // terminal: derived aggregate forms
+                || (!self.options.multi_view && !state.apps.is_empty())
+            {
+                continue;
             }
-            stats.states_expanded += expandable.len();
-
-            // Prefilter: candidate (state, view) tasks whose signatures
-            // admit at least one mapping on an eligible path.
-            let mut tasks: Vec<(usize, usize)> = Vec::new();
-            for (si, (_, _, ctx)) in expandable.iter().enumerate() {
-                for (vi, view) in prepared.iter().enumerate() {
-                    if self.candidate_admissible(ctx, view) {
-                        tasks.push((si, vi));
-                    } else {
-                        stats.candidates_prefiltered += 1;
+            stats.states_expanded += 1;
+            let state_consts = const_terms_of(&state.canonical.conds);
+            let ctx = StateCtx {
+                signature: TableSignature::of(&state.canonical),
+                is_aggregation: state.canonical.is_aggregation_query(),
+                set_eligible: self.options.enable_set_mode
+                    && is_conjunctive_core(&state.canonical)
+                    && result_is_set(&state.canonical, self.catalog),
+            };
+            for view in &prepared {
+                if !self.candidate_admissible(&ctx, view) {
+                    stats.candidates_prefiltered += 1;
+                    continue;
+                }
+                stats.candidates_attempted += 1;
+                // The universe of a pair is the state's columns and
+                // constants plus that view's constants, so closure cost is
+                // independent of the candidate-pool size.
+                universe.clear();
+                universe.extend((0..state.canonical.n_cols()).map(Term::Col));
+                universe.extend(state_consts.iter().cloned());
+                for t in &view.consts {
+                    if !universe.contains(t) {
+                        universe.push(t.clone());
                     }
                 }
-            }
-            stats.candidates_attempted += tasks.len();
-
-            // Evaluate all tasks of the level; each yields the successor
-            // states its mappings produce, in enumeration order.
-            let outcomes: Vec<TaskOutcome> =
-                self.evaluate_tasks(&tasks, &expandable, &prepared, threads);
-
-            // Deterministic reduction in task order.
-            for (produced, n_mappings) in outcomes {
-                stats.mappings_enumerated += n_mappings;
-                for next in produced {
+                let closure = self
+                    .closure_cache
+                    .get_or_build(&state.canonical.conds, &universe);
+                let mappings = self.candidate_mappings(&state, &ctx, view, &closure);
+                stats.mappings_enumerated += mappings.len();
+                for (m, mode) in mappings {
+                    let Ok(next) = self.apply(&state, view, &m, &closure, mode) else {
+                        continue;
+                    };
                     if seen.insert(next.apps.clone()) {
                         results.push(Rewriting {
                             query: next.canonical.to_query(),
@@ -678,7 +625,7 @@ impl<'a> Rewriter<'a> {
                         if results.len() >= self.options.max_rewritings {
                             break 'search;
                         }
-                        frontier.push(next);
+                        queue.push_back(next);
                     }
                 }
             }
@@ -688,94 +635,7 @@ impl<'a> Rewriter<'a> {
         stats.closure_cache_hits = cache_after.hits - cache_before.hits;
         stats.closure_cache_misses = cache_after.misses - cache_before.misses;
         stats.rewritings = results.len();
-        stats.threads = threads;
         Ok((results, stats))
-    }
-
-    /// Evaluate the level's tasks, across `threads` workers when the level
-    /// is large enough to amortize the spawns. Each task builds (or fetches
-    /// from the cache) the closure of its own `(state, view)` universe;
-    /// `scratch` is a per-worker buffer so the universe Vec is not
-    /// reallocated per task.
-    fn evaluate_tasks(
-        &self,
-        tasks: &[(usize, usize)],
-        expandable: &[(State, Vec<Term>, StateCtx)],
-        prepared: &[PreparedView],
-        threads: usize,
-    ) -> Vec<TaskOutcome> {
-        let eval = |&(si, vi): &(usize, usize), scratch: &mut Vec<Term>| -> TaskOutcome {
-            let (state, state_consts, ctx) = &expandable[si];
-            let view = &prepared[vi];
-            scratch.clear();
-            scratch.extend((0..state.canonical.n_cols()).map(Term::Col));
-            scratch.extend(state_consts.iter().cloned());
-            for t in &view.consts {
-                if !scratch.contains(t) {
-                    scratch.push(t.clone());
-                }
-            }
-            let closure = if self.options.closure_cache {
-                self.closure_cache
-                    .get_or_build(&state.canonical.conds, scratch)
-            } else {
-                Arc::new(PredClosure::build(&state.canonical.conds, scratch))
-            };
-            let mappings = self.candidate_mappings(state, ctx, view, &closure);
-            let n = mappings.len();
-            let produced = mappings
-                .into_iter()
-                .filter_map(|(m, mode)| self.apply(state, view, &m, &closure, mode).ok())
-                .collect();
-            (produced, n)
-        };
-
-        // Below this many tasks the thread spawns cost more than the work
-        // they distribute (BENCH_1.json: parallel eval is slower than
-        // sequential up to ~4 candidate views), so small levels always run
-        // sequentially.
-        const SMALL_FRONTIER: usize = 4;
-        let workers = if tasks.len() <= SMALL_FRONTIER {
-            1
-        } else {
-            threads.min(tasks.len())
-        };
-        if workers <= 1 {
-            let mut scratch = Vec::new();
-            return tasks.iter().map(|t| eval(t, &mut scratch)).collect();
-        }
-        // Work-stealing over a shared atomic cursor; each worker tags its
-        // outcomes with the task index so the merge restores task order.
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<TaskOutcome>> = (0..tasks.len()).map(|_| None).collect();
-        let per_worker: Vec<Vec<(usize, TaskOutcome)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let eval = &eval;
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        let mut scratch = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= tasks.len() {
-                                break;
-                            }
-                            local.push((i, eval(&tasks[i], &mut scratch)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (i, outcome) in per_worker.into_iter().flatten() {
-            slots[i] = Some(outcome);
-        }
-        slots
-            .into_iter()
-            .map(|o| o.expect("task evaluated"))
-            .collect()
     }
 
     /// The prefilter: could `(state, view)` produce any mapping on any
@@ -891,10 +751,9 @@ impl<'a> Rewriter<'a> {
                 closure,
             )?
         } else {
-            // Auxiliary-view names must be a pure function of the state so
-            // that parallel and sequential evaluation produce identical
-            // output: the application depth (apps strictly grows along a
-            // branch) makes the name unique within a rewriting.
+            // Auxiliary-view names are a pure function of the state: the
+            // application depth (apps strictly grows along a branch) makes
+            // the name unique within a rewriting.
             let aux_name = format!("{}_va{}", view.name, state.apps.len() + 1);
             let mode = match self.options.strategy {
                 Strategy::Weighted => VaMode::Weighted,

@@ -30,9 +30,9 @@ struct Stored {
 /// tables — the paper's rewritten queries reference them by name in their
 /// `FROM` clause.
 ///
-/// A relation may carry a [`GroupIndex`] (grouped views do, when the
-/// session enables them). Replacing a relation with [`Database::insert`]
-/// drops its index; [`Database::update`] maintains rows and index together.
+/// A relation may carry a [`GroupIndex`] (grouped views do). Replacing a
+/// relation with [`Database::insert`] drops its index; [`Database::update`]
+/// maintains rows and index together.
 ///
 /// `Clone` is the snapshot operation and costs one reference-count bump
 /// per relation. A later write copies only the entry it touches (and only
@@ -149,11 +149,12 @@ impl Database {
     }
 
     /// Attach the compiled delta rule of materialized view `name` and,
-    /// when `indexed`, a [`GroupIndex`] on the key its group lookups probe.
-    pub fn set_fold_plan(&mut self, name: &str, plan: FoldPlan, indexed: bool) -> &mut Self {
+    /// for a keyed view, a [`GroupIndex`] on the key its group lookups
+    /// probe.
+    pub fn set_fold_plan(&mut self, name: &str, plan: FoldPlan) -> &mut Self {
         match self.stored_mut(name) {
             Ok(stored) => {
-                if let (true, Some(key)) = (indexed, plan.index_key_cols()) {
+                if let Some(key) = plan.index_key_cols() {
                     stored.index = Some(GroupIndex::build(&stored.relation, key.to_vec()));
                 }
                 stored.fold_plan = Some(Arc::new(plan));

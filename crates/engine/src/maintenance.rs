@@ -38,7 +38,6 @@ use crate::value::{self, Value};
 use aggview_catalog::SchemaSource;
 use aggview_sql::ast::{AggFunc, Expr, Query, SelectItem};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Fault injection: `AGGVIEW_UNSOUND_DROP_DIM_DELTA=1` silently skips the
@@ -192,15 +191,16 @@ impl FoldPlan {
     }
 
     /// Fold the image of inserted (or, with `insert` false, deleted) rows
-    /// into the stored view. An attached [`GroupIndex`] on the grouping
-    /// columns is probed for group lookups and kept in sync; without one a
-    /// scratch map is built for the batch.
+    /// into the stored view. A keyed view's groups are looked up in its
+    /// [`GroupIndex`] on the grouping columns, which is kept in sync (and
+    /// rebuilt on that key first when it is missing or keyed elsewhere); a
+    /// keyless view has one global group, its only row.
     fn fold(
         &self,
         view: &mut Relation,
         image: Vec<Vec<Value>>,
         insert: bool,
-        mut index: Option<&mut GroupIndex>,
+        index: Option<&mut GroupIndex>,
     ) -> EngineResult<()> {
         let Shape::Groups {
             outputs,
@@ -217,26 +217,25 @@ impl FoldPlan {
             }
             return Ok(());
         };
-        let usable = index
-            .as_ref()
-            .is_some_and(|idx| idx.key_cols() == key_outputs);
-        let mut scratch: Option<HashMap<Vec<Value>, usize>> = (!usable).then(|| {
-            let key_of = |row: &Vec<Value>| key_outputs.iter().map(|&o| row[o].clone()).collect();
-            let rows = view.rows.iter().enumerate();
-            rows.map(|(ri, row)| (key_of(row), ri)).collect()
-        });
+        let keyed = !key_outputs.is_empty();
+        let mut built = None;
+        let mut index = match index {
+            Some(idx) if keyed && idx.key_cols() != key_outputs => {
+                *idx = GroupIndex::build(view, key_outputs.clone());
+                Some(idx)
+            }
+            None if keyed => Some(built.insert(GroupIndex::build(view, key_outputs.clone()))),
+            idx => idx,
+        };
 
         for row in &image {
-            let key = &row[..key_outputs.len()];
-            let ri = match &scratch {
-                Some(map) => map.get(key).copied(),
-                None => index
-                    .as_ref()
-                    .and_then(|idx| idx.probe(key).last().copied()),
+            let ri = match &index {
+                Some(idx) if keyed => idx.probe(&row[..key_outputs.len()]).last().copied(),
+                _ => (!view.rows.is_empty()).then_some(0),
             };
             match ri {
-                // Only aggregate cells change: group keys stay put, so an
-                // attached index stays valid throughout the loop.
+                // Only aggregate cells change: a keyed view's index stays
+                // valid throughout the loop.
                 Some(ri) => {
                     for (cell, out) in view.rows[ri].iter_mut().zip(outputs) {
                         if let Output::Agg(fold) = out {
@@ -252,12 +251,8 @@ impl FoldPlan {
                             Output::Agg(fold) => fold.init(row),
                         })
                         .collect::<EngineResult<Vec<Value>>>()?;
-                    match (&mut scratch, &mut index) {
-                        (Some(map), _) => {
-                            map.insert(key.to_vec(), view.rows.len());
-                        }
-                        (None, Some(idx)) => idx.note_push(&fresh, view.rows.len()),
-                        (None, None) => {}
+                    if let Some(idx) = &mut index {
+                        idx.note_push(&fresh, view.rows.len());
                     }
                     view.push(fresh);
                 }
@@ -279,8 +274,9 @@ impl FoldPlan {
             }
             moved = view.len() != before;
         }
-        // A supplied-but-mismatched index was bypassed; re-sync it too.
-        if let (Some(idx), true) = (index, moved || !usable) {
+        // A keyless view's index (only `Database::set_index` attaches one)
+        // may key on an aggregate cell the loop changed.
+        if let (Some(idx), true) = (index, moved || !keyed) {
             idx.rebuild(view);
         }
         Ok(())
@@ -440,13 +436,13 @@ mod tests {
         rel
     }
 
-    /// Store `sql` as view `V` with its fold plan and, when `indexed`, the
-    /// index the plan keys on.
-    fn store_view(db: &mut Database, sql: &str, indexed: bool) -> Query {
+    /// Store `sql` as view `V` with its fold plan (and the index the plan
+    /// keys on).
+    fn store_view(db: &mut Database, sql: &str) -> Query {
         let q = parse_query(sql).unwrap();
         db.insert("V", materialize(&q, db));
         if let Some(plan) = compile(sql, db) {
-            db.set_fold_plan("V", plan, indexed);
+            db.set_fold_plan("V", plan);
         }
         q
     }
@@ -553,7 +549,6 @@ mod tests {
             &mut db,
             "SELECT a, SUM(b) AS s, COUNT(*) AS n, MIN(c) AS mn, MAX(c) AS mx \
              FROM T WHERE c <> 0 GROUP BY a",
-            false,
         );
         for step in 0..25 {
             let n = rng.random_range(1..5);
@@ -573,7 +568,6 @@ mod tests {
             &mut db,
             "SELECT T.a, name, SUM(b) AS s, COUNT(*) AS n FROM T, D WHERE T.a = D.a \
              GROUP BY T.a, name",
-            true,
         );
         for step in 0..12 {
             let batch = random_rows(&mut rng, 2);
@@ -608,7 +602,6 @@ mod tests {
         let q = store_view(
             &mut db,
             "SELECT b, name FROM T, D WHERE T.a = D.a AND c > 0",
-            false,
         );
         let batch = ints(&[&[2, 7, 1], &[2, 8, 0], &[9, 9, 9]]);
         assert!(change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap());
@@ -624,7 +617,7 @@ mod tests {
     #[test]
     fn maintain_view_routes_correctly() {
         let mut db = base_db(&[&[1, 5, 2]]);
-        let q = store_view(&mut db, "SELECT a, SUM(b) AS s FROM T GROUP BY a", true);
+        let q = store_view(&mut db, "SELECT a, SUM(b) AS s FROM T GROUP BY a");
         let cx = ExecContext::new();
         let batch = ints(&[&[1, 7, 0], &[2, 1, 0]]);
 
@@ -646,7 +639,7 @@ mod tests {
         assert_fresh(&db, &q, "after delete");
 
         // AVG has no fold plan at all.
-        let q_avg = store_view(&mut db, "SELECT a, AVG(b) AS m FROM T GROUP BY a", false);
+        let q_avg = store_view(&mut db, "SELECT a, AVG(b) AS m FROM T GROUP BY a");
         assert!(!change(&mut db, &q_avg, "T", DeltaKind::Insert(&batch)).unwrap());
         assert_fresh(&db, &q_avg, "after AVG insert");
     }
@@ -666,17 +659,20 @@ mod tests {
     }
 
     #[test]
-    fn indexed_maintenance_matches_unindexed() {
+    fn indexed_maintenance_stays_fresh() {
         // The serving write path: a persistent GroupIndex rides along with
         // the view through inserts and deletes, and stays consistent.
         let sql = "SELECT a, SUM(b) AS s, COUNT(*) AS n FROM T WHERE c <> 0 GROUP BY a";
         let mut rng = StdRng::seed_from_u64(41);
-        let (mut plain, mut indexed) = (base_db(&[]), base_db(&[]));
-        let q = store_view(&mut plain, sql, false);
-        store_view(&mut indexed, sql, true);
+        let mut db = base_db(&[]);
+        let q = store_view(&mut db, sql);
+        assert!(
+            db.index("V").is_some(),
+            "a keyed fold plan attaches its index"
+        );
 
         for step in 0..30 {
-            let live = &plain.get("T").unwrap().rows;
+            let live = &db.get("T").unwrap().rows;
             let batch = if step % 3 == 2 && !live.is_empty() {
                 let i = rng.random_range(0..live.len());
                 vec![live[i].clone()]
@@ -689,21 +685,38 @@ mod tests {
             } else {
                 DeltaKind::Insert(&batch)
             };
-            assert!(change(&mut plain, &q, "T", kind).unwrap());
-            assert!(change(&mut indexed, &q, "T", kind).unwrap());
-            assert_fresh(&indexed, &q, &format!("at step {step}"));
-            assert_eq!(
-                plain.get("V").unwrap().rows,
-                indexed.get("V").unwrap().rows,
-                "paths diverged at step {step}"
-            );
+            assert!(change(&mut db, &q, "T", kind).unwrap());
+            assert_fresh(&db, &q, &format!("at step {step}"));
         }
+    }
+
+    #[test]
+    fn keyless_view_folds_into_its_one_group() {
+        // One global group and no key to index on: the lookup is row 0
+        // while that row exists.
+        let mut db = base_db(&[]);
+        let q = store_view(&mut db, "SELECT SUM(b), COUNT(*) FROM T");
+        assert!(db.fold_plan("V").is_some());
+        assert!(db.index("V").is_none());
+        let first = ints(&[&[1, 5, 0], &[2, 7, 0]]);
+        assert!(change(&mut db, &q, "T", DeltaKind::Insert(&first)).unwrap());
+        assert_fresh(&db, &q, "after the first insert");
+        let more = ints(&[&[3, -2, 0]]);
+        assert!(change(&mut db, &q, "T", DeltaKind::Insert(&more)).unwrap());
+        assert_fresh(&db, &q, "after the second insert");
+        let all = db.get("T").unwrap().rows.clone();
+        assert!(change(&mut db, &q, "T", DeltaKind::Delete(&all)).unwrap());
+        assert_fresh(&db, &q, "after deleting every row");
+        let again = ints(&[&[4, 9, 0], &[4, 1, 0]]);
+        assert!(change(&mut db, &q, "T", DeltaKind::Insert(&again)).unwrap());
+        assert_fresh(&db, &q, "after inserting again");
+        assert_eq!(db.get("V").unwrap().rows, ints(&[&[10, 2]]));
     }
 
     #[test]
     fn mismatched_index_is_resynced() {
         let mut db = base_db(&[]);
-        let q = store_view(&mut db, "SELECT a, COUNT(*) AS n FROM T GROUP BY a", false);
+        let q = store_view(&mut db, "SELECT a, COUNT(*) AS n FROM T GROUP BY a");
         // Index keyed on the COUNT column — unusable for group routing,
         // but must still be valid after maintenance.
         db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![1]));
@@ -718,7 +731,6 @@ mod tests {
         let q = store_view(
             &mut db,
             "SELECT a, COUNT(*) AS n FROM T WHERE b > 0 GROUP BY a",
-            false,
         );
         let batch = ints(&[&[1, 5, 0], &[1, -5, 0]]);
         assert!(change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap());
@@ -728,7 +740,7 @@ mod tests {
     #[test]
     fn sum_rejects_a_string_in_a_fresh_group_like_recompute_does() {
         let mut db = base_db(&[&[1, 5, 0]]);
-        let q = store_view(&mut db, "SELECT a, SUM(b) AS s FROM T GROUP BY a", false);
+        let q = store_view(&mut db, "SELECT a, SUM(b) AS s FROM T GROUP BY a");
         for a in [1, 2] {
             let batch = vec![vec![Value::Int(a), Value::Str("x".into()), Value::Int(0)]];
             let e = change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap_err();

@@ -40,8 +40,6 @@ pub struct SearchSection {
     pub prepare_ns: u64,
     /// Search wall time, nanoseconds.
     pub search_ns: u64,
-    /// Worker threads used.
-    pub threads: usize,
 }
 
 impl SearchSection {
@@ -60,7 +58,7 @@ impl SearchSection {
     pub fn summary(&self) -> String {
         format!(
             "states={} candidates={} (prefiltered {}, attempted {}) mappings={} \
-             rewritings={} closure-cache={:.0}% hit threads={} \
+             rewritings={} closure-cache={:.0}% hit \
              prepare={:.1}ms search={:.1}ms",
             self.states_expanded,
             self.candidates_prefiltered + self.candidates_attempted,
@@ -69,7 +67,6 @@ impl SearchSection {
             self.mappings_enumerated,
             self.rewritings,
             self.closure_hit_rate() * 100.0,
-            self.threads,
             self.prepare_ns as f64 / 1e6,
             self.search_ns as f64 / 1e6,
         )
@@ -470,12 +467,11 @@ mod tests {
             closure_cache_misses: 1,
             prepare_ns: 1_500_000,
             search_ns: 2_500_000,
-            threads: 2,
         };
         assert_eq!(
             s.summary(),
             "states=3 candidates=6 (prefiltered 4, attempted 2) mappings=7 \
-             rewritings=1 closure-cache=75% hit threads=2 \
+             rewritings=1 closure-cache=75% hit \
              prepare=1.5ms search=2.5ms"
         );
     }

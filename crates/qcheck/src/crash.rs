@@ -405,7 +405,6 @@ fn expectations(case: &Case) -> Result<(Relation, Relation, Vec<Relation>), Disc
 
 fn point_policy(point: LatticePoint) -> WritePolicy {
     WritePolicy {
-        index_views: point.index,
         recompute_views: point.recompute,
         columnar: point.columnar,
         durability: true,

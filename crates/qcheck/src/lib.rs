@@ -7,9 +7,8 @@
 //! configuration the serving stack exposes:
 //!
 //! * plan cache on/off,
-//! * grouped-view indexes on/off,
 //! * incremental view maintenance vs. full recomputation,
-//! * sequential vs. parallel rewrite search,
+//! * columnar vs. row-at-a-time execution,
 //! * and every emitted rewriting, executed individually.
 //!
 //! All checks are deterministic in a single `u64` seed — no wall clock,

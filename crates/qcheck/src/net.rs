@@ -93,7 +93,6 @@ fn run_lattice_point_net(
         )
     };
     let store = SharedStore::new(WritePolicy {
-        index_views: point.index,
         recompute_views: point.recompute,
         columnar: point.columnar,
         durability: false,

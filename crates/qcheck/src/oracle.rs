@@ -5,9 +5,9 @@
 //! rewriting, slow and obviously correct. Everything the production stack
 //! can vary is then cross-checked against it:
 //!
-//! * a **session config lattice** (plan cache on/off × grouped-view
-//!   indexes on/off × delta-maintained vs. recomputed views × columnar
-//!   vs. row-at-a-time execution — 16 points)
+//! * a **session config lattice** (plan cache on/off × delta-maintained
+//!   vs. recomputed views × columnar vs. row-at-a-time execution — 8
+//!   points)
 //!   replaying the same statement stream, with the
 //!   query answered at three points (half the data, after view creation,
 //!   after more inserts and a delete) plus a repeated `SELECT` that must
@@ -18,8 +18,6 @@
 //! * **every emitted rewriting** (not just the chosen one), executed and
 //!   compared under the semantics it claims — multiset equality
 //!   (Theorem 3.1) in general, set equality for §5 rewritings;
-//! * the **parallel search** (`threads = 4`), which must emit the same
-//!   rewriting set as the sequential one;
 //! * a **display→parse round-trip** of the query and each view.
 //!
 //! Any disagreement (or a panic anywhere in the stack) is a
@@ -31,12 +29,11 @@ use aggview::server::SharedStore;
 use aggview::session::{Session, SessionOptions, StatementOutcome};
 use aggview::sharded::ShardedStore;
 use aggview::state::WritePolicy;
-use aggview_core::{RewriteOptions, Rewriter};
+use aggview_core::Rewriter;
 use aggview_engine::{execute_reference, multiset_eq, set_eq, Database, Relation};
 use aggview_sql::ast::{BoolExpr, CmpOp, ColumnRef, Expr, Literal};
 use aggview_sql::{parse_query, CreateTable, CreateView, Delete, Insert, Statement};
 use std::fmt;
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A cross-check failure: a stable kind (preserved by shrinking) plus a
@@ -68,25 +65,21 @@ impl fmt::Display for Discrepancy {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LatticePoint {
     pub(crate) cache: bool,
-    pub(crate) index: bool,
     pub(crate) recompute: bool,
     pub(crate) columnar: bool,
 }
 
 impl LatticePoint {
     pub(crate) fn all() -> Vec<LatticePoint> {
-        let mut out = Vec::with_capacity(16);
+        let mut out = Vec::with_capacity(8);
         for cache in [true, false] {
-            for index in [true, false] {
-                for recompute in [true, false] {
-                    for columnar in [true, false] {
-                        out.push(LatticePoint {
-                            cache,
-                            index,
-                            recompute,
-                            columnar,
-                        });
-                    }
+            for recompute in [true, false] {
+                for columnar in [true, false] {
+                    out.push(LatticePoint {
+                        cache,
+                        recompute,
+                        columnar,
+                    });
                 }
             }
         }
@@ -96,7 +89,6 @@ impl LatticePoint {
     pub(crate) fn options(&self) -> SessionOptions {
         SessionOptions {
             plan_cache_cap: if self.cache { 64 } else { 0 },
-            index_views: self.index,
             recompute_views: self.recompute,
             columnar: self.columnar,
             ..SessionOptions::default()
@@ -108,8 +100,8 @@ impl fmt::Display for LatticePoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cache={} index={} recompute={} columnar={}",
-            self.cache as u8, self.index as u8, self.recompute as u8, self.columnar as u8
+            "cache={} recompute={} columnar={}",
+            self.cache as u8, self.recompute as u8, self.columnar as u8
         )
     }
 }
@@ -184,8 +176,7 @@ fn check_case_inner(case: &Case) -> Result<(), Discrepancy> {
         }
     }
 
-    check_rewritings(case, &final_db, &expected_final)?;
-    check_thread_determinism(case)
+    check_rewritings(case, &final_db, &expected_final)
 }
 
 /// Check one case through K handles of one [`SharedStore`]: the same
@@ -195,8 +186,8 @@ fn check_case_inner(case: &Case) -> Result<(), Discrepancy> {
 /// The answers must match the same reference expectations the
 /// single-session oracle enforces — a handle whose private plan cache
 /// survives another handle's DDL, or whose pinned snapshot misses an
-/// acked write, shows up as a mismatch. Runs the whole 16-point options
-/// lattice; the lattice's write-side axes (index, recompute, columnar)
+/// acked write, shows up as a mismatch. Runs the whole 8-point options
+/// lattice; the lattice's write-side axes (recompute, columnar)
 /// become the store-wide [`WritePolicy`].
 pub fn check_case_sessions(case: &Case, sessions: usize) -> Result<(), Discrepancy> {
     assert!(sessions >= 1, "at least one session handle");
@@ -261,7 +252,6 @@ fn run_lattice_point_sessions(
         )
     };
     let store = SharedStore::new(WritePolicy {
-        index_views: point.index,
         recompute_views: point.recompute,
         columnar: point.columnar,
         durability: false,
@@ -387,7 +377,7 @@ fn run_lattice_point_sessions(
 /// the per-shard base-table contents must be a disjoint cover of the
 /// global contents (their concatenation is multiset-equal to the
 /// unsharded final database), and the union-state views must match the
-/// reference evaluation. Runs the whole 16-point options lattice; the
+/// reference evaluation. Runs the whole 8-point options lattice; the
 /// write-side axes become the per-shard [`WritePolicy`].
 pub fn check_case_shards(case: &Case, shards: usize) -> Result<(), Discrepancy> {
     assert!(shards >= 1, "at least one shard");
@@ -454,7 +444,6 @@ fn run_lattice_point_shards(
     let store = ShardedStore::new(
         shards,
         WritePolicy {
-            index_views: point.index,
             recompute_views: point.recompute,
             columnar: point.columnar,
             durability: false,
@@ -790,36 +779,6 @@ fn check_rewritings(
                 ),
             ));
         }
-    }
-    Ok(())
-}
-
-/// The parallel search must emit exactly the sequential rewriting set.
-fn check_thread_determinism(case: &Case) -> Result<(), Discrepancy> {
-    let catalog = case.catalog();
-    let emitted = |threads: usize| -> Result<Vec<String>, Discrepancy> {
-        let options = RewriteOptions {
-            threads: NonZeroUsize::new(threads),
-            ..RewriteOptions::default()
-        };
-        let rws = Rewriter::with_options(&catalog, options)
-            .rewrite(&case.query, &case.views)
-            .map_err(|e| Discrepancy::new("rewrite-error", e.to_string()))?;
-        let mut texts: Vec<String> = rws.iter().map(|r| r.query.to_string()).collect();
-        texts.sort();
-        Ok(texts)
-    };
-    let sequential = emitted(1)?;
-    let parallel = emitted(4)?;
-    if sequential != parallel {
-        return Err(Discrepancy::new(
-            "thread-divergence",
-            format!(
-                "threads=1 emitted {} rewriting(s), threads=4 emitted {}",
-                sequential.len(),
-                parallel.len()
-            ),
-        ));
     }
     Ok(())
 }

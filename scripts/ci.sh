@@ -67,9 +67,10 @@ if [ "$col_out" != "$row_out" ]; then
   exit 1
 fi
 # Differential smoke: seconds, not minutes — the deep sweep lives in
-# scripts/soak.sh. A corpus regression (a once-interesting case going
-# wrong again) fails the gate.
-./target/release/qcheck --seeds 0..500
+# scripts/soak.sh. Each seed replays the 8-point options lattice. A
+# corpus regression (a once-interesting case going wrong again) fails
+# the gate.
+./target/release/qcheck --seeds 0..1000
 ./target/release/qcheck --replay tests/corpus
 # Fault-injection self-test: with the dimension-side term of the join
 # delta rule unsoundly dropped (a write to any but a view's first FROM
@@ -96,7 +97,7 @@ grep -q "shrunk" <<<"$unsound_eager"
 # multi-session sweep replays the differential stream round-robined
 # across 2 handles of one shared store.
 cargo test -q --release --test concurrent_store
-./target/release/qcheck --seeds 0..200 --sessions 2
+./target/release/qcheck --seeds 0..350 --sessions 2
 # Metrics smoke: run a script through `aggview metrics` and `serve
 # --metrics`, assert the pipeline counters landed, and validate every
 # exposed line against the Prometheus text format (comments are TYPE
@@ -138,7 +139,7 @@ for f in tests/corpus/*.sql; do
     exit 1
   fi
 done
-./target/release/qcheck --seeds 0..200 --shards 2
+./target/release/qcheck --seeds 0..350 --shards 2
 # Durability smoke: the crash oracle sweeps 200 seeded crash points
 # (random crash batch, phase, and checkpoint cadence per seed) and must
 # find no discrepancy; the corpus replays through both mid-stream
@@ -203,7 +204,7 @@ for f in tests/corpus/*.sql; do
   grep -q -- "-- drained:" "$netout"
   rm -f "$netout"
 done
-./target/release/qcheck --net --seeds 0..200
+./target/release/qcheck --net --seeds 0..350
 if unsound_net=$(AGGVIEW_UNSOUND_NET_TRUNCATE=1 ./target/release/qcheck --net --seeds 0..50 2>&1); then
   echo "ci: wire oracle failed to catch an unsound frame truncation" >&2
   exit 1

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Long-running differential soak: sweep a large seed range through the
 # qcheck harness (reference interpreter vs. the full serving stack at
-# every engine-configuration lattice point, every emitted rewriting, both
-# rewrite thread counts). Shrunken counterexamples are written to
-# tests/corpus/ so a find becomes a permanent regression test.
+# every engine-configuration lattice point and every emitted rewriting).
+# Shrunken counterexamples are written to tests/corpus/ so a find becomes
+# a permanent regression test.
 #
 # With SESSIONS > 1 the same statement streams are additionally replayed
 # round-robined across K handles of one shared snapshot store — the

@@ -66,7 +66,6 @@ impl BackendSpec {
             shards: None,
             data_dir: None,
             policy: WritePolicy {
-                index_views: options.index_views,
                 recompute_views: options.recompute_views,
                 columnar: options.columnar,
                 durability: false,
@@ -205,12 +204,12 @@ mod tests {
     fn from_options_mirrors_session_flags() {
         let options = SessionOptions {
             columnar: false,
-            index_views: false,
+            recompute_views: true,
             ..SessionOptions::default()
         };
         let spec = BackendSpec::from_options(&options);
         assert!(!spec.policy.columnar);
-        assert!(!spec.policy.index_views);
+        assert!(spec.policy.recompute_views);
         assert!(!spec.policy.durability);
     }
 }

@@ -35,7 +35,6 @@
 //!   --paper-va       use the paper's V^a strategy instead of weighted sums
 //!   --no-multi       single-view rewritings only
 //!   --no-plan-cache  disable the serving-plan cache (full search per SELECT)
-//!   --no-view-index  do not build group indexes on materialized views
 //!   --no-columnar    force the row-at-a-time interpreter (disable the
 //!                    vectorized columnar execution path)
 //!   --no-obs         disable the observability layer entirely (no registry,
@@ -105,7 +104,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: aggview [--verify] [--expand] [--paper-va] [--no-multi] \
-                            [--no-plan-cache] [--no-view-index] [--no-columnar] [--no-obs] [--slow-ms N] \
+                            [--no-plan-cache] [--no-columnar] [--no-obs] [--slow-ms N] \
                             [--advisor MODE] [--shards N] [--interactive] [script.sql ...]\n       \
                             aggview serve [--sessions K] [--metrics] [--data-dir DIR] [FLAGS] [script.sql ...]\n       \
                             aggview serve --listen ADDR [--max-conns N] [--max-inflight N] \
@@ -163,7 +162,6 @@ fn session_flag(arg: &str, options: &mut SessionOptions) -> bool {
         "--paper-va" => options.rewrite.strategy = Strategy::PaperFaithful,
         "--no-multi" => options.rewrite.multi_view = false,
         "--no-plan-cache" => options.plan_cache_cap = 0,
-        "--no-view-index" => options.index_views = false,
         "--no-columnar" => options.columnar = false,
         "--no-obs" => options.obs.enabled = false,
         _ => return false,

@@ -64,10 +64,6 @@ pub struct SessionOptions {
     /// Maximum number of cached serving plans (`0` disables the cache and
     /// every `SELECT` runs the full search).
     pub plan_cache_cap: usize,
-    /// Attach a [`GroupIndex`] on the exposed grouping columns of every
-    /// materialized `GROUP BY` view, maintained through inserts/deletes
-    /// and probed by rewritten point lookups.
-    pub index_views: bool,
     /// Refresh every dependent view by full recomputation instead of the
     /// incremental-maintenance delta path (again a differential-harness
     /// lattice axis: delta and recompute must agree).
@@ -92,7 +88,6 @@ impl Default for SessionOptions {
             rewrite: RewriteOptions::default(),
             verify: false,
             plan_cache_cap: DEFAULT_PLAN_CACHE_CAP,
-            index_views: true,
             recompute_views: false,
             columnar: true,
             obs: ObsOptions::default(),
@@ -133,12 +128,6 @@ impl SessionOptionsBuilder {
     /// Maximum number of cached serving plans (0 disables the cache).
     pub fn plan_cache_cap(mut self, cap: usize) -> Self {
         self.options.plan_cache_cap = cap;
-        self
-    }
-
-    /// Attach group indexes to materialized `GROUP BY` views.
-    pub fn index_views(mut self, on: bool) -> Self {
-        self.options.index_views = on;
         self
     }
 
@@ -512,7 +501,6 @@ impl Session {
     /// The write-side maintenance policy of this session's options.
     fn write_policy(&self) -> WritePolicy {
         WritePolicy {
-            index_views: self.options.index_views,
             recompute_views: self.options.recompute_views,
             columnar: self.options.columnar,
             durability: false,
@@ -1741,21 +1729,6 @@ mod tests {
         let rel = session.database().get("V").unwrap();
         assert!(idx.is_consistent_with(rel), "index tracks maintenance");
         assert_eq!(idx.key_cols(), &[0]);
-    }
-
-    #[test]
-    fn index_can_be_disabled() {
-        let stmts = parse_script(
-            "CREATE TABLE T (a, b);
-             CREATE VIEW V AS SELECT a, SUM(b) AS s FROM T GROUP BY a;",
-        )
-        .unwrap();
-        let mut session = Session::new(SessionOptions {
-            index_views: false,
-            ..SessionOptions::default()
-        });
-        session.run_script(&stmts).expect("script runs");
-        assert!(session.database().index("V").is_none());
     }
 
     #[test]

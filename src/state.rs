@@ -57,9 +57,6 @@ pub struct EngineState {
 /// its own options.
 #[derive(Debug, Clone, Copy)]
 pub struct WritePolicy {
-    /// Attach a [`GroupIndex`] on the exposed grouping columns of every
-    /// materialized `GROUP BY` view.
-    pub index_views: bool,
     /// Refresh dependent views by full recomputation instead of the
     /// incremental delta path.
     pub recompute_views: bool,
@@ -77,7 +74,6 @@ pub struct WritePolicy {
 impl Default for WritePolicy {
     fn default() -> Self {
         WritePolicy {
-            index_views: true,
             recompute_views: false,
             columnar: true,
             durability: false,
@@ -216,16 +212,16 @@ impl EngineState {
 
     /// Attach to the stored materialization of `view` what the write path
     /// keeps beside the rows: its compiled delta rule, when its shape has
-    /// one, and — when the policy asks — a [`GroupIndex`], keyed like the
-    /// delta rule's group lookups so the one index serves both, else on
-    /// the exposed grouping columns of any other `GROUP BY` view.
+    /// one, and a [`GroupIndex`], keyed like the delta rule's group
+    /// lookups so the one index serves both, else on the exposed grouping
+    /// columns of any other `GROUP BY` view.
     pub fn attach_view(&mut self, view: &ViewDef, policy: WritePolicy) {
         let cx = ExecContext::columnar(policy.columnar);
         match FoldPlan::compile(&view.query, &self.db, &cx) {
             Some(plan) => {
-                self.db.set_fold_plan(&view.name, plan, policy.index_views);
+                self.db.set_fold_plan(&view.name, plan);
             }
-            None if policy.index_views => {
+            None => {
                 if let (Some(key_cols), Ok(rel)) =
                     (self.exposed_group_cols(view), self.db.get(&view.name))
                 {
@@ -233,7 +229,6 @@ impl EngineState {
                     self.db.set_index(view.name.clone(), idx);
                 }
             }
-            None => {}
         }
     }
 

@@ -39,14 +39,6 @@ fn random_state(seed: u64, policy: WritePolicy) -> EngineState {
     state
 }
 
-fn indexed_policy() -> WritePolicy {
-    WritePolicy {
-        index_views: true,
-        columnar: true,
-        ..WritePolicy::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -54,7 +46,7 @@ proptest! {
     /// equals the original structurally.
     #[test]
     fn checkpoint_image_roundtrips_bit_equal(seed in any::<u64>()) {
-        let state = random_state(seed, indexed_policy());
+        let state = random_state(seed, WritePolicy::default());
         let img = image_from_state(&state, seed % 1000, seed % 7);
         let bytes = encode_image(&img);
         let back = decode_image(&bytes).expect("image decodes");
@@ -67,7 +59,7 @@ proptest! {
     /// columnar execution — and re-derives the view's group index.
     #[test]
     fn recovered_state_answers_byte_identically(seed in any::<u64>()) {
-        let policy = indexed_policy();
+        let policy = WritePolicy::default();
         let state = random_state(seed, policy);
         let img = image_from_state(&state, 1, 1);
         let recovered = state_from_image(&img, policy);

@@ -67,6 +67,17 @@ fn unknown_flag_fails() {
 }
 
 #[test]
+fn removed_view_index_flag_is_refused() {
+    // Materialized GROUP BY views are always indexed; there is no opt-out.
+    let (_, stderr, ok) = run_cli(&["--no-view-index"], SCRIPT);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown flag `--no-view-index`"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn parse_error_fails_with_diagnostic() {
     let (_, stderr, ok) = run_cli(&[], "SELECT FROM;");
     assert!(!ok);
@@ -212,7 +223,7 @@ EXPLAIN ANALYZE SELECT Region, SUM(Amount) FROM Sales GROUP BY Region;
         "-- execute <T>",
         "-- total <T>",
         "-- search: states=# candidates=# (prefiltered #, attempted #) mappings=# \
-         rewritings=# closure-cache=#% hit threads=# prepare=#.#ms search=#.#ms",
+         rewritings=# closure-cache=#% hit prepare=#.#ms search=#.#ms",
         "-- plan-cache: # hit(s), # miss(es), # invalidation(s)",
         "-- store: none (session-local state)",
     ];

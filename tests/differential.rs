@@ -14,8 +14,8 @@ use aggview_qcheck::{
 use std::path::Path;
 
 /// Every seed in a short range must be discrepancy-free across the full
-/// lattice (plan cache, grouped indexes, compiled plans, recompute-vs-delta
-/// maintenance), every emitted rewriting, and both rewrite thread counts.
+/// lattice (plan cache, recompute-vs-delta maintenance, columnar-vs-row
+/// execution) and every emitted rewriting.
 #[test]
 fn short_seed_range_is_discrepancy_free() {
     let cfg = CaseConfig::default();
