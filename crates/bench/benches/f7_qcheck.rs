@@ -3,7 +3,7 @@
 //! lattice, cross-check every rewriting). Tracks how expensive a soak
 //! iteration is so `scripts/soak.sh` seed budgets stay calibrated.
 
-use aggview_qcheck::{check_case, generate, CaseConfig};
+use aggview_qcheck::{check, generate, CaseConfig, Mode};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
     for seed in [3u64, 11, 29] {
         let case = generate(seed, &cfg);
         group.bench_with_input(BenchmarkId::from_parameter(seed), &case, |b, case| {
-            b.iter(|| black_box(check_case(case).is_ok()))
+            b.iter(|| black_box(check(case, &Mode::Local).is_ok()))
         });
     }
     group.finish();

@@ -1,196 +1,92 @@
 //! The advisor differential axis: `auto` must be answer-invisible.
 //!
-//! The same statement stream is replayed through two local sessions —
+//! The case's write protocol is replayed on two local session targets —
 //! advisor off, and `auto` under an aggressive policy (a fingerprint is
-//! hot after 2 servings) — with every `SELECT` repeated enough times
-//! that the hot fingerprint crosses the threshold and the advisor
-//! actually materializes `AdvView*` views mid-stream. Every pair of
-//! answers must agree: set equality when either side's chosen rewriting
-//! claims §5 set semantics, multiset equality otherwise.
+//! hot after 2 servings) — and at each checkpoint the query is served on
+//! both, the halfway one three times so that the hot fingerprint crosses
+//! the threshold and the advisor actually materializes `AdvView*` views
+//! mid-stream. Every pair of answers must agree: set equality when
+//! either side's chosen rewriting claims §5 set semantics, multiset
+//! equality otherwise.
 //!
-//! The stream is ordered so writes land *after* the advisor's views
-//! exist — maintenance of advisor-created views is therefore on the
-//! hook for every later answer, and a stale advisor view (the
-//! `AGGVIEW_UNSOUND_ADVISOR_STALE` fault injection) surfaces as an
-//! `advisor-divergence` discrepancy.
+//! The protocol writes *after* the advisor's views exist — maintenance of
+//! advisor-created views is therefore on the hook for every later
+//! answer, and a stale advisor view (the `AGGVIEW_UNSOUND_ADVISOR_STALE`
+//! fault injection) surfaces as an `advisor-divergence` discrepancy.
 
 use crate::case::Case;
-use crate::oracle::Discrepancy;
+use crate::oracle::{protocol, served, Checkpoint, Discrepancy};
+use crate::target::Target;
 use aggview::advisor::{AdvisorMode, AdvisorPolicy};
-use aggview::session::{Session, SessionOptions, StatementOutcome};
-use aggview_engine::{multiset_eq, set_eq, Relation};
-use aggview_sql::ast::{BoolExpr, CmpOp, ColumnRef, Expr, Literal};
-use aggview_sql::{CreateTable, CreateView, Delete, Insert, Statement};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use aggview::session::{Session, SessionOptions};
+use aggview_engine::{multiset_eq, set_eq};
+use aggview_sql::Statement;
 
-/// The aggressive policy the axis runs under: act after 2 servings, so
-/// the replay's repeated `SELECT`s trigger creation on every case that
-/// has a positive-benefit suggestion at all.
-fn axis_policy() -> AdvisorPolicy {
-    AdvisorPolicy {
+/// Check one case advisor-off vs advisor-`auto`. `Ok(())` = every served
+/// answer agreed.
+pub(crate) fn check(case: &Case) -> Result<(), Discrepancy> {
+    // Act after 2 servings, so the repeated halfway `SELECT`s trigger
+    // creation on every case that has a positive-benefit suggestion.
+    let policy = AdvisorPolicy {
         mode: AdvisorMode::Auto,
         auto_after: 2,
         ..AdvisorPolicy::default()
-    }
-}
-
-/// Check one case advisor-off vs advisor-`auto`. `Ok(())` = every
-/// served answer agreed. Panics become a `"panic"` discrepancy.
-pub fn check_case_advisor(case: &Case) -> Result<(), Discrepancy> {
-    match catch_unwind(AssertUnwindSafe(|| check_case_advisor_inner(case))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic payload");
-            Err(Discrepancy::new("panic", msg.to_string()))
+    };
+    let mut sides = [
+        ("advisor-off", Session::new(SessionOptions::default())),
+        (
+            "advisor-auto",
+            Session::new(SessionOptions::builder().advisor(policy).build()),
+        ),
+    ];
+    let select = Statement::Select(case.query.clone());
+    for (statements, cp) in protocol(case).segments() {
+        for stmt in statements {
+            for (who, side) in &mut sides {
+                side.run(0, stmt).map_err(|d| d.within(who))?;
+            }
+        }
+        // Three servings on half the data: the second crosses the hot
+        // threshold (auto creates a view through the write path), and
+        // the third may already be served from it. Two at the end: the
+        // advisor's views were maintained through every write since.
+        let repeats = match cp {
+            Checkpoint::Halfway => 3,
+            Checkpoint::PostView => 1,
+            Checkpoint::Final => 2,
+        };
+        for k in 1..=repeats {
+            let [base, adv] = sides.each_mut().map(|(who, side)| {
+                side.run(0, &select)
+                    .and_then(served)
+                    .map_err(|d| d.within(who))
+            });
+            let (base, adv) = (base?, adv?);
+            // §5 set-semantics rewritings dedup a provably duplicate-free
+            // output; when either side claims it, compare as sets.
+            let eq = if base.set_semantics || adv.set_semantics {
+                set_eq(&base.relation, &adv.relation)
+            } else {
+                multiset_eq(&base.relation, &adv.relation)
+            };
+            if !eq {
+                let step = match cp {
+                    Checkpoint::Halfway => format!("pre-view select {k}"),
+                    Checkpoint::PostView => "post-view select".into(),
+                    Checkpoint::Final => format!("final select {k}"),
+                };
+                return Err(Discrepancy::new(
+                    "advisor-divergence",
+                    format!(
+                        "{step}: advisor-auto answer ({} row(s), via {:?}) disagrees with \
+                         advisor-off ({} row(s))",
+                        adv.relation.len(),
+                        adv.views_used,
+                        base.relation.len()
+                    ),
+                ));
+            }
         }
     }
-}
-
-fn check_case_advisor_inner(case: &Case) -> Result<(), Discrepancy> {
-    let mut off = Session::new(SessionOptions::default());
-    let mut auto = Session::new(SessionOptions::builder().advisor(axis_policy()).build());
-
-    for t in &case.tables {
-        exec_pair(
-            &mut off,
-            &mut auto,
-            &Statement::CreateTable(CreateTable {
-                name: t.name.clone(),
-                columns: t.columns.clone(),
-                keys: Vec::new(),
-            }),
-        )?;
-    }
-    for (i, t) in case.tables.iter().enumerate() {
-        insert_pair(&mut off, &mut auto, &t.name, &t.rows[..case.split_at(i)])?;
-    }
-
-    // Three servings on half the data: the second crosses the hot
-    // threshold (auto creates a view through the write path), and the
-    // third may already be served from it — the answer must not move.
-    for k in 1..=3 {
-        select_pair(&mut off, &mut auto, case, &format!("pre-view select {k}"))?;
-    }
-
-    for v in &case.views {
-        exec_pair(
-            &mut off,
-            &mut auto,
-            &Statement::CreateView(CreateView {
-                name: v.name.clone(),
-                query: v.query.clone(),
-            }),
-        )?;
-    }
-    select_pair(&mut off, &mut auto, case, "post-view select")?;
-
-    // Writes after the advisor acted: advisor-created views must be
-    // maintained exactly like user views from here on.
-    for (i, t) in case.tables.iter().enumerate() {
-        insert_pair(&mut off, &mut auto, &t.name, &t.rows[case.split_at(i)..])?;
-    }
-    let t0 = &case.tables[0];
-    exec_pair(
-        &mut off,
-        &mut auto,
-        &Statement::Delete(Delete {
-            table: t0.name.clone(),
-            filter: Some(BoolExpr::cmp(
-                Expr::Column(ColumnRef::bare(t0.columns[0].clone())),
-                CmpOp::Eq,
-                Expr::int(1),
-            )),
-        }),
-    )?;
-    for k in 1..=2 {
-        select_pair(&mut off, &mut auto, case, &format!("final select {k}"))?;
-    }
     Ok(())
-}
-
-/// Run one statement on both sessions; both must succeed.
-fn exec_pair(off: &mut Session, auto: &mut Session, stmt: &Statement) -> Result<(), Discrepancy> {
-    off.execute(stmt)
-        .map_err(|e| Discrepancy::new("session-error", format!("advisor-off: {e}")))?;
-    auto.execute(stmt)
-        .map_err(|e| Discrepancy::new("session-error", format!("advisor-auto: {e}")))?;
-    Ok(())
-}
-
-fn insert_pair(
-    off: &mut Session,
-    auto: &mut Session,
-    table: &str,
-    rows: &[Vec<i64>],
-) -> Result<(), Discrepancy> {
-    if rows.is_empty() {
-        return Ok(());
-    }
-    exec_pair(
-        off,
-        auto,
-        &Statement::Insert(Insert {
-            table: table.to_string(),
-            rows: rows
-                .iter()
-                .map(|r| r.iter().map(|&v| Literal::Int(v)).collect())
-                .collect(),
-        }),
-    )
-}
-
-/// Serve the case query on both sessions and demand equal answers.
-fn select_pair(
-    off: &mut Session,
-    auto: &mut Session,
-    case: &Case,
-    step: &str,
-) -> Result<(), Discrepancy> {
-    let (base, base_set, _) = serve(off, case, "advisor-off")?;
-    let (adv, adv_set, adv_views) = serve(auto, case, "advisor-auto")?;
-    // §5 set-semantics rewritings dedup a provably duplicate-free
-    // output; when either side claims it, compare as sets.
-    let eq = if base_set || adv_set {
-        set_eq(&base, &adv)
-    } else {
-        multiset_eq(&base, &adv)
-    };
-    if !eq {
-        return Err(Discrepancy::new(
-            "advisor-divergence",
-            format!(
-                "{step}: advisor-auto answer ({} row(s), via {adv_views:?}) disagrees with \
-                 advisor-off ({} row(s))",
-                adv.len(),
-                base.len()
-            ),
-        ));
-    }
-    Ok(())
-}
-
-fn serve(
-    session: &mut Session,
-    case: &Case,
-    who: &str,
-) -> Result<(Relation, bool, Vec<String>), Discrepancy> {
-    match session
-        .execute(&Statement::Select(case.query.clone()))
-        .map_err(|e| Discrepancy::new("session-error", format!("{who}: {e}")))?
-    {
-        StatementOutcome::Answer {
-            relation,
-            set_semantics,
-            views_used,
-            ..
-        } => Ok((relation, set_semantics, views_used)),
-        other => Err(Discrepancy::new(
-            "session-error",
-            format!("{who}: SELECT produced a non-answer outcome: {other:?}"),
-        )),
-    }
 }

@@ -23,12 +23,7 @@
 //! 1 = a discrepancy (printed, shrunk, and optionally persisted);
 //! 2 = usage error.
 
-use aggview_qcheck::{
-    check_case, check_case_advisor, check_case_crash, check_case_net, check_case_sessions,
-    check_case_sessions_reopen, check_case_shards, check_case_shards_reopen, corpus, run_seed,
-    run_seed_advisor, run_seed_crash, run_seed_net, run_seed_reopen, run_seed_sessions,
-    run_seed_shards, CaseConfig,
-};
+use aggview_qcheck::{check, corpus, run_seed, CaseConfig, Mode};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -36,12 +31,7 @@ struct Args {
     seeds: Option<std::ops::Range<u64>>,
     replay: Option<PathBuf>,
     write_failures: Option<PathBuf>,
-    sessions: Option<usize>,
-    shards: Option<usize>,
-    crash: bool,
-    reopen: bool,
-    net: bool,
-    advisor: bool,
+    mode: Mode,
 }
 
 fn usage() -> ExitCode {
@@ -54,20 +44,16 @@ fn usage() -> ExitCode {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seeds: None,
-        replay: None,
-        write_failures: None,
-        sessions: None,
-        shards: None,
-        crash: false,
-        reopen: false,
-        net: false,
-        advisor: false,
-    };
+    let (mut seeds, mut replay, mut write_failures) = (None, None, None);
+    let (mut sessions, mut shards) = (None, None);
+    let (mut reopen, mut crash, mut net, mut advisor) = (false, false, false, false);
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
+        let count = |flag: &str, v: String| match v.parse::<usize>() {
+            Ok(k) if k >= 1 => Ok(Some(k)),
+            _ => Err(format!("{flag} wants K >= 1, got `{v}`")),
+        };
         match arg.as_str() {
             "--seeds" => {
                 let v = value("--seeds")?;
@@ -76,62 +62,41 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or(format!("--seeds wants A..B, got `{v}`"))?;
                 let a: u64 = a.parse().map_err(|_| format!("bad seed `{a}`"))?;
                 let b: u64 = b.parse().map_err(|_| format!("bad seed `{b}`"))?;
-                args.seeds = Some(a..b);
+                seeds = Some(a..b);
             }
-            "--replay" => args.replay = Some(PathBuf::from(value("--replay")?)),
-            "--write-failures" => {
-                args.write_failures = Some(PathBuf::from(value("--write-failures")?))
-            }
-            "--sessions" => {
-                let v = value("--sessions")?;
-                let k: usize = v.parse().map_err(|_| format!("bad session count `{v}`"))?;
-                if k < 1 {
-                    return Err("--sessions wants K >= 1".into());
-                }
-                args.sessions = Some(k);
-            }
-            "--shards" => {
-                let v = value("--shards")?;
-                let k: usize = v.parse().map_err(|_| format!("bad shard count `{v}`"))?;
-                if k < 1 {
-                    return Err("--shards wants K >= 1".into());
-                }
-                args.shards = Some(k);
-            }
-            "--crash" => args.crash = true,
-            "--reopen" => args.reopen = true,
-            "--net" => args.net = true,
-            "--advisor" => args.advisor = true,
+            "--replay" => replay = Some(PathBuf::from(value("--replay")?)),
+            "--write-failures" => write_failures = Some(PathBuf::from(value("--write-failures")?)),
+            "--sessions" => sessions = count("--sessions", value("--sessions")?)?,
+            "--shards" => shards = count("--shards", value("--shards")?)?,
+            "--reopen" => reopen = true,
+            "--crash" => crash = true,
+            "--net" => net = true,
+            "--advisor" => advisor = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if args.seeds.is_none() && args.replay.is_none() {
+    if seeds.is_none() && replay.is_none() {
         return Err("one of --seeds or --replay is required".into());
     }
-    if args.sessions.is_some() && args.shards.is_some() {
-        return Err("--sessions and --shards are separate axes; pick one".into());
+    let axes = [sessions.is_some(), shards.is_some(), crash, net, advisor];
+    if axes.iter().filter(|&&on| on).count() > 1 {
+        return Err("pick one of --sessions, --shards, --crash, --net, --advisor".into());
     }
-    if args.crash && (args.sessions.is_some() || args.shards.is_some() || args.reopen) {
-        return Err("--crash is its own axis; drop --sessions/--shards/--reopen".into());
-    }
-    if args.reopen && args.sessions.is_none() && args.shards.is_none() {
-        return Err("--reopen needs --sessions K or --shards K".into());
-    }
-    if args.net && (args.sessions.is_some() || args.shards.is_some() || args.reopen || args.crash) {
-        return Err("--net is its own axis; drop --sessions/--shards/--reopen/--crash".into());
-    }
-    if args.advisor
-        && (args.sessions.is_some()
-            || args.shards.is_some()
-            || args.reopen
-            || args.crash
-            || args.net)
-    {
-        return Err(
-            "--advisor is its own axis; drop --sessions/--shards/--reopen/--crash/--net".into(),
-        );
-    }
-    Ok(args)
+    let mode = match (sessions, shards) {
+        (Some(k), _) => Mode::Sessions { k, reopen },
+        (_, Some(k)) => Mode::Shards { k, reopen },
+        _ if reopen => return Err("--reopen needs --sessions K or --shards K".into()),
+        _ if crash => Mode::Crash { seed: 0 },
+        _ if net => Mode::Net,
+        _ if advisor => Mode::Advisor,
+        _ => Mode::Local,
+    };
+    Ok(Args {
+        seeds,
+        replay,
+        write_failures,
+        mode,
+    })
 }
 
 fn main() -> ExitCode {
@@ -149,24 +114,9 @@ fn main() -> ExitCode {
         match corpus::load_dir(dir) {
             Ok(cases) => {
                 for (i, (name, case)) in cases.iter().enumerate() {
-                    let verdict = if args.crash {
-                        // Corpus cases carry no seed: derive the crash
-                        // point from the case's position, deterministically.
-                        check_case_crash(case, i as u64)
-                    } else if args.net {
-                        check_case_net(case)
-                    } else if args.advisor {
-                        check_case_advisor(case)
-                    } else {
-                        match (args.sessions, args.shards, args.reopen) {
-                            (Some(k), _, false) => check_case_sessions(case, k),
-                            (_, Some(k), false) => check_case_shards(case, k),
-                            (Some(k), _, true) => check_case_sessions_reopen(case, k),
-                            (_, Some(k), true) => check_case_shards_reopen(case, k),
-                            _ => check_case(case),
-                        }
-                    };
-                    match verdict {
+                    // Corpus cases carry no seed: their position stands in
+                    // for it (the crash mode derives its crash point from it).
+                    match check(case, &args.mode.seeded(i as u64)) {
                         Ok(()) => println!("corpus {name}: ok"),
                         Err(d) => {
                             failed = true;
@@ -187,21 +137,7 @@ fn main() -> ExitCode {
         let total = seeds.end.saturating_sub(seeds.start);
         let mut checked = 0u64;
         for seed in seeds {
-            let failure = if args.crash {
-                run_seed_crash(seed, &cfg)
-            } else if args.net {
-                run_seed_net(seed, &cfg)
-            } else if args.advisor {
-                run_seed_advisor(seed, &cfg)
-            } else {
-                match (args.sessions, args.shards, args.reopen) {
-                    (Some(k), _, false) => run_seed_sessions(seed, &cfg, k),
-                    (_, Some(k), false) => run_seed_shards(seed, &cfg, k),
-                    (_, _, true) => run_seed_reopen(seed, &cfg, args.sessions, args.shards),
-                    _ => run_seed(seed, &cfg),
-                }
-            };
-            match failure {
+            match run_seed(seed, &cfg, &args.mode) {
                 None => checked += 1,
                 Some(f) => {
                     failed = true;

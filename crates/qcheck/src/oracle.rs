@@ -2,39 +2,44 @@
 //!
 //! The reference answer comes from `engine::reference` — a naive
 //! cross-product interpreter with no join planning, no indexes, no
-//! rewriting, slow and obviously correct. Everything the production stack
-//! can vary is then cross-checked against it:
+//! rewriting, slow and obviously correct. A case's write `protocol` is
+//! derived once: create the tables, insert the first half of each, create
+//! the views, insert the rest, delete from table 0 — with the query
+//! answered at three checkpoints (half the data, after view creation,
+//! at the end). Every lattice mode replays it on a fresh `Target` at
+//! each point of the **session config lattice** (plan cache on/off ×
+//! delta-maintained vs. recomputed views × columnar vs. row-at-a-time
+//! execution — 8 points), and one walk checks, whatever the target:
 //!
-//! * a **session config lattice** (plan cache on/off × delta-maintained
-//!   vs. recomputed views × columnar vs. row-at-a-time execution — 8
-//!   points)
-//!   replaying the same statement stream, with the
-//!   query answered at three points (half the data, after view creation,
-//!   after more inserts and a delete) plus a repeated `SELECT` that must
-//!   serve from the plan cache without drift;
-//! * the final **materialized view contents** of every lattice point,
-//!   which must agree with each other and with reference evaluation of
-//!   the view definition;
-//! * **every emitted rewriting** (not just the chosen one), executed and
-//!   compared under the semantics it claims — multiset equality
-//!   (Theorem 3.1) in general, set equality for §5 rewritings;
-//! * a **display→parse round-trip** of the query and each view.
+//! * each checkpoint answer against the reference interpreter, under the
+//!   semantics it claims — multiset equality (Theorem 3.1) in general,
+//!   set equality for §5 rewritings;
+//! * every handle's answer repeated at the end: correct, bitwise-stable
+//!   against the last answer, and with the cache on a plan-cache hit;
+//! * a sharded target's per-shard partitions, a disjoint cover of each
+//!   table's global contents;
+//! * the final **materialized view contents**, equal to reference
+//!   evaluation of the view definitions and identical across lattice
+//!   points.
+//!
+//! The local mode adds a **display→parse round-trip** of the query and
+//! each view, and executes **every emitted rewriting** (not just the
+//! chosen one) against the reference.
 //!
 //! Any disagreement (or a panic anywhere in the stack) is a
 //! [`Discrepancy`], tagged with a stable `kind` the shrinker preserves.
 
 use crate::case::Case;
+use crate::target::{self, Target};
+use crate::Mode;
 use aggview::run::execute_rewriting;
-use aggview::server::SharedStore;
-use aggview::session::{Session, SessionOptions, StatementOutcome};
-use aggview::sharded::ShardedStore;
+use aggview::session::{SessionOptions, StatementOutcome};
 use aggview::state::WritePolicy;
 use aggview_core::Rewriter;
-use aggview_engine::{execute_reference, multiset_eq, set_eq, Database, Relation};
+use aggview_engine::{execute_reference, multiset_eq, set_eq, Database, Relation, Value};
 use aggview_sql::ast::{BoolExpr, CmpOp, ColumnRef, Expr, Literal};
 use aggview_sql::{parse_query, CreateTable, CreateView, Delete, Insert, Statement};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A cross-check failure: a stable kind (preserved by shrinking) plus a
 /// human-readable detail.
@@ -51,6 +56,14 @@ impl Discrepancy {
         Discrepancy {
             kind: kind.to_string(),
             detail: detail.into(),
+        }
+    }
+
+    /// The same failure, its detail prefixed with where it happened.
+    pub(crate) fn within(self, context: &str) -> Self {
+        Discrepancy {
+            detail: format!("{context}: {}", self.detail),
+            ..self
         }
     }
 }
@@ -94,6 +107,16 @@ impl LatticePoint {
             ..SessionOptions::default()
         }
     }
+
+    /// The write-side axes as a store-wide policy (a store's materialized
+    /// state is shared, so these cannot vary per handle).
+    pub(crate) fn policy(&self) -> WritePolicy {
+        WritePolicy {
+            recompute_views: self.recompute,
+            columnar: self.columnar,
+            durability: false,
+        }
+    }
 }
 
 impl fmt::Display for LatticePoint {
@@ -106,458 +129,337 @@ impl fmt::Display for LatticePoint {
     }
 }
 
-/// Check one case against every oracle. `Ok(())` = all paths agree.
-/// Panics anywhere in the stack are converted into a `"panic"`
-/// discrepancy, so a soak run survives an engine crash and shrinks it.
-pub fn check_case(case: &Case) -> Result<(), Discrepancy> {
-    match catch_unwind(AssertUnwindSafe(|| check_case_inner(case))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic payload");
-            Err(Discrepancy::new("panic", msg.to_string()))
-        }
-    }
+/// Where in the write protocol the query is answered.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Checkpoint {
+    /// Half of every table inserted, no views yet (base-table serving).
+    Halfway,
+    /// Same data, views created: the searches run, a rewriting may be
+    /// chosen, the answer must not move.
+    PostView,
+    /// All rows inserted and the delete applied.
+    Final,
 }
 
-fn check_case_inner(case: &Case) -> Result<(), Discrepancy> {
-    roundtrip(case)?;
-
-    // Reference answers on both database snapshots.
-    let half_db = case.database(true);
-    let final_db = case.database(false);
-    let expected_half = execute_reference(&case.query, &half_db)
-        .map_err(|e| Discrepancy::new("reference-error", e.to_string()))?;
-    let expected_final = execute_reference(&case.query, &final_db)
-        .map_err(|e| Discrepancy::new("reference-error", e.to_string()))?;
-
-    // Reference contents of each view on the final snapshot (views range
-    // over base tables only).
-    let expected_views: Vec<Relation> = case
-        .views
-        .iter()
-        .map(|v| {
-            execute_reference(&v.query, &final_db)
-                .map_err(|e| Discrepancy::new("reference-error", format!("view {}: {e}", v.name)))
+impl fmt::Display for Checkpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Checkpoint::Halfway => "halfway",
+            Checkpoint::PostView => "post-view",
+            Checkpoint::Final => "final",
         })
-        .collect::<Result<_, _>>()?;
-
-    // Replay the statement stream at every lattice point.
-    let mut view_contents: Option<(LatticePoint, Vec<Vec<Vec<aggview_engine::Value>>>)> = None;
-    for point in LatticePoint::all() {
-        let finals = run_lattice_point(case, point, &expected_half, &expected_final)?;
-        // Final materialized view contents: equal to the reference
-        // evaluation, and identical across lattice points.
-        for (i, (got, want)) in finals.iter().zip(&expected_views).enumerate() {
-            let got_rel = Relation::new(want.columns.clone(), got.clone());
-            if !multiset_eq(&got_rel, want) {
-                return Err(Discrepancy::new(
-                    "view-content-mismatch",
-                    format!(
-                        "view {} at [{point}] disagrees with reference evaluation",
-                        case.views[i].name
-                    ),
-                ));
-            }
-        }
-        match &view_contents {
-            None => view_contents = Some((point, finals)),
-            Some((first, baseline)) => {
-                if *baseline != finals {
-                    return Err(Discrepancy::new(
-                        "config-divergence",
-                        format!("materialized views differ between [{first}] and [{point}]"),
-                    ));
-                }
-            }
-        }
-    }
-
-    check_rewritings(case, &final_db, &expected_final)
-}
-
-/// Check one case through K handles of one [`SharedStore`]: the same
-/// statement stream, deterministically round-robined across the handles
-/// (one driver thread, every write acked before the next statement, so
-/// batches have size 1 and the interleaving is identical on every run).
-/// The answers must match the same reference expectations the
-/// single-session oracle enforces — a handle whose private plan cache
-/// survives another handle's DDL, or whose pinned snapshot misses an
-/// acked write, shows up as a mismatch. Runs the whole 8-point options
-/// lattice; the lattice's write-side axes (recompute, columnar)
-/// become the store-wide [`WritePolicy`].
-pub fn check_case_sessions(case: &Case, sessions: usize) -> Result<(), Discrepancy> {
-    assert!(sessions >= 1, "at least one session handle");
-    match catch_unwind(AssertUnwindSafe(|| {
-        check_case_sessions_inner(case, sessions)
-    })) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic payload");
-            Err(Discrepancy::new("panic", msg.to_string()))
-        }
     }
 }
 
-fn check_case_sessions_inner(case: &Case, sessions: usize) -> Result<(), Discrepancy> {
-    let half_db = case.database(true);
-    let final_db = case.database(false);
-    let expected_half = execute_reference(&case.query, &half_db)
-        .map_err(|e| Discrepancy::new("reference-error", e.to_string()))?;
-    let expected_final = execute_reference(&case.query, &final_db)
-        .map_err(|e| Discrepancy::new("reference-error", e.to_string()))?;
-    let expected_views: Vec<Relation> = case
-        .views
-        .iter()
-        .map(|v| {
-            execute_reference(&v.query, &final_db)
-                .map_err(|e| Discrepancy::new("reference-error", format!("view {}: {e}", v.name)))
+/// A case's write protocol: the statement stream every mode replays,
+/// and where in it the query is answered.
+pub(crate) struct Protocol {
+    /// Create tables, first-half inserts, create views, second-half
+    /// inserts, then the delete on table 0 (empty inserts are skipped).
+    pub(crate) statements: Vec<Statement>,
+    /// Each answer checkpoint with the number of statements before it.
+    checkpoints: [(Checkpoint, usize); 3],
+}
+
+impl Protocol {
+    /// The stream cut at its checkpoints: the statements to run before
+    /// each answer.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (&[Statement], Checkpoint)> + '_ {
+        let mut done = 0;
+        self.checkpoints.iter().map(move |&(cp, at)| {
+            let segment = &self.statements[done..at];
+            done = at;
+            (segment, cp)
         })
-        .collect::<Result<_, _>>()?;
-
-    for point in LatticePoint::all() {
-        run_lattice_point_sessions(
-            case,
-            point,
-            sessions,
-            &expected_half,
-            &expected_final,
-            &expected_views,
-        )?;
     }
-    Ok(())
 }
 
-/// The statement stream round-robined across K store handles at one
-/// lattice point.
-fn run_lattice_point_sessions(
-    case: &Case,
-    point: LatticePoint,
-    sessions: usize,
-    expected_half: &Relation,
-    expected_final: &Relation,
-    expected_views: &[Relation],
-) -> Result<(), Discrepancy> {
-    let fail = |kind: &str, detail: String| {
-        Discrepancy::new(
-            kind,
-            format!("at [{point}] with {sessions} session(s): {detail}"),
-        )
-    };
-    let store = SharedStore::new(WritePolicy {
-        recompute_views: point.recompute,
-        columnar: point.columnar,
-        durability: false,
-    });
-    let mut handles: Vec<Session> = (0..sessions)
-        .map(|_| store.session(point.options()))
+/// Derive `case`'s write protocol.
+pub(crate) fn protocol(case: &Case) -> Protocol {
+    let mut statements: Vec<Statement> = case
+        .tables
+        .iter()
+        .map(|t| {
+            Statement::CreateTable(CreateTable {
+                name: t.name.clone(),
+                columns: t.columns.clone(),
+                keys: Vec::new(),
+            })
+        })
         .collect();
-    let mut next = 0usize;
-    let mut run = |stmt: Statement| {
-        let h = next % sessions;
-        next += 1;
-        handles[h]
-            .execute(&stmt)
-            .map_err(|e| fail("session-error", format!("handle {h}: {e}")))
-    };
-
-    for t in &case.tables {
-        run(Statement::CreateTable(CreateTable {
-            name: t.name.clone(),
-            columns: t.columns.clone(),
-            keys: Vec::new(),
-        }))?;
-    }
-    for (i, t) in case.tables.iter().enumerate() {
-        insert(&mut run, &t.name, &t.rows[..case.split_at(i)])?;
-    }
-    let a1 = answer(&mut run, case)?;
-    compare(&a1, expected_half, "halfway").map_err(|d| fail(&d.kind, d.detail))?;
-
-    for v in &case.views {
-        run(Statement::CreateView(CreateView {
-            name: v.name.clone(),
-            query: v.query.clone(),
-        }))?;
-    }
-    let a2 = answer(&mut run, case)?;
-    compare(&a2, expected_half, "post-view").map_err(|d| fail(&d.kind, d.detail))?;
-
-    for (i, t) in case.tables.iter().enumerate() {
-        insert(&mut run, &t.name, &t.rows[case.split_at(i)..])?;
-    }
-    let t0 = &case.tables[0];
-    run(Statement::Delete(Delete {
-        table: t0.name.clone(),
-        filter: Some(BoolExpr::cmp(
-            Expr::Column(ColumnRef::bare(t0.columns[0].clone())),
-            CmpOp::Eq,
-            Expr::int(1),
-        )),
-    }))?;
-
-    let a3 = answer(&mut run, case)?;
-    compare(&a3, expected_final, "final").map_err(|d| fail(&d.kind, d.detail))?;
-
-    // Every handle must now answer the final query correctly against the
-    // same published state — whatever its private cache did earlier, and
-    // regardless of which statements it happened to execute.
-    for (h, handle) in handles.iter_mut().enumerate() {
-        let outcome = handle
-            .execute(&Statement::Select(case.query.clone()))
-            .map_err(|e| fail("session-error", format!("handle {h}: {e}")))?;
-        let StatementOutcome::Answer {
-            relation,
-            set_semantics,
-            ..
-        } = outcome
-        else {
-            return Err(fail(
-                "session-error",
-                format!("handle {h}: SELECT produced a non-answer outcome"),
-            ));
-        };
-        compare(
-            &Served {
-                relation,
-                set_semantics,
-            },
-            expected_final,
-            &format!("per-handle final (handle {h})"),
-        )
-        .map_err(|d| fail(&d.kind, d.detail))?;
-    }
-
-    // Cache axis: a repeated select on one handle must serve from its
-    // cache (the per-handle final above warmed it).
-    if point.cache {
-        let before = handles[0].plan_cache().hits();
-        handles[0]
-            .execute(&Statement::Select(case.query.clone()))
-            .map_err(|e| fail("session-error", e.to_string()))?;
-        if handles[0].plan_cache().hits() == before {
-            return Err(fail(
-                "cache-miss",
-                "repeated SELECT on handle 0 did not hit its plan cache".into(),
-            ));
-        }
-    }
-
-    // Final materialized view contents on the published snapshot must
-    // match the reference evaluation.
-    let snap = store.load();
-    for (v, want) in case.views.iter().zip(expected_views) {
-        let got = snap
-            .state
-            .db
-            .get(&v.name)
-            .map_err(|e| fail("session-error", e.to_string()))?;
-        let got = Relation::new(want.columns.clone(), got.rows.clone());
-        if !multiset_eq(&got, want) {
-            return Err(fail(
-                "view-content-mismatch",
-                format!("view {} disagrees with reference evaluation", v.name),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Check one case against a hash-partitioned store of `shards` shards,
-/// driven through one scatter-gather session. The same statement stream
-/// and reference expectations as the single-session oracle, plus a
-/// **partition-completeness** invariant: after the full write protocol,
-/// the per-shard base-table contents must be a disjoint cover of the
-/// global contents (their concatenation is multiset-equal to the
-/// unsharded final database), and the union-state views must match the
-/// reference evaluation. Runs the whole 8-point options lattice; the
-/// write-side axes become the per-shard [`WritePolicy`].
-pub fn check_case_shards(case: &Case, shards: usize) -> Result<(), Discrepancy> {
-    assert!(shards >= 1, "at least one shard");
-    match catch_unwind(AssertUnwindSafe(|| check_case_shards_inner(case, shards))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic payload");
-            Err(Discrepancy::new("panic", msg.to_string()))
-        }
-    }
-}
-
-fn check_case_shards_inner(case: &Case, shards: usize) -> Result<(), Discrepancy> {
-    let half_db = case.database(true);
-    let final_db = case.database(false);
-    let expected_half = execute_reference(&case.query, &half_db)
-        .map_err(|e| Discrepancy::new("reference-error", e.to_string()))?;
-    let expected_final = execute_reference(&case.query, &final_db)
-        .map_err(|e| Discrepancy::new("reference-error", e.to_string()))?;
-    let expected_views: Vec<Relation> = case
-        .views
-        .iter()
-        .map(|v| {
-            execute_reference(&v.query, &final_db)
-                .map_err(|e| Discrepancy::new("reference-error", format!("view {}: {e}", v.name)))
+    let inserts = |first_half: bool| {
+        case.tables.iter().enumerate().filter_map(move |(i, t)| {
+            let (head, tail) = t.rows.split_at(case.split_at(i));
+            let rows = if first_half { head } else { tail };
+            (!rows.is_empty()).then(|| {
+                Statement::Insert(Insert {
+                    table: t.name.clone(),
+                    rows: rows
+                        .iter()
+                        .map(|r| r.iter().map(|&v| Literal::Int(v)).collect())
+                        .collect(),
+                })
+            })
         })
-        .collect::<Result<_, _>>()?;
-
-    for point in LatticePoint::all() {
-        run_lattice_point_shards(
-            case,
-            point,
-            shards,
-            &expected_half,
-            &expected_final,
-            &expected_views,
-            &final_db,
-        )?;
-    }
-    Ok(())
-}
-
-/// The statement stream through one scatter-gather driver session over a
-/// `shards`-way partitioned store, at one lattice point.
-fn run_lattice_point_shards(
-    case: &Case,
-    point: LatticePoint,
-    shards: usize,
-    expected_half: &Relation,
-    expected_final: &Relation,
-    expected_views: &[Relation],
-    final_db: &Database,
-) -> Result<(), Discrepancy> {
-    let fail = |kind: &str, detail: String| {
-        Discrepancy::new(
-            kind,
-            format!("at [{point}] with {shards} shard(s): {detail}"),
-        )
     };
-    let store = ShardedStore::new(
-        shards,
-        WritePolicy {
-            recompute_views: point.recompute,
-            columnar: point.columnar,
-            durability: false,
-        },
-    );
-    let mut session = store.session(SessionOptions {
-        // The scatter-gather path double-checks every merged answer
-        // against the union evaluation.
-        verify: true,
-        ..point.options()
-    });
-    let mut run = |stmt: Statement| {
-        session
-            .execute(&stmt)
-            .map_err(|e| fail("session-error", e.to_string()))
-    };
-
-    for t in &case.tables {
-        run(Statement::CreateTable(CreateTable {
-            name: t.name.clone(),
-            columns: t.columns.clone(),
-            keys: Vec::new(),
-        }))?;
-    }
-    for (i, t) in case.tables.iter().enumerate() {
-        insert(&mut run, &t.name, &t.rows[..case.split_at(i)])?;
-    }
-    let a1 = answer(&mut run, case)?;
-    compare(&a1, expected_half, "halfway").map_err(|d| fail(&d.kind, d.detail))?;
-
-    for v in &case.views {
-        run(Statement::CreateView(CreateView {
+    statements.extend(inserts(true));
+    let halfway = statements.len();
+    statements.extend(case.views.iter().map(|v| {
+        Statement::CreateView(CreateView {
             name: v.name.clone(),
             query: v.query.clone(),
-        }))?;
-    }
-    let a2 = answer(&mut run, case)?;
-    compare(&a2, expected_half, "post-view").map_err(|d| fail(&d.kind, d.detail))?;
-
-    for (i, t) in case.tables.iter().enumerate() {
-        insert(&mut run, &t.name, &t.rows[case.split_at(i)..])?;
-    }
+        })
+    }));
+    let post_view = statements.len();
+    statements.extend(inserts(false));
     let t0 = &case.tables[0];
-    run(Statement::Delete(Delete {
+    statements.push(Statement::Delete(Delete {
         table: t0.name.clone(),
         filter: Some(BoolExpr::cmp(
             Expr::Column(ColumnRef::bare(t0.columns[0].clone())),
             CmpOp::Eq,
             Expr::int(1),
         )),
-    }))?;
-
-    let a3 = answer(&mut run, case)?;
-    compare(&a3, expected_final, "final").map_err(|d| fail(&d.kind, d.detail))?;
-
-    // Repeat: bitwise-stable answer; with the cache on, a cache hit.
-    let a4 = answer(&mut run, case)?;
-    if a3.relation.sorted_rows() != a4.relation.sorted_rows() {
-        return Err(fail(
-            "cache-hit-divergence",
-            "repeated SELECT changed its answer with no intervening write".into(),
-        ));
+    }));
+    let end = statements.len();
+    Protocol {
+        statements,
+        checkpoints: [
+            (Checkpoint::Halfway, halfway),
+            (Checkpoint::PostView, post_view),
+            (Checkpoint::Final, end),
+        ],
     }
-    if point.cache && session.plan_cache().hits() == 0 {
-        return Err(fail(
+}
+
+type Rows = Vec<Vec<Value>>;
+
+/// The reference interpreter's verdicts on a case: the query on both
+/// snapshots, and each view's contents on the final one (views range over
+/// base tables only).
+struct Expected {
+    half: Relation,
+    last: Relation,
+    views: Vec<Relation>,
+    final_db: Database,
+}
+
+impl Expected {
+    fn of(case: &Case) -> Result<Expected, Discrepancy> {
+        let final_db = case.database(false);
+        let reference = |q, db, what: &str| {
+            execute_reference(q, db)
+                .map_err(|e| Discrepancy::new("reference-error", format!("{what}{e}")))
+        };
+        Ok(Expected {
+            half: reference(&case.query, &case.database(true), "")?,
+            last: reference(&case.query, &final_db, "")?,
+            views: case
+                .views
+                .iter()
+                .map(|v| reference(&v.query, &final_db, &format!("view {}: ", v.name)))
+                .collect::<Result<_, _>>()?,
+            final_db,
+        })
+    }
+
+    fn answer(&self, cp: Checkpoint) -> &Relation {
+        match cp {
+            Checkpoint::Halfway | Checkpoint::PostView => &self.half,
+            Checkpoint::Final => &self.last,
+        }
+    }
+}
+
+/// Replay the protocol at every lattice point on a fresh target of
+/// `mode`, then run the mode's point-independent checks.
+pub(crate) fn check_lattice(case: &Case, mode: &Mode) -> Result<(), Discrepancy> {
+    if *mode == Mode::Local {
+        roundtrip(case)?;
+    }
+    let expected = Expected::of(case)?;
+    let protocol = protocol(case);
+    let mut first: Option<(LatticePoint, Vec<Rows>)> = None;
+    for point in LatticePoint::all() {
+        let at = target::label(mode, point);
+        let views = target::open(mode, point)
+            .and_then(|mut t| walk(case, &protocol, &expected, t.as_mut(), point.cache))
+            .map_err(|d| d.within(&at))?;
+        match &first {
+            None => first = Some((point, views)),
+            Some((baseline, rows)) if *rows != views => {
+                return Err(Discrepancy::new(
+                    "config-divergence",
+                    format!("{at}: materialized views differ from [{baseline}]"),
+                ))
+            }
+            Some(_) => {}
+        }
+    }
+    match mode {
+        Mode::Local => check_rewritings(case, &expected.final_db, &expected.last),
+        Mode::Net => crate::net::fuzz_frames(case),
+        _ => Ok(()),
+    }
+}
+
+/// One lattice point: the protocol on `target`, round-robined across its
+/// handles (one driver thread, every write acked before the next
+/// statement, so the interleaving is identical on every run). Returns
+/// each view's final sorted rows.
+fn walk(
+    case: &Case,
+    protocol: &Protocol,
+    expected: &Expected,
+    target: &mut dyn Target,
+    cache: bool,
+) -> Result<Vec<Rows>, Discrepancy> {
+    let select = Statement::Select(case.query.clone());
+    let handles = target.handles();
+    let mut next = 0;
+    let mut step = |target: &mut dyn Target, stmt: &Statement| {
+        next += 1;
+        target.run((next - 1) % handles, stmt)
+    };
+    let mut last = Vec::new();
+    for (statements, cp) in protocol.segments() {
+        for stmt in statements {
+            step(target, stmt)?;
+        }
+        // A durable target reopens before the final answer and after the
+        // halfway one: acked writes must be visible across the restart.
+        let mut label = cp.to_string();
+        if cp == Checkpoint::Final && target.reopen()? {
+            label.push_str(" after reopen");
+        }
+        let answer = served(step(target, &select)?)?;
+        compare(&answer, expected.answer(cp), &label)?;
+        if cp == Checkpoint::Halfway && target.reopen()? {
+            let again = served(step(target, &select)?)?;
+            compare(&again, &expected.half, "halfway after reopen")?;
+        }
+        last = answer.relation.sorted_rows();
+    }
+
+    // Every handle answers once more against the same published state:
+    // correctly, whatever its private plan cache did earlier; unchanged,
+    // with no intervening write; and with the cache on, from a hit.
+    let hits = target.cache_hits();
+    for h in 0..handles {
+        let answer = served(target.run(h, &select)?)?;
+        compare(
+            &answer,
+            &expected.last,
+            &format!("per-handle final (handle {h})"),
+        )?;
+        if answer.relation.sorted_rows() != last {
+            return Err(Discrepancy::new(
+                "cache-hit-divergence",
+                format!(
+                    "repeated SELECT on handle {h} changed its answer with no intervening write"
+                ),
+            ));
+        }
+    }
+    if cache && hits.is_some() && target.cache_hits() == hits {
+        return Err(Discrepancy::new(
             "cache-miss",
-            "repeated SELECT did not hit the driver plan cache".into(),
+            "repeated SELECT did not hit the plan cache",
         ));
     }
 
     // Partition completeness: every base table's global contents must be
     // exactly the disjoint union of its per-shard partitions.
-    let snaps = store.load_all();
-    for t in &case.tables {
-        let want = final_db
-            .get(&t.name)
-            .map_err(|e| fail("session-error", e.to_string()))?;
-        let mut got = Relation::empty(want.columns.iter().cloned());
-        for snap in &snaps {
-            let part = snap
-                .state
-                .db
-                .get(&t.name)
-                .map_err(|e| fail("session-error", e.to_string()))?;
-            got.rows.extend(part.rows.iter().cloned());
-        }
-        if !multiset_eq(&got, want) {
-            return Err(fail(
-                "partition-incomplete",
-                format!(
-                    "table {}: shard partitions concatenate to {} row(s), global has {}",
-                    t.name,
-                    got.len(),
-                    want.len()
-                ),
-            ));
+    let shards = target.partitions();
+    if !shards.is_empty() {
+        for t in &case.tables {
+            let want = expected.final_db.get(&t.name).expect("a case table");
+            let mut got = Relation::empty(want.columns.iter().cloned());
+            for snap in &shards {
+                let part = snap.state.db.get(&t.name).map_err(|e| {
+                    Discrepancy::new("partition-incomplete", format!("table {}: {e}", t.name))
+                })?;
+                got.rows.extend(part.rows.iter().cloned());
+            }
+            if !multiset_eq(&got, want) {
+                return Err(Discrepancy::new(
+                    "partition-incomplete",
+                    format!(
+                        "table {}: shard partitions concatenate to {} row(s), global has {}",
+                        t.name,
+                        got.len(),
+                        want.len()
+                    ),
+                ));
+            }
         }
     }
 
-    // Union-state views must match the reference evaluation.
-    for (v, want) in case.views.iter().zip(expected_views) {
-        let got = session
-            .database()
-            .get(&v.name)
-            .map_err(|e| fail("session-error", e.to_string()))?;
-        let got = Relation::new(want.columns.clone(), got.rows.clone());
-        if !multiset_eq(&got, want) {
-            return Err(fail(
-                "view-content-mismatch",
-                format!("union view {} disagrees with reference evaluation", v.name),
-            ));
-        }
+    case.views
+        .iter()
+        .zip(&expected.views)
+        .map(|(v, want)| {
+            let mismatch = |what: String| {
+                Discrepancy::new("view-content-mismatch", format!("view {} {what}", v.name))
+            };
+            let rows = target
+                .view(&v.name)
+                .map_err(|e| mismatch(format!("lost: {e}")))?;
+            let got = Relation::new(want.columns.clone(), rows);
+            if !multiset_eq(&got, want) {
+                return Err(mismatch("disagrees with reference evaluation".into()));
+            }
+            Ok(got.sorted_rows())
+        })
+        .collect()
+}
+
+/// A served answer plus the semantics (and views) it was produced under.
+pub(crate) struct Served {
+    pub(crate) relation: Relation,
+    pub(crate) set_semantics: bool,
+    pub(crate) views_used: Vec<String>,
+}
+
+/// The answer a `SELECT` produced.
+pub(crate) fn served(outcome: StatementOutcome) -> Result<Served, Discrepancy> {
+    match outcome {
+        StatementOutcome::Answer {
+            relation,
+            set_semantics,
+            views_used,
+            ..
+        } => Ok(Served {
+            relation,
+            set_semantics,
+            views_used,
+        }),
+        other => Err(Discrepancy::new(
+            "session-error",
+            format!("SELECT produced a non-answer outcome: {other:?}"),
+        )),
     }
-    Ok(())
+}
+
+fn compare(served: &Served, expected: &Relation, step: &str) -> Result<(), Discrepancy> {
+    let eq = if served.set_semantics {
+        set_eq(&served.relation, expected)
+    } else {
+        multiset_eq(&served.relation, expected)
+    };
+    if eq {
+        Ok(())
+    } else {
+        Err(Discrepancy::new(
+            "answer-mismatch",
+            format!(
+                "{step} answer disagrees with the reference interpreter \
+                 (got {} row(s), expected {})",
+                served.relation.len(),
+                expected.len()
+            ),
+        ))
+    }
 }
 
 /// Display→parse round-trip of the query and each view definition.
@@ -585,159 +487,6 @@ fn roundtrip(case: &Case) -> Result<(), Discrepancy> {
         }
     }
     Ok(())
-}
-
-/// The statement stream at one lattice point. Returns the final sorted
-/// rows of each materialized view.
-fn run_lattice_point(
-    case: &Case,
-    point: LatticePoint,
-    expected_half: &Relation,
-    expected_final: &Relation,
-) -> Result<Vec<Vec<Vec<aggview_engine::Value>>>, Discrepancy> {
-    let fail =
-        |kind: &str, detail: String| Discrepancy::new(kind, format!("at [{point}]: {detail}"));
-    let mut session = Session::new(point.options());
-    let mut run = |stmt: Statement| {
-        session
-            .execute(&stmt)
-            .map_err(|e| fail("session-error", e.to_string()))
-    };
-
-    for t in &case.tables {
-        run(Statement::CreateTable(CreateTable {
-            name: t.name.clone(),
-            columns: t.columns.clone(),
-            keys: Vec::new(),
-        }))?;
-    }
-    for (i, t) in case.tables.iter().enumerate() {
-        insert(&mut run, &t.name, &t.rows[..case.split_at(i)])?;
-    }
-
-    // Query at the halfway snapshot (no views yet: base-table serving).
-    let a1 = answer(&mut run, case)?;
-    compare(&a1, expected_half, "halfway").map_err(|d| fail(&d.kind, d.detail))?;
-
-    for v in &case.views {
-        run(Statement::CreateView(CreateView {
-            name: v.name.clone(),
-            query: v.query.clone(),
-        }))?;
-    }
-    // Same data, now with views in play: the searches run, a rewriting may
-    // be chosen, the answer must not move.
-    let a2 = answer(&mut run, case)?;
-    compare(&a2, expected_half, "post-view").map_err(|d| fail(&d.kind, d.detail))?;
-
-    for (i, t) in case.tables.iter().enumerate() {
-        insert(&mut run, &t.name, &t.rows[case.split_at(i)..])?;
-    }
-    let t0 = &case.tables[0];
-    run(Statement::Delete(Delete {
-        table: t0.name.clone(),
-        filter: Some(BoolExpr::cmp(
-            Expr::Column(ColumnRef::bare(t0.columns[0].clone())),
-            CmpOp::Eq,
-            Expr::int(1),
-        )),
-    }))?;
-
-    let a3 = answer(&mut run, case)?;
-    compare(&a3, expected_final, "final").map_err(|d| fail(&d.kind, d.detail))?;
-
-    // Repeat: with the cache on this must serve the stored plan; either
-    // way the answer must be bitwise-stable (sorted) against the previous.
-    let a4 = answer(&mut run, case)?;
-    if a3.relation.sorted_rows() != a4.relation.sorted_rows() {
-        return Err(fail(
-            "cache-hit-divergence",
-            "repeated SELECT changed its answer with no intervening write".into(),
-        ));
-    }
-    if point.cache && session.plan_cache().hits() == 0 {
-        return Err(fail(
-            "cache-miss",
-            "repeated SELECT did not hit the plan cache".into(),
-        ));
-    }
-
-    Ok(case
-        .views
-        .iter()
-        .map(|v| {
-            session
-                .database()
-                .get(&v.name)
-                .expect("views stay materialized")
-                .sorted_rows()
-        })
-        .collect())
-}
-
-/// A served answer plus the semantics it was produced under.
-pub(crate) struct Served {
-    pub(crate) relation: Relation,
-    pub(crate) set_semantics: bool,
-}
-
-pub(crate) fn answer(
-    run: &mut impl FnMut(Statement) -> Result<StatementOutcome, Discrepancy>,
-    case: &Case,
-) -> Result<Served, Discrepancy> {
-    match run(Statement::Select(case.query.clone()))? {
-        StatementOutcome::Answer {
-            relation,
-            set_semantics,
-            ..
-        } => Ok(Served {
-            relation,
-            set_semantics,
-        }),
-        other => Err(Discrepancy::new(
-            "session-error",
-            format!("SELECT produced a non-answer outcome: {other:?}"),
-        )),
-    }
-}
-
-pub(crate) fn insert(
-    run: &mut impl FnMut(Statement) -> Result<StatementOutcome, Discrepancy>,
-    table: &str,
-    rows: &[Vec<i64>],
-) -> Result<(), Discrepancy> {
-    if rows.is_empty() {
-        return Ok(());
-    }
-    run(Statement::Insert(Insert {
-        table: table.to_string(),
-        rows: rows
-            .iter()
-            .map(|r| r.iter().map(|&v| Literal::Int(v)).collect())
-            .collect(),
-    }))?;
-    Ok(())
-}
-
-pub(crate) fn compare(served: &Served, expected: &Relation, step: &str) -> Result<(), Discrepancy> {
-    let eq = if served.set_semantics {
-        set_eq(&served.relation, expected)
-    } else {
-        multiset_eq(&served.relation, expected)
-    };
-    if eq {
-        Ok(())
-    } else {
-        Err(Discrepancy::new(
-            "answer-mismatch",
-            format!(
-                "{step} answer disagrees with the reference interpreter \
-                 (got {} row(s), expected {})",
-                served.relation.len(),
-                expected.len()
-            ),
-        ))
-    }
 }
 
 /// Execute *every* emitted rewriting on the final database and compare

@@ -3,25 +3,21 @@
 //! Starting from a failure, repeatedly try single structural edits — drop
 //! a view, a `WHERE` conjunct (query or view side), the `HAVING` clause,
 //! an aggregate output, a grouping column, the `DISTINCT` flag, or a data
-//! row — and keep any edit after which [`check_case`] still fails with
-//! the *same kind*. Terminates at a local minimum: no single edit
-//! preserves the failure. Deterministic (edits are tried in a fixed
-//! order) and bounded (every accepted edit strictly shrinks the case).
+//! row — and keep any edit after which the checker still fails with the
+//! *same kind*. The checker is the one that found the failure (the
+//! multi-session oracle shrinks under its own interleaved replay, so the
+//! minimized case still fails *under interleaving*). Terminates at a
+//! local minimum: no single edit preserves the failure. Deterministic
+//! (edits are tried in a fixed order) and bounded (every accepted edit
+//! strictly shrinks the case).
 
 use crate::case::Case;
-use crate::oracle::{check_case, Discrepancy};
+use crate::oracle::Discrepancy;
 use aggview_sql::ast::{BoolExpr, Expr, Query, SelectItem};
 
-/// Shrink `case`, preserving failure `kind`. Returns the minimized case
-/// and the discrepancy it still produces.
-pub fn shrink(case: &Case, kind: &str) -> (Case, Discrepancy) {
-    shrink_with(case, kind, check_case)
-}
-
-/// [`shrink`] against an arbitrary checker — the multi-session oracle
-/// shrinks with its own interleaved replay, so the minimized case still
-/// fails *under interleaving*, not just single-session.
-pub fn shrink_with(
+/// Shrink `case` under `check`, preserving failure `kind`. Returns the
+/// minimized case and the discrepancy it still produces.
+pub fn shrink(
     case: &Case,
     kind: &str,
     check: impl Fn(&Case) -> Result<(), Discrepancy>,

@@ -12,7 +12,7 @@
 //! own process, and setting the variable here cannot leak into any other
 //! suite.
 
-use aggview_qcheck::{run_seed, CaseConfig};
+use aggview_qcheck::{run_seed, CaseConfig, Mode};
 
 #[test]
 fn injected_stale_inline_summary_is_caught_and_shrunk() {
@@ -21,7 +21,7 @@ fn injected_stale_inline_summary_is_caught_and_shrunk() {
 
     let cfg = CaseConfig::default();
     let failure = (0..100)
-        .filter_map(|seed| run_seed(seed, &cfg))
+        .filter_map(|seed| run_seed(seed, &cfg, &Mode::Local))
         .find(|failure| failure.discrepancy.kind == "answer-mismatch")
         .expect("a 100-seed scan must expose the stale inline summary");
 

@@ -11,7 +11,7 @@
 //! own process, and setting the variable here cannot leak into any other
 //! suite.
 
-use aggview_qcheck::{run_seed, CaseConfig};
+use aggview_qcheck::{run_seed, CaseConfig, Mode};
 
 #[test]
 fn injected_c3_bug_is_caught_and_shrunk() {
@@ -20,7 +20,7 @@ fn injected_c3_bug_is_caught_and_shrunk() {
 
     let cfg = CaseConfig::default();
     let failure = (0..50)
-        .find_map(|seed| run_seed(seed, &cfg))
+        .find_map(|seed| run_seed(seed, &cfg, &Mode::Local))
         .expect("a 50-seed scan must expose the injected C3 bug");
 
     assert!(

@@ -12,7 +12,7 @@
 //! its own process, and setting the variable here cannot leak into any
 //! other suite.
 
-use aggview_qcheck::{run_seed_net, CaseConfig};
+use aggview_qcheck::{run_seed, CaseConfig, Mode};
 
 #[test]
 fn injected_truncation_bug_is_caught_and_shrunk() {
@@ -21,7 +21,7 @@ fn injected_truncation_bug_is_caught_and_shrunk() {
 
     let cfg = CaseConfig::default();
     let failure = (0..10)
-        .find_map(|seed| run_seed_net(seed, &cfg))
+        .find_map(|seed| run_seed(seed, &cfg, &Mode::Net))
         .expect("a 10-seed scan must expose the injected truncation bug");
 
     assert!(

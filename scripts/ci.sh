@@ -14,8 +14,9 @@
 # sharded qcheck sweep passes), a durability smoke (a 200-seed
 # crash-recovery sweep and both mid-stream reopen corpus replays pass,
 # `serve --data-dir` recovers a directory across two invocations, and
-# the fault-injection self-test proves the crash oracle catches an
-# unsoundly skipped fsync and shrinks the failure), a network smoke
+# the fault-injection self-tests prove the crash oracle catches an
+# unsoundly skipped fsync and a silently dropped WAL append and shrinks
+# both failures), a network smoke
 # (every corpus script answered over a real loopback TCP server
 # byte-identically to the in-process runner, a clean SIGTERM drain per
 # server, a wire-axis qcheck sweep, and the framing fault-injection
@@ -173,6 +174,14 @@ if unsound=$(AGGVIEW_UNSOUND_SKIP_FSYNC=1 ./target/release/qcheck --crash --seed
 fi
 grep -q "durability-violation" <<<"$unsound"
 grep -q "shrunk" <<<"$unsound"
+# The same with every third WAL append unsoundly discarded (the record
+# never reaches the log, the batch is still acked).
+if unsound_wal=$(AGGVIEW_UNSOUND_DROP_WAL=3 ./target/release/qcheck --crash --seeds 0..50 2>&1); then
+  echo "ci: crash oracle failed to catch an unsoundly dropped WAL append" >&2
+  exit 1
+fi
+grep -q "durability-violation" <<<"$unsound_wal"
+grep -q "shrunk" <<<"$unsound_wal"
 # Network smoke: each corpus script replays through `net-client` against
 # a background `serve --listen` on an ephemeral loopback port (a fresh
 # server per script — corpus scripts reuse table names), and the wire

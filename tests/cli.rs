@@ -11,12 +11,16 @@ fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary spawns");
-    child
+    // A binary that refuses its arguments may exit before reading stdin;
+    // the closed pipe is then expected, and its exit status is what counts.
+    if let Err(e) = child
         .stdin
         .as_mut()
         .expect("stdin piped")
         .write_all(stdin.as_bytes())
-        .expect("stdin writes");
+    {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "stdin writes");
+    }
     let out = child.wait_with_output().expect("binary exits");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),

@@ -7,65 +7,104 @@
 use aggview::obs::CounterId;
 use aggview::session::{Session, SessionOptions};
 use aggview::sql::parse_script;
-use aggview_qcheck::{
-    check_case, check_case_sessions, check_case_shards, corpus, generate, run_range,
-    run_range_sessions, run_range_shards, Case, CaseConfig,
-};
+use aggview_qcheck::{check, corpus, generate, run_range, Case, CaseConfig, Mode};
+use std::ops::Range;
 use std::path::Path;
 
-/// Every seed in a short range must be discrepancy-free across the full
-/// lattice (plan cache, recompute-vs-delta maintenance, columnar-vs-row
-/// execution) and every emitted rewriting.
+/// Every mode the harness drives: the whole lattice (plan cache,
+/// recompute-vs-delta maintenance, columnar-vs-row execution) on a local
+/// session, on round-robin handles of one shared store and through a
+/// scatter-gather shard driver (both again durable and reopened
+/// mid-stream), over loopback TCP; advisor off vs. auto; and a store
+/// killed and recovered.
+const MODES: [Mode; 8] = [
+    Mode::Local,
+    Mode::Sessions {
+        k: 2,
+        reopen: false,
+    },
+    Mode::Shards {
+        k: 2,
+        reopen: false,
+    },
+    Mode::Sessions { k: 2, reopen: true },
+    Mode::Shards { k: 2, reopen: true },
+    Mode::Net,
+    Mode::Advisor,
+    Mode::Crash { seed: 0 },
+];
+
+/// The seeds each mode replays here: the in-memory lattice modes many,
+/// the store modes also with 3 handles and 3 shards, and every other mode
+/// (durable stores, sockets, or no lattice at all) a few.
+fn slices() -> Vec<(Mode, Range<u64>)> {
+    let sessions = |k| Mode::Sessions { k, reopen: false };
+    let shards = |k| Mode::Shards { k, reopen: false };
+    let mut slices = vec![
+        (Mode::Local, 0..40),
+        (sessions(2), 0..12),
+        (sessions(3), 0..12),
+        (shards(2), 0..12),
+        (shards(3), 0..12),
+    ];
+    for mode in MODES {
+        if !slices.iter().any(|(m, _)| *m == mode) {
+            slices.push((mode, 0..4));
+        }
+    }
+    slices
+}
+
+/// The in-memory interleaved replay: round-robin handles of one shared store.
+fn in_memory_sessions(mode: &Mode) -> bool {
+    matches!(mode, Mode::Sessions { reopen: false, .. })
+}
+
+/// The in-memory scatter-gather replay: one driver session over K shards.
+fn in_memory_shards(mode: &Mode) -> bool {
+    matches!(mode, Mode::Shards { reopen: false, .. })
+}
+
+/// Every seed slice whose mode `pick` selects must be discrepancy-free.
+fn sweep(pick: impl Fn(&Mode) -> bool) {
+    let cfg = CaseConfig::default();
+    for (mode, seeds) in slices().into_iter().filter(|(m, _)| pick(m)) {
+        let n = seeds.end - seeds.start;
+        match run_range(seeds, &cfg, &mode) {
+            Ok(checked) => assert_eq!(checked, n),
+            Err(f) => panic!(
+                "seed {} failed in {mode:?}: {}\nshrunk to:\n{}",
+                f.seed, f.discrepancy, f.shrunk
+            ),
+        }
+    }
+}
+
+/// Every seed slice must be discrepancy-free in its mode: the local
+/// lattice, the durable reopened stores, loopback TCP, the advisor and
+/// the crash oracle here; the in-memory multi-handle modes below.
 #[test]
 fn short_seed_range_is_discrepancy_free() {
-    let cfg = CaseConfig::default();
-    match run_range(0..40, &cfg) {
-        Ok(checked) => assert_eq!(checked, 40),
-        Err(f) => panic!(
-            "seed {} failed: {}\nshrunk to:\n{}",
-            f.seed, f.discrepancy, f.shrunk
-        ),
-    }
+    sweep(|m| !in_memory_sessions(m) && !in_memory_shards(m));
 }
 
-/// The same seeds through the multi-session interleaved replay: the
-/// statement stream round-robined across 2 (then 3) handles of one shared
-/// store must reach exactly the same verdicts as the single-session
-/// oracle. This is the deterministic cross-handle coverage — per-handle
-/// plan caches invalidating off another handle's DDL, snapshots tracking
-/// acked writes, store-wide write policy.
+/// The same seeds through 2 (then 3) handles of one shared store must
+/// reach exactly the same verdicts as the single-session oracle. This is
+/// the deterministic cross-handle coverage — per-handle plan caches
+/// invalidating off another handle's DDL, snapshots tracking acked
+/// writes, store-wide write policy.
 #[test]
 fn short_seed_range_is_discrepancy_free_across_sessions() {
-    let cfg = CaseConfig::default();
-    for sessions in [2usize, 3] {
-        match run_range_sessions(0..12, &cfg, sessions) {
-            Ok(checked) => assert_eq!(checked, 12),
-            Err(f) => panic!(
-                "seed {} failed with {sessions} sessions: {}\nshrunk to:\n{}",
-                f.seed, f.discrepancy, f.shrunk
-            ),
-        }
-    }
+    sweep(in_memory_sessions);
 }
 
-/// The same seeds through the hash-partitioned scatter-gather replay:
-/// every statement stream driven through one driver session over 2 (then
-/// 3) shard stores must reach the same verdicts, with the per-shard base
-/// tables forming a disjoint cover of the global contents. Gathered
-/// answers are additionally `verify`-checked against the union evaluation
-/// inside the session.
+/// The same seeds through one driver session over 2 (then 3) shard
+/// stores, with the per-shard base tables forming a disjoint cover of the
+/// global contents and gathered answers `verify`-checked against the
+/// union evaluation inside the session.
 #[test]
 fn short_seed_range_is_discrepancy_free_across_shards() {
-    let cfg = CaseConfig::default();
-    for shards in [2usize, 3] {
-        match run_range_shards(0..12, &cfg, shards) {
-            Ok(checked) => assert_eq!(checked, 12),
-            Err(f) => panic!(
-                "seed {} failed with {shards} shards: {}\nshrunk to:\n{}",
-                f.seed, f.discrepancy, f.shrunk
-            ),
-        }
-    }
+    sweep(in_memory_shards);
 }
 
 /// The sweep above reaches the eager-aggregation path: its first `SELECT`
@@ -94,46 +133,41 @@ fn short_seed_range_exercises_inline_summaries() {
     assert!(inline > 0, "no inline-summary answer in seeds 0..50");
 }
 
-/// Replay the persisted corpus. Each file is a plain SQL script that once
-/// exposed (or characterizes) a tricky interaction; a discrepancy here is a
-/// regression.
-#[test]
-fn corpus_replays_without_regressions() {
+/// Replay the persisted corpus in every mode `pick` selects. Each file is
+/// a plain SQL script that once exposed (or characterizes) a tricky
+/// interaction; a discrepancy here is a regression.
+fn replay(pick: impl Fn(&Mode) -> bool) {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
     let cases = corpus::load_dir(&dir).expect("corpus files parse");
     assert!(
         !cases.is_empty(),
         "tests/corpus must contain at least one case"
     );
-    for (name, case) in cases {
-        if let Err(d) = check_case(&case) {
-            panic!("corpus case {name} regressed: {d}\n{case}");
+    for mode in MODES.into_iter().filter(|m| pick(m)) {
+        for (i, (name, case)) in cases.iter().enumerate() {
+            if let Err(d) = check(case, &mode.seeded(i as u64)) {
+                panic!("corpus case {name} regressed in {mode:?}: {d}\n{case}");
+            }
         }
     }
+}
+
+/// The corpus in every mode but the in-memory multi-handle ones below.
+#[test]
+fn corpus_replays_without_regressions() {
+    replay(|m| !in_memory_sessions(m) && !in_memory_shards(m));
 }
 
 /// The corpus again, through the 2-handle interleaved replay.
 #[test]
 fn corpus_replays_without_regressions_across_sessions() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let cases = corpus::load_dir(&dir).expect("corpus files parse");
-    for (name, case) in cases {
-        if let Err(d) = check_case_sessions(&case, 2) {
-            panic!("corpus case {name} regressed under 2 sessions: {d}\n{case}");
-        }
-    }
+    replay(in_memory_sessions);
 }
 
 /// The corpus again, through the 2-shard scatter-gather replay.
 #[test]
 fn corpus_replays_without_regressions_across_shards() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let cases = corpus::load_dir(&dir).expect("corpus files parse");
-    for (name, case) in cases {
-        if let Err(d) = check_case_shards(&case, 2) {
-            panic!("corpus case {name} regressed under 2 shards: {d}\n{case}");
-        }
-    }
+    replay(in_memory_shards);
 }
 
 /// The row-vs-columnar axis, pinned directly: every corpus case's query

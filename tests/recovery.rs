@@ -15,7 +15,7 @@ use aggview::server::SharedStore;
 use aggview::session::{SessionOptions, StatementOutcome};
 use aggview::state::WritePolicy;
 use aggview_qcheck::crash::write_statements;
-use aggview_qcheck::{check_case_crash_at, check_case_shards_reopen, corpus};
+use aggview_qcheck::{check, check_case_crash_at, corpus, Mode};
 use aggview_sql::parse_script;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,7 +73,7 @@ fn corpus_survives_a_crash_at_every_batch() {
 #[test]
 fn corpus_replays_without_regressions_across_shard_reopens() {
     for (name, case) in corpus_cases() {
-        if let Err(d) = check_case_shards_reopen(&case, 2) {
+        if let Err(d) = check(&case, &Mode::Shards { k: 2, reopen: true }) {
             panic!("corpus case {name} regressed under 2 shards + reopen: {d}\n{case}");
         }
     }
