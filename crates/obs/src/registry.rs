@@ -136,6 +136,9 @@ pub enum CounterId {
     /// Sharded SELECTs served from the union instead (join, unresolvable
     /// shard column, or a failed scatter/merge).
     ShardGatherFallbacks,
+    /// Rebuilds of the sharded driver's union of all shard snapshots
+    /// (fallback answers, `--verify`, global-state reads).
+    ShardUnionBuilds,
     /// WAL records appended (one per applied statement batch).
     WalAppends,
     /// WAL bytes appended (record framing included).
@@ -174,7 +177,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in declaration order.
-    pub const ALL: [CounterId; 47] = [
+    pub const ALL: [CounterId; 48] = [
         CounterId::Statements,
         CounterId::Queries,
         CounterId::Writes,
@@ -206,6 +209,7 @@ impl CounterId {
         CounterId::ShardConcatMerges,
         CounterId::ShardReaggMerges,
         CounterId::ShardGatherFallbacks,
+        CounterId::ShardUnionBuilds,
         CounterId::WalAppends,
         CounterId::WalBytes,
         CounterId::Checkpoints,
@@ -259,6 +263,7 @@ impl CounterId {
             CounterId::ShardConcatMerges => "shard_concat_merges",
             CounterId::ShardReaggMerges => "shard_reagg_merges",
             CounterId::ShardGatherFallbacks => "shard_gather_fallbacks",
+            CounterId::ShardUnionBuilds => "shard_union_builds",
             CounterId::WalAppends => "wal_appends",
             CounterId::WalBytes => "wal_bytes",
             CounterId::Checkpoints => "checkpoints",

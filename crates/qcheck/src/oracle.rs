@@ -421,9 +421,19 @@ pub(crate) struct Served {
     pub(crate) views_used: Vec<String>,
 }
 
-/// The answer a `SELECT` produced.
+/// The answer a `SELECT` produced. A session running with `verify` (the
+/// shard driver) cross-checks its own answer, and a failed check is a
+/// discrepancy.
 pub(crate) fn served(outcome: StatementOutcome) -> Result<Served, Discrepancy> {
     match outcome {
+        StatementOutcome::Answer {
+            verified: Some(false),
+            executed,
+            ..
+        } => Err(Discrepancy::new(
+            "verify-mismatch",
+            format!("the session's own cross-check failed; executed: {executed}"),
+        )),
         StatementOutcome::Answer {
             relation,
             set_semantics,

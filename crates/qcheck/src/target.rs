@@ -228,7 +228,8 @@ pub(crate) fn open(mode: &Mode, point: LatticePoint) -> Result<Box<dyn Target>, 
         })?),
         Mode::Shards { k, reopen } => {
             // The scatter-gather path double-checks every merged answer
-            // against the union evaluation.
+            // and its metadata against the union evaluation; `served`
+            // fails the walk on a failed check.
             let options = SessionOptions {
                 verify: true,
                 ..options

@@ -10,8 +10,8 @@
 # shrinks both), a concurrency smoke
 # (the shared-store stress test under --release plus a short
 # multi-session qcheck sweep), a metrics smoke, a sharding smoke (every
-# corpus script answers identically under --shards 2, and a short
-# sharded qcheck sweep passes), a durability smoke (a 200-seed
+# corpus script answers identically under --shards 2 and 4, and a short
+# sharded qcheck sweep and a 4-shard corpus replay pass), a durability smoke (a 200-seed
 # crash-recovery sweep and both mid-stream reopen corpus replays pass,
 # `serve --data-dir` recovers a directory across two invocations, and
 # the fault-injection self-tests prove the crash oracle catches an
@@ -123,24 +123,28 @@ serve_scrape=$(./target/release/aggview serve --sessions 2 --metrics <<<"$metric
 grep -q '^aggview_store_publishes_total 3$' <<<"$serve_scrape"
 grep -q '^aggview_write_queue_depth 0$' <<<"$serve_scrape"
 # Sharding smoke: every corpus script must answer identically through a
-# 2-shard store and an unsharded session. Wall-clock tokens and
+# 2-shard and a 4-shard store (the benchmark's count) and an unsharded
+# session. Wall-clock tokens and
 # maintenance counts are masked (each shard maintains only its own
 # partition's views, so the summed count can legitimately differ), and
 # lines are sorted (a gathered relation is a shard-order permutation of
 # the unsharded row order — bag equality is the contract, and qcheck's
 # repeated-select check pins per-plan determinism separately). A short
-# sharded qcheck sweep closes the gate.
+# sharded qcheck sweep and a 4-shard corpus replay close the gate.
 shard_mask='s/[0-9.]+ ms\)/_ ms)/g; s/[0-9]+ view\(s\) maintained/_ view(s) maintained/g'
 for f in tests/corpus/*.sql; do
   un=$(./target/release/aggview "$f" | sed -E "$shard_mask" | sort)
-  sh=$(./target/release/aggview --shards 2 "$f" | sed -E "$shard_mask" | sort)
-  if [ "$un" != "$sh" ]; then
-    echo "ci: sharded and unsharded outputs diverge on $f" >&2
-    diff <(printf '%s\n' "$un") <(printf '%s\n' "$sh") >&2 || true
-    exit 1
-  fi
+  for k in 2 4; do
+    sh=$(./target/release/aggview --shards "$k" "$f" | sed -E "$shard_mask" | sort)
+    if [ "$un" != "$sh" ]; then
+      echo "ci: $k-shard and unsharded outputs diverge on $f" >&2
+      diff <(printf '%s\n' "$un") <(printf '%s\n' "$sh") >&2 || true
+      exit 1
+    fi
+  done
 done
 ./target/release/qcheck --seeds 0..350 --shards 2
+./target/release/qcheck --replay tests/corpus --shards 4
 # Durability smoke: the crash oracle sweeps 200 seeded crash points
 # (random crash batch, phase, and checkpoint cadence per seed) and must
 # find no discrepancy; the corpus replays through both mid-stream

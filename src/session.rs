@@ -36,11 +36,13 @@ use crate::eager::{self, Served};
 use crate::plan_cache::{AnswerMeta, CacheKey, PlanCache, DEFAULT_PLAN_CACHE_CAP};
 use crate::run::{execute_rewriting_ctx, rewriting_equivalent};
 use crate::server::{SharedStore, StoreSnapshot, WriteOp};
-use crate::sharded::{gather_plan, ShardedStore, UnionState};
+use crate::sharded::{gather, gather_plan, ShardedStore, UnionState};
 use crate::state::{is_advisor_view_name, EngineState, WritePolicy};
 use aggview_core::advisor::suggest_views;
-use aggview_core::{Canonical, RewriteOptions, RewriteStats, Rewriter, Rewriting, ViewDef};
-use aggview_engine::shard::{self, GatherPlan};
+use aggview_core::{
+    Canonical, RewriteOptions, RewriteStats, Rewriter, Rewriting, TableStats, ViewDef,
+};
+use aggview_engine::shard::GatherPlan;
 use aggview_engine::{
     execute_ctx, multiset_eq, set_eq, Database, ExecContext, PhysicalPlan, Relation,
 };
@@ -300,13 +302,18 @@ enum Backend {
     /// The session drives a [`ShardedStore`]: writes route through the
     /// store (DDL broadcast, DML by partition key), reads scatter to the
     /// per-shard handle sessions and gather with the §4 recombination
-    /// operators. `union` caches the unioned shard state — the exact
-    /// state an unsharded store would hold — for metadata parity,
-    /// fallback answers, and `--verify` cross-checks.
+    /// operators, planned from shard 0's catalog and views. `union`
+    /// caches the unioned shard state — the exact state an unsharded
+    /// store would hold — built only for what the shards cannot answer
+    /// (see [`Session::sharded_select`]) and for global-state reads.
+    /// `oracle_cache` is the plan cache of `--verify`'s answer on the
+    /// union, so that its cached decisions age as an unsharded
+    /// session's do.
     Sharded {
         store: ShardedStore,
         shards: Vec<Session>,
         union: UnionState,
+        oracle_cache: PlanCache,
     },
 }
 
@@ -408,12 +415,14 @@ impl Session {
             .map(|s| s.session(inner_options.clone()))
             .collect();
         let advisor = advisor_state(&options);
+        let oracle_cache = PlanCache::with_cap(options.plan_cache_cap);
         Session {
             options,
             backend: Backend::Sharded {
                 store,
                 shards,
                 union: UnionState::new(),
+                oracle_cache,
             },
             plan_cache,
             metrics,
@@ -451,19 +460,24 @@ impl Session {
         &self.plan_cache
     }
 
-    /// The state this session currently reads: its own, or the store
-    /// snapshot pinned by the most recent statement.
+    /// The state this session currently reads: its own, the store
+    /// snapshot pinned by the most recent statement, or the union of the
+    /// shard snapshots (built here on the first call after a write).
     fn state(&self) -> &EngineState {
         match &self.backend {
             Backend::Local(state) => state,
             Backend::Shared { snapshot, .. } => &snapshot.state,
-            Backend::Sharded { union, .. } => union.state(),
+            Backend::Sharded { store, union, .. } => {
+                union.get_or_build(store, self.metrics.as_ref())
+            }
         }
     }
 
     /// The current database (base tables and materialized views). For a
     /// store-backed session this is the snapshot the last statement ran
-    /// against — exactly the state its answer was computed on.
+    /// against — exactly the state its answer was computed on. For a
+    /// sharded driver it is the global state: the union of the shard
+    /// snapshots, which the first call after a write builds.
     pub fn database(&self) -> &Database {
         &self.state().db
     }
@@ -509,20 +523,26 @@ impl Session {
 
     /// Pin the store's current snapshot (no-op for local sessions) and
     /// align the plan cache with its schema epoch. For a sharded session
-    /// this (re)builds the union of all shard snapshots when any shard
-    /// published since the last build — which can fail if a broadcast
-    /// view recomputes with a type error only the union exhibits.
+    /// this drops a union that a shard publish has made stale; nothing
+    /// rebuilds it until it is needed.
     fn refresh(&mut self) -> Result<(), SessionError> {
-        let metrics = self.metrics.clone();
         match &mut self.backend {
             Backend::Local(_) => {}
             Backend::Shared { store, snapshot } => {
                 *snapshot = store.load();
                 self.plan_cache.sync_epoch(snapshot.schema_epoch);
             }
-            Backend::Sharded { store, union, .. } => {
-                union.ensure(store, metrics.as_ref())?;
+            Backend::Sharded {
+                store,
+                union,
+                oracle_cache,
+                ..
+            } => {
+                if union.is_stale(store) {
+                    union.invalidate();
+                }
                 self.plan_cache.sync_epoch(store.schema_epoch());
+                oracle_cache.sync_epoch(store.schema_epoch());
             }
         }
         self.sync_invalidation_metrics();
@@ -604,28 +624,15 @@ impl Session {
             Backend::Sharded {
                 store,
                 union,
-                shards: _,
+                oracle_cache,
+                ..
             } => {
-                let view_name = match &op {
-                    WriteOp::CreateView(cv) => Some(cv.name.clone()),
-                    _ => None,
-                };
-                let applied = store.apply_write(op)?;
+                // Even a refused write may have reached some shards.
+                let applied = store.apply_write(op);
                 union.invalidate();
                 self.plan_cache.sync_epoch(store.schema_epoch());
-                let message = match view_name {
-                    // A shard's CREATE VIEW ack reports that shard's
-                    // materialized row count; recompose the global one
-                    // from the union so the ack matches the unsharded
-                    // message byte for byte.
-                    Some(name) => {
-                        let state = union.ensure(store, metrics.as_ref())?;
-                        let n = state.db.get(&name).map_err(|e| err(e.to_string()))?.len();
-                        format!("view `{name}` materialized ({n} rows)")
-                    }
-                    None => applied.message,
-                };
-                Ok(StatementOutcome::Ok(message))
+                oracle_cache.sync_epoch(store.schema_epoch());
+                Ok(StatementOutcome::Ok(applied?.message))
             }
         };
         self.sync_invalidation_metrics();
@@ -728,7 +735,12 @@ impl Session {
             // Already served from a view; nothing to gain.
             return;
         }
-        let Some(key) = cache_key(self.state(), q) else {
+        let key = match &self.backend {
+            // The key needs the schemas only, which shard 0 has.
+            Backend::Sharded { store, .. } => cache_key(&store.shards()[0].load().state, q),
+            _ => cache_key(self.state(), q),
+        };
+        let Some(key) = key else {
             return;
         };
         let fingerprint = key.fingerprint();
@@ -803,14 +815,21 @@ impl Session {
         self.advisor.as_ref()
     }
 
-    /// The sharded `SELECT` path. The query is always *also* served
-    /// through [`select_on`] against the union state — that produces the
-    /// metadata (chosen rewriting, candidate count, cache behavior) and
-    /// the fallback answer, both byte-identical to an unsharded session
-    /// by construction. When the gather planner finds a sound
-    /// decomposition, the served relation is replaced by the
+    /// The sharded `SELECT` path. A query the gather planner decomposes
+    /// is served from the shard snapshots alone. Its serving decision —
+    /// the plan-cache key, the rewrite search and the cost ranking, and
+    /// with them `views_used`, `candidates`, `executed`, `set_semantics`
+    /// and the column names — comes from shard 0's catalog and views,
+    /// ranked by global cardinalities ([`global_stats`]), so it is the
+    /// decision an unsharded session makes. Its rows are the
     /// scatter+merge result: a disjoint union when each group lives on
-    /// one shard, a §4 re-aggregation of partial aggregates otherwise.
+    /// one shard, a §4 re-aggregation of partial aggregates otherwise. A
+    /// plan-cache hit is one scatter plus one merge.
+    ///
+    /// The union is built only for a fallback shape (a join, an unaligned
+    /// view), for a failed scatter or merge (both served from the union,
+    /// so the client sees the unsharded answer or error), and for
+    /// `--verify`, which compares the whole outcome with the union's.
     fn sharded_select(
         &mut self,
         q: &Query,
@@ -820,108 +839,205 @@ impl Session {
             store,
             shards,
             union,
+            oracle_cache,
         } = &mut self.backend
         else {
             unreachable!("sharded_select on a non-sharded backend");
         };
-        let state = union.state();
+        let registry = self.metrics.as_ref();
         let metrics = self.metrics.as_deref();
         let n = store.shard_count();
         if let Some(m) = metrics {
             m.incr(CounterId::ShardFanouts);
         }
-        let (merged, note) = match gather_plan(state, q) {
-            GatherPlan::Fallback(reason) => {
+        let pinned = store.shards()[0].load();
+        let schema = &pinned.state;
+        let plan = gather_plan(schema, q);
+        let mut consulted = UnionUse::default();
+        if let GatherPlan::Fallback(reason) = plan {
+            if let Some(m) = metrics {
+                m.incr(CounterId::ShardGatherFallbacks);
+            }
+            let state = consulted.ensure(union, store, registry, "fallback")?;
+            let outcome = select_on(
+                state,
+                &mut self.plan_cache,
+                &self.options,
+                metrics,
+                attach_obs,
+                q,
+            )?;
+            self.last_shard_note = Some(format!(
+                "-- shards: {n}; gather: fallback ({reason}); {}",
+                consulted.note()
+            ));
+            return Ok(outcome);
+        }
+
+        // The serving decision, from the plan cache or a fresh search.
+        let total_start_ns = metrics.map(|m| m.now_ns());
+        let key = cache_key(schema, q);
+        let fingerprint = key.as_ref().map_or(0, CacheKey::fingerprint);
+        let hit = key
+            .as_ref()
+            .and_then(|k| self.plan_cache.lookup(k))
+            .map(|c| (c.meta.clone(), decision_columns(q, c.rewriting.as_ref())));
+        let (meta, columns, fresh) = match hit {
+            Some((meta, columns)) => {
+                if let Some(m) = metrics {
+                    m.incr(CounterId::PlanCacheHits);
+                }
+                (meta, columns, None)
+            }
+            None => {
+                if let (Some(m), Some(_)) = (metrics, &key) {
+                    m.incr(CounterId::PlanCacheMisses);
+                }
+                let rewriter =
+                    Rewriter::with_options(&schema.catalog, self.options.rewrite.clone());
+                let (mut rewritings, search) = rewriter
+                    .rewrite_with_stats(q, &schema.views)
+                    .map_err(|e| err(e.to_string()))?;
+                if rewritings.len() > 1 {
+                    let stats = match global_stats(store, schema, shards, &rewritings) {
+                        Some(stats) => stats,
+                        None => consulted
+                            .ensure(union, store, registry, "cardinalities")?
+                            .table_stats(),
+                    };
+                    rewritings.sort_by(|a, b| {
+                        a.cost(&stats)
+                            .partial_cmp(&b.cost(&stats))
+                            .expect("finite costs")
+                    });
+                }
+                let candidates = rewritings.len();
+                let chosen = rewritings.into_iter().next();
+                if let Some(m) = metrics {
+                    search.record_into(m);
+                }
+                let meta = match &chosen {
+                    None => AnswerMeta {
+                        executed: q.to_string(),
+                        ..AnswerMeta::default()
+                    },
+                    Some(rw) => AnswerMeta {
+                        executed: rw.query.to_string(),
+                        views_used: rw.views_used.clone(),
+                        candidates,
+                        set_semantics: rw.set_semantics,
+                    },
+                };
+                let columns = decision_columns(q, chosen.as_ref());
+                (meta, columns, Some((chosen, search)))
+            }
+        };
+
+        // The rows: scatter, merge, and adopt the decision's column names
+        // (e.g. `min_lo` when served from a view) so the printed header
+        // matches the unsharded session byte for byte.
+        let exec_start_ns = metrics.map(|m| m.now_ns());
+        let t = std::time::Instant::now();
+        let (mut relation, rows) = match gather(&plan, q, |sq| scatter(shards, sq)) {
+            Ok(gathered) => gathered,
+            Err(e) => {
                 if let Some(m) = metrics {
                     m.incr(CounterId::ShardGatherFallbacks);
                 }
-                (
-                    None,
-                    format!("-- shards: {n}; gather: fallback ({reason}); served from the union"),
-                )
+                let state = consulted.ensure(union, store, registry, "a failed gather")?;
+                let outcome = select_on(
+                    state,
+                    &mut PlanCache::with_cap(0),
+                    &self.options,
+                    metrics,
+                    attach_obs,
+                    q,
+                )?;
+                self.last_shard_note = Some(format!(
+                    "-- shards: {n}; gather: failed ({e}); served from the union; {}",
+                    consulted.note()
+                ));
+                return Ok(outcome);
             }
-            GatherPlan::Concat => match scatter(shards, q) {
-                Ok(parts) => {
-                    let rows: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-                    if let Some(m) = metrics {
-                        m.add(CounterId::ShardScatterQueries, n as u64);
-                        m.incr(CounterId::ShardConcatMerges);
-                    }
-                    (
-                        Some(shard::merge_concat(q, parts)),
-                        format!(
-                            "-- shards: {n}; gather: concat (disjoint groups); per-shard rows: {rows:?}"
-                        ),
-                    )
-                }
-                Err(e) => gather_failed(metrics, n, &e),
-            },
-            GatherPlan::Reaggregate(plan) => match scatter(shards, &plan.scatter) {
-                Ok(parts) => {
-                    let rows: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-                    if let Some(m) = metrics {
-                        m.add(CounterId::ShardScatterQueries, n as u64);
-                    }
-                    match plan.merge(q, &parts) {
-                        Ok(rel) => {
-                            if let Some(m) = metrics {
-                                m.incr(CounterId::ShardReaggMerges);
-                            }
-                            (
-                                Some(rel),
-                                format!(
-                                    "-- shards: {n}; gather: re-aggregate ({} partial slot(s)); per-shard rows: {rows:?}",
-                                    plan.slot_count()
-                                ),
-                            )
-                        }
-                        Err(e) => gather_failed(metrics, n, &err(e.to_string())),
-                    }
-                }
-                Err(e) => gather_failed(metrics, n, &e),
-            },
         };
-        let mut outcome = select_on(
-            state,
-            &mut self.plan_cache,
-            &self.options,
+        let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
+        let exec_ns = exec_start_ns.zip(metrics).map(|(start, m)| {
+            let ns = m.now_ns().saturating_sub(start);
+            m.observe_ns(Stage::Execute, ns);
+            ns
+        });
+        if let Some(m) = metrics {
+            m.add(CounterId::ShardScatterQueries, n as u64);
+            m.incr(match plan {
+                GatherPlan::Concat => CounterId::ShardConcatMerges,
+                _ => CounterId::ShardReaggMerges,
+            });
+        }
+        if relation.arity() == columns.len() {
+            relation.columns = columns;
+        }
+
+        let verified = if self.options.verify {
+            let state = consulted.ensure(union, store, registry, "verify")?;
+            let oracle = select_on(state, oracle_cache, &self.options, None, false, q)?;
+            Some(agrees_with(&oracle, &meta, &relation))
+        } else {
+            None
+        };
+
+        // Cache a fresh decision only once it has served an answer, as
+        // `select_on` does.
+        let (search, rewrite_ns) = match fresh {
+            Some((chosen, mut search)) => {
+                self.plan_cache.fill_stats(&mut search);
+                if let Some(k) = key {
+                    self.plan_cache
+                        .store(k, chosen, None, meta.clone(), search.clone());
+                }
+                let ns = (search.prepare_time + search.search_time).as_nanos();
+                (search, Some(ns.min(u64::MAX as u128) as u64))
+            }
+            None => {
+                let mut search = RewriteStats::default();
+                self.plan_cache.fill_stats(&mut search);
+                (search, None)
+            }
+        };
+        let stages = match rewrite_ns {
+            Some(ns) => miss_stage_timings(ns, None, exec_ns),
+            None => exec_ns.map(|ns| (Stage::Execute, ns)).into_iter().collect(),
+        };
+        let obs = finish_query_obs(
             metrics,
             attach_obs,
             q,
-        )?;
-        if let Some(mut rel) = merged {
-            if let StatementOutcome::Answer {
-                relation,
-                verified,
-                set_semantics,
-                ..
-            } = &mut outcome
-            {
-                // The union answer's column names come from the chosen
-                // rewriting (e.g. `min_lo` when served from a view); the
-                // scatter ran the original query. Adopt the union's
-                // names so the printed header matches the unsharded
-                // session byte for byte.
-                if rel.arity() == relation.arity() {
-                    rel.columns = relation.columns.clone();
-                }
-                if self.options.verify {
-                    // The gathered relation is multiset-exact for the
-                    // original query; the union answer may come from a
-                    // set-semantics rewriting (§5), so compare
-                    // accordingly.
-                    let agree = if *set_semantics {
-                        set_eq(&rel, relation)
-                    } else {
-                        multiset_eq(&rel, relation)
-                    };
-                    *verified = Some(verified.unwrap_or(true) && agree);
-                }
-                *relation = rel;
+            fingerprint,
+            rewrite_ns.is_none(),
+            total_ns_since(metrics, total_start_ns),
+            &stages,
+            &search,
+        );
+        let gathered = match &plan {
+            GatherPlan::Reaggregate(p) => {
+                format!("re-aggregate ({} partial slot(s))", p.slot_count())
             }
-        }
-        self.last_shard_note = Some(note);
-        Ok(outcome)
+            _ => "concat (disjoint groups)".to_string(),
+        };
+        self.last_shard_note = Some(format!(
+            "-- shards: {n}; gather: {gathered}; per-shard rows: {rows:?}; {}",
+            consulted.note()
+        ));
+        Ok(StatementOutcome::Answer {
+            relation,
+            executed: meta.executed,
+            views_used: meta.views_used,
+            candidates: meta.candidates,
+            verified,
+            elapsed_ms,
+            set_semantics: meta.set_semantics,
+            search: Box::new(search),
+            obs,
+        })
     }
 
     fn explain(&mut self, q: &Query) -> Result<StatementOutcome, SessionError> {
@@ -991,13 +1107,11 @@ impl Session {
         }
         // Bracket the select with the execution-path counters so the
         // report can say which interpreter answered *this* query.
-        let exec_before = self.metrics.as_ref().map(|m| {
-            (
-                m.get(CounterId::ExecVectorized),
-                m.get(CounterId::ExecRowFallback),
-                m.get(CounterId::EagerInline),
-            )
-        });
+        let (vec_before, row_before, eager_before) = (
+            self.exec_count(CounterId::ExecVectorized),
+            self.exec_count(CounterId::ExecRowFallback),
+            self.exec_count(CounterId::EagerInline),
+        );
         let outcome = self.select(q, true)?;
         let StatementOutcome::Answer {
             relation,
@@ -1014,29 +1128,26 @@ impl Session {
         lines.truncate(1);
         lines.push(format!("-- executed: {executed}"));
         lines.push(format!("-- rows: {}", relation.len()));
-        if let (Some(m), Some((vec_before, row_before, eager_before))) =
-            (&self.metrics, exec_before)
-        {
-            let vectorized = m.get(CounterId::ExecVectorized) - vec_before;
-            let fallback = m.get(CounterId::ExecRowFallback) - row_before;
-            let path = match (vectorized, fallback) {
-                (v, 0) if v > 0 => "vectorized (columnar kernels)".to_string(),
-                (0, f) if f > 0 => "row-at-a-time interpreter".to_string(),
-                (0, 0) => "n/a (no plan execution recorded)".to_string(),
-                (v, f) => format!("mixed ({v} vectorized, {f} row)"),
-            };
+        let (vec_total, row_total, eager_total) = (
+            self.exec_count(CounterId::ExecVectorized),
+            self.exec_count(CounterId::ExecRowFallback),
+            self.exec_count(CounterId::EagerInline),
+        );
+        let path = match (vec_total - vec_before, row_total - row_before) {
+            (v, 0) if v > 0 => "vectorized (columnar kernels)".to_string(),
+            (0, f) if f > 0 => "row-at-a-time interpreter".to_string(),
+            (0, 0) => "n/a (no plan execution recorded)".to_string(),
+            (v, f) => format!("mixed ({v} vectorized, {f} row)"),
+        };
+        lines.push(format!(
+            "-- exec path: {path}; session totals: exec_vectorized={vec_total} \
+             exec_row_fallback={row_total}"
+        ));
+        if eager_total > eager_before {
             lines.push(format!(
-                "-- exec path: {path}; session totals: exec_vectorized={} exec_row_fallback={}",
-                m.get(CounterId::ExecVectorized),
-                m.get(CounterId::ExecRowFallback),
+                "-- eager: inline summary built from the pinned snapshot for this \
+                 execution; session totals: eager_inline={eager_total}"
             ));
-            if m.get(CounterId::EagerInline) > eager_before {
-                lines.push(format!(
-                    "-- eager: inline summary built from the pinned snapshot for this \
-                     execution; session totals: eager_inline={}",
-                    m.get(CounterId::EagerInline)
-                ));
-            }
         }
         let advisor_views: Vec<&String> = views_used
             .iter()
@@ -1053,6 +1164,21 @@ impl Session {
         let snap = obs.expect("metrics enabled forces an attached snapshot");
         lines.extend(explain_tail_lines(&snap, None));
         Ok(StatementOutcome::Explanation(lines))
+    }
+
+    /// `id`'s count in this session's registry plus, for a sharded
+    /// driver, in every shard's, where its scatter queries execute.
+    fn exec_count(&self, id: CounterId) -> u64 {
+        let shards = match &self.backend {
+            Backend::Sharded { store, .. } => store.shards(),
+            _ => &[],
+        };
+        let shard_registries = shards.iter().filter_map(SharedStore::metrics);
+        self.metrics
+            .iter()
+            .chain(shard_registries)
+            .map(|m| m.get(id))
+            .sum()
     }
 
     fn suggest(&mut self, q: &Query) -> Result<StatementOutcome, SessionError> {
@@ -1094,21 +1220,113 @@ fn scatter(shards: &mut [Session], q: &Query) -> Result<Vec<Relation>, SessionEr
         .collect()
 }
 
-/// Count and describe a failed scatter/merge; the caller serves the
-/// union answer instead (identical to the unsharded result, so a shard
-/// execution error never changes what the client sees).
-fn gather_failed(
-    metrics: Option<&MetricsRegistry>,
-    n: usize,
-    e: &SessionError,
-) -> (Option<Relation>, String) {
-    if let Some(m) = metrics {
-        m.incr(CounterId::ShardGatherFallbacks);
+/// Whether, and why, one sharded `SELECT` consulted the union: the tail
+/// of its `-- shards:` line.
+#[derive(Default)]
+struct UnionUse {
+    built: bool,
+    why: Vec<&'static str>,
+}
+
+impl UnionUse {
+    /// Bring the union up to date for `why`.
+    fn ensure<'u>(
+        &mut self,
+        union: &'u mut UnionState,
+        store: &ShardedStore,
+        metrics: Option<&Arc<MetricsRegistry>>,
+        why: &'static str,
+    ) -> Result<&'u EngineState, SessionError> {
+        self.built |= union.rebuild_if_stale(store, metrics)?;
+        self.why.push(why);
+        Ok(union.state())
     }
-    (
-        None,
-        format!("-- shards: {n}; gather: failed ({e}); served from the union"),
-    )
+
+    fn note(&self) -> String {
+        let why = self.why.join(", ");
+        match (self.why.is_empty(), self.built) {
+            (true, _) => "union: not built".to_string(),
+            (false, true) => format!("union: built for {why}"),
+            (false, false) => format!("union: reused for {why}"),
+        }
+    }
+}
+
+/// Global cardinalities of the stored relations `rewritings` read, as an
+/// unsharded session's cost ranking sees them: a base table's is the sum
+/// of its shard partitions, a view's the row count of its gathered
+/// definition. `None` when a view's definition does not gather; the
+/// caller then takes the union's.
+fn global_stats(
+    store: &ShardedStore,
+    schema: &EngineState,
+    shards: &mut [Session],
+    rewritings: &[Rewriting],
+) -> Option<TableStats> {
+    let snaps = store.load_all();
+    let mut stats = TableStats::new();
+    let queries = rewritings
+        .iter()
+        .flat_map(|rw| rw.aux_views.iter().map(|v| &v.query).chain([&rw.query]));
+    for name in queries.flat_map(|q| q.from.iter().map(|t| &t.table)) {
+        if stats.has(name) {
+            continue;
+        }
+        let rows = if schema.catalog.table(name).is_some() {
+            snaps
+                .iter()
+                .map(|s| s.state.db.get(name).map_or(0, Relation::len))
+                .sum()
+        } else if let Some(view) = schema.views.iter().find(|v| v.name == *name) {
+            let plan = gather_plan(schema, &view.query);
+            gather(&plan, &view.query, |q| scatter(shards, q))
+                .ok()?
+                .0
+                .len()
+        } else {
+            // An auxiliary view or `Nat`: never stored, so priced at the
+            // default, as in an unsharded session.
+            continue;
+        };
+        stats.set(name.clone(), rows);
+    }
+    Some(stats)
+}
+
+/// The column names a serving decision's answer carries: the chosen
+/// rewriting's output names, or the query's own on the base tables.
+fn decision_columns(q: &Query, rewriting: Option<&Rewriting>) -> Vec<String> {
+    rewriting.map_or_else(|| q.output_names(), |rw| rw.query.output_names())
+}
+
+/// Does the union's outcome `oracle` agree with a union-free answer:
+/// its own base-table cross-check, every metadata field, the column
+/// names, and the rows (as sets under §5 semantics)?
+fn agrees_with(oracle: &StatementOutcome, meta: &AnswerMeta, relation: &Relation) -> bool {
+    let StatementOutcome::Answer {
+        relation: want,
+        executed,
+        views_used,
+        candidates,
+        set_semantics,
+        verified,
+        ..
+    } = oracle
+    else {
+        return false;
+    };
+    let rows_agree = if *set_semantics {
+        set_eq(relation, want)
+    } else {
+        multiset_eq(relation, want)
+    };
+    verified.unwrap_or(true)
+        && *executed == meta.executed
+        && *views_used == meta.views_used
+        && *candidates == meta.candidates
+        && *set_semantics == meta.set_semantics
+        && want.columns == relation.columns
+        && rows_agree
 }
 
 /// The advisor bookkeeping a set of session options implies (`None`

@@ -11,8 +11,12 @@
 //! fallback shard.
 //!
 //! Write routing:
-//! * DDL (`CREATE TABLE` / `CREATE VIEW`) broadcasts to every shard, so
-//!   all shards share one schema universe and one view list.
+//! * `CREATE TABLE` broadcasts to every shard, so all shards share one
+//!   schema universe.
+//! * `CREATE VIEW` first gathers the definition from the shard
+//!   snapshots, and broadcasts only if the gather succeeds: a definition
+//!   that fails on one shard's rows is refused on all of them. The
+//!   gathered row count is the ack's global count.
 //! * `INSERT` rows are validated against the catalog up front (keeping
 //!   the unsharded all-or-nothing behavior), then grouped by the shard
 //!   of their partition-key value and submitted only to the shards that
@@ -21,22 +25,27 @@
 //!   the acks are summed.
 //!
 //! Reads are routed by the session layer
-//! ([`crate::session::Session`]'s `Sharded` backend): plannable
-//! aggregates scatter to all shards and gather with the §4 recombination
-//! operators ([`aggview_engine::shard::plan_gather`]); everything else
-//! is answered on [`UnionState`], the lazily rebuilt union of all shard
-//! snapshots, which reproduces unsharded answers (and error messages)
-//! exactly.
+//! ([`crate::session::Session`]'s `Sharded` backend). A query the gather
+//! planner decomposes ([`aggview_engine::shard::plan_gather`]) is served
+//! from the shard snapshots alone: its metadata comes from shard 0's
+//! catalog and views, its rows from a scatter plus a §4 merge
+//! ([`gather`]). [`UnionState`], the union of all shard snapshots, is
+//! built only for what the shards cannot answer: a join or an unaligned
+//! view, a failed scatter (so the client sees the unsharded error text),
+//! `--verify`, and reads of the global state through
+//! `Session::database`/`views`.
 
 use crate::server::{SharedStore, StoreSnapshot, WriteOp};
 use crate::session::{err, Session, SessionError, SessionOptions};
 use crate::state::{Applied, EngineState, WritePolicy};
 use aggview_engine::shard::{self, GatherPlan};
 use aggview_engine::value::lit_value;
-use aggview_obs::{MetricsRegistry, ObsOptions, StoreSection};
-use aggview_sql::{Insert, Literal, Query};
+use aggview_engine::{execute_ctx, ExecContext, Relation};
+use aggview_obs::{CounterId, MetricsRegistry, ObsOptions, StoreSection};
+use aggview_sql::{CreateView, Insert, Literal, Query};
+use std::cell::OnceCell;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// N independent shard stores behind one routing facade. Cloning is
 /// cheap (the shard handles are `Arc`-backed); every sharded session
@@ -203,14 +212,13 @@ impl ShardedStore {
             .collect()
     }
 
-    /// Route one write: broadcast DDL and `DELETE`, partition `INSERT`
-    /// rows by the shard column. Returns an [`Applied`] whose message is
-    /// recomposed to match the unsharded ack exactly (a `CREATE VIEW`
-    /// ack's global row count is fixed up by the session layer, which
-    /// owns the union state).
+    /// Route one write: broadcast `CREATE TABLE` and `DELETE`, gather
+    /// then broadcast `CREATE VIEW`, partition `INSERT` rows by the shard
+    /// column. Returns an [`Applied`] whose message is recomposed to
+    /// match the unsharded ack exactly.
     pub fn apply_write(&self, op: WriteOp) -> Result<Applied, SessionError> {
         match op {
-            WriteOp::CreateTable(_) | WriteOp::CreateView(_) => {
+            WriteOp::CreateTable(_) => {
                 let mut first: Option<Applied> = None;
                 for s in self.shards.iter() {
                     let a = s.submit(op.clone())?;
@@ -218,6 +226,7 @@ impl ShardedStore {
                 }
                 Ok(first.expect("at least one shard"))
             }
+            WriteOp::CreateView(cv) => self.create_view(cv),
             WriteOp::Insert(ins) => self.route_insert(ins),
             WriteOp::Delete(del) => {
                 let mut rows = 0usize;
@@ -295,6 +304,53 @@ impl ShardedStore {
         ))
     }
 
+    /// `CREATE VIEW`, all or nothing: gather the definition from the
+    /// shard snapshots, and broadcast only if the gather succeeds.
+    /// The gathered row count is the one an unsharded store would ack.
+    /// A definition the planner cannot decompose, or one a shard refuses,
+    /// is evaluated on the union instead, which gives that count or the
+    /// unsharded refusal verbatim.
+    fn create_view(&self, cv: CreateView) -> Result<Applied, SessionError> {
+        let snaps = self.load_all();
+        let state = &snaps[0].state;
+        if state.catalog.table(&cv.name).is_some() || state.views.iter().any(|v| v.name == cv.name)
+        {
+            // Shard 0 refuses with the unsharded text and applies nothing.
+            return self.shards[0].submit(WriteOp::CreateView(cv));
+        }
+        let cx = ExecContext::columnar(self.policy.columnar);
+        let plan = gather_plan(state, &cv.query);
+        let gathered = gather(&plan, &cv.query, |q| {
+            snaps
+                .iter()
+                .map(|s| execute_ctx(q, &s.state.db, &cx).map_err(|e| err(e.to_string())))
+                .collect()
+        });
+        let rows = match gathered {
+            Ok((rel, _)) => rel.len(),
+            Err(e) => {
+                let mut union = UnionState::new();
+                let mut global = union.ensure(self, self.metrics.as_ref())?.clone();
+                let applied = global.create_view(&cv, self.policy)?;
+                if !matches!(plan, GatherPlan::Fallback(_)) {
+                    // A shard refuses what the global data accepts: the
+                    // broadcast would stop there, so refuse it whole.
+                    return Err(err(format!("view `{}`: {e}", cv.name)));
+                }
+                applied.rows_affected
+            }
+        };
+        for s in self.shards.iter() {
+            s.submit(WriteOp::CreateView(cv.clone()))?;
+        }
+        Ok(Applied {
+            message: format!("view `{}` materialized ({rows} rows)", cv.name),
+            schema_change: true,
+            rows_affected: rows,
+            views_incremental: 0,
+        })
+    }
+
     /// Aggregate writer counters across shards (the `-- store:` line of
     /// a sharded session: epochs are maxima, throughput counters sums).
     pub fn aggregate_section(&self) -> StoreSection {
@@ -315,19 +371,19 @@ impl ShardedStore {
     }
 }
 
-/// The lazily maintained union of all shard snapshots: catalog and view
-/// list from shard 0 (DDL broadcasts keep them identical), every base
-/// table the concatenation of its shard partitions, every view
-/// recomputed globally over that union. This is exactly the state an
-/// unsharded store would hold, so metadata, plan caching, fallback
-/// answers, and error messages all match the unsharded session byte for
-/// byte.
+/// The union of all shard snapshots: catalog and view list from shard 0
+/// (DDL broadcasts keep them identical), every base table the
+/// concatenation of its shard partitions, every view recomputed globally
+/// over that union. This is exactly the state an unsharded store would
+/// hold, so fallback answers and error messages match the unsharded
+/// session byte for byte. Building it is O(data): the driver builds it
+/// only on demand (see the module docs) and keeps it until a shard
+/// publishes. Every build counts one `shard_union_builds`.
 #[derive(Debug, Default)]
 pub struct UnionState {
-    state: EngineState,
-    /// The per-shard epoch vector the cached union was built from;
-    /// `None` = dirty (never built, or invalidated by a write).
-    built_from: Option<Vec<u64>>,
+    /// The per-shard epoch vector of the last build, and its outcome;
+    /// empty = dirty (never built, or invalidated by a write).
+    built: OnceCell<(Vec<u64>, Result<EngineState, SessionError>)>,
 }
 
 impl UnionState {
@@ -336,14 +392,18 @@ impl UnionState {
         UnionState::default()
     }
 
-    /// The cached union (valid only after [`UnionState::ensure`]).
+    /// The cached union: valid after [`UnionState::ensure`], an empty
+    /// state before the first build or after a failed one.
     pub fn state(&self) -> &EngineState {
-        &self.state
+        match self.built.get() {
+            Some((_, Ok(state))) => state,
+            _ => empty_state(),
+        }
     }
 
     /// Mark the union stale (after any routed write).
     pub fn invalidate(&mut self) {
-        self.built_from = None;
+        self.built.take();
     }
 
     /// Rebuild the union if any shard published since the last build.
@@ -352,43 +412,116 @@ impl UnionState {
         store: &ShardedStore,
         metrics: Option<&Arc<MetricsRegistry>>,
     ) -> Result<&EngineState, SessionError> {
-        let epochs = store.epochs();
-        if self.built_from.as_ref() == Some(&epochs) {
-            return Ok(&self.state);
-        }
-        let snaps = store.load_all();
-        let policy = store.policy();
-        let mut state = EngineState::new();
-        if let Some(m) = metrics {
-            state.db.set_metrics(Arc::clone(m));
-        }
-        state.catalog = snaps[0].state.catalog.clone();
-        let names: Vec<String> = state.catalog.tables().map(|t| t.name.clone()).collect();
-        for name in names {
-            let mut rel = snaps[0]
-                .state
-                .db
-                .get(&name)
-                .map_err(|e| err(e.to_string()))?
-                .clone();
-            for snap in &snaps[1..] {
-                let part = snap.state.db.get(&name).map_err(|e| err(e.to_string()))?;
-                rel.rows.extend(part.rows.iter().cloned());
-            }
-            state.db.insert(name, rel);
-        }
-        // Views recompute globally, in definition order (views over
-        // views see their dependencies already unioned).
-        for view in snaps[0].state.views.iter() {
-            state
-                .materialize(view, policy)
-                .map_err(|e| err(format!("view `{}`: {e}", view.name)))?;
-            state.views.push(view.clone());
-        }
-        self.state = state;
-        self.built_from = Some(epochs);
-        Ok(&self.state)
+        self.rebuild_if_stale(store, metrics)?;
+        Ok(self.state())
     }
+
+    /// [`UnionState::ensure`], reporting whether it rebuilt.
+    pub(crate) fn rebuild_if_stale(
+        &mut self,
+        store: &ShardedStore,
+        metrics: Option<&Arc<MetricsRegistry>>,
+    ) -> Result<bool, SessionError> {
+        let rebuilt = self.is_stale(store);
+        if rebuilt {
+            self.built = OnceCell::from((store.epochs(), build_union(store, metrics)));
+        }
+        match self.built.get() {
+            Some((_, Err(e))) => Err(e.clone()),
+            _ => Ok(rebuilt),
+        }
+    }
+
+    /// Has a shard published since the last build, or was there none?
+    pub(crate) fn is_stale(&self, store: &ShardedStore) -> bool {
+        self.built
+            .get()
+            .is_none_or(|(epochs, _)| *epochs != store.epochs())
+    }
+
+    /// The union as of the first call since the last invalidation, built
+    /// then if need be: the `&self` path behind `Session::database`.
+    pub(crate) fn get_or_build(
+        &self,
+        store: &ShardedStore,
+        metrics: Option<&Arc<MetricsRegistry>>,
+    ) -> &EngineState {
+        let (_, built) = self
+            .built
+            .get_or_init(|| (store.epochs(), build_union(store, metrics)));
+        built.as_ref().unwrap_or_else(|_| empty_state())
+    }
+}
+
+/// What [`UnionState::state`] shows when there is no union.
+fn empty_state() -> &'static EngineState {
+    static EMPTY: OnceLock<EngineState> = OnceLock::new();
+    EMPTY.get_or_init(EngineState::new)
+}
+
+/// Concatenate every base table's partitions and recompute every view
+/// over them. Fails if a view fails on the global data, which only a
+/// type error that no single shard exhibits can cause.
+fn build_union(
+    store: &ShardedStore,
+    metrics: Option<&Arc<MetricsRegistry>>,
+) -> Result<EngineState, SessionError> {
+    let snaps = store.load_all();
+    let policy = store.policy();
+    let mut state = EngineState::new();
+    if let Some(m) = metrics {
+        m.incr(CounterId::ShardUnionBuilds);
+        state.db.set_metrics(Arc::clone(m));
+    }
+    state.catalog = snaps[0].state.catalog.clone();
+    let names: Vec<String> = state.catalog.tables().map(|t| t.name.clone()).collect();
+    for name in names {
+        let mut rel = snaps[0]
+            .state
+            .db
+            .get(&name)
+            .map_err(|e| err(e.to_string()))?
+            .clone();
+        for snap in &snaps[1..] {
+            let part = snap.state.db.get(&name).map_err(|e| err(e.to_string()))?;
+            rel.rows.extend(part.rows.iter().cloned());
+        }
+        state.db.insert(name, rel);
+    }
+    // Views recompute globally, in definition order (views over views
+    // see their dependencies already unioned).
+    for view in snaps[0].state.views.iter() {
+        state
+            .materialize(view, policy)
+            .map_err(|e| err(format!("view `{}`: {e}", view.name)))?;
+        state.views.push(view.clone());
+    }
+    Ok(state)
+}
+
+/// Answer `q` from per-shard partial answers. `scatter` runs a query on
+/// every shard, in shard order; the parts merge by disjoint union
+/// ([`GatherPlan::Concat`]) or by the §4 re-aggregation. Returns the
+/// answer and the per-shard row counts. Only the union answers a
+/// [`GatherPlan::Fallback`], so that plan is an error here.
+pub(crate) fn gather(
+    plan: &GatherPlan,
+    q: &Query,
+    scatter: impl FnOnce(&Query) -> Result<Vec<Relation>, SessionError>,
+) -> Result<(Relation, Vec<usize>), SessionError> {
+    let parts = match plan {
+        GatherPlan::Concat => scatter(q)?,
+        GatherPlan::Reaggregate(p) => scatter(&p.scatter)?,
+        GatherPlan::Fallback(reason) => {
+            return Err(err(format!("not shard-decomposable ({reason})")))
+        }
+    };
+    let rows = parts.iter().map(Relation::len).collect();
+    let merged = match plan {
+        GatherPlan::Reaggregate(p) => p.merge(q, &parts).map_err(|e| err(e.to_string()))?,
+        _ => shard::merge_concat(q, parts),
+    };
+    Ok((merged, rows))
 }
 
 /// The column name under which `relation` exposes its base table's
@@ -426,7 +559,8 @@ pub fn shard_exposed_column(state: &EngineState, relation: &str) -> Option<Strin
     })
 }
 
-/// Gather-plan a query against the union's catalog and views.
+/// Gather-plan a query against a catalog and view list: shard 0's, which
+/// DDL broadcast keeps identical on every shard, or the union's.
 pub fn gather_plan(state: &EngineState, q: &Query) -> GatherPlan {
     shard::plan_gather(q, &|relation| shard_exposed_column(state, relation))
 }
