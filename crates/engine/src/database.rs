@@ -8,7 +8,7 @@ use crate::relation::Relation;
 use aggview_catalog::SchemaSource;
 use aggview_obs::{CounterId, MetricsRegistry};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Everything stored under one relation name. The rows, the index over
 /// them and their columnar conversion live and die together: whoever
@@ -25,6 +25,33 @@ struct Stored {
     /// reachable only from the exact rows it was built from.
     columnar: OnceLock<Arc<ColumnarRelation>>,
 }
+
+/// One stored relation as a shareable handle: its rows together with
+/// whatever was built beside them (index, columnar conversion). Taken
+/// with [`Database::entry`] and put back, under any name and into any
+/// database, with [`Database::insert_entry`]: a refcount bump, no row
+/// copy, and a conversion built through either copy is seen by both.
+#[derive(Debug, Clone)]
+pub struct Entry(Arc<Stored>);
+
+/// The identity of the contents stored under one name at one moment,
+/// from [`Database::identity`]. Two identities are equal exactly when
+/// they name the same stored entry, which no write can have changed in
+/// between: the token holds a [`Weak`] to the entry, so an allocation
+/// it names is never freed and reused for another, and a write to an
+/// entry a token names always lands in a fresh allocation
+/// (`Arc::make_mut` moves out of an allocation with outstanding weak
+/// references instead of mutating it). Holding one keeps no rows alive.
+#[derive(Debug, Clone)]
+pub struct Identity(Weak<Stored>);
+
+impl PartialEq for Identity {
+    fn eq(&self, other: &Identity) -> bool {
+        self.0.ptr_eq(&other.0)
+    }
+}
+
+impl Eq for Identity {}
 
 /// A database instance. Materialized views are stored exactly like base
 /// tables — the paper's rewritten queries reference them by name in their
@@ -66,6 +93,24 @@ impl Database {
         self
     }
 
+    /// Store `entry` under `name`, sharing it with wherever it came from.
+    pub fn insert_entry(&mut self, name: impl Into<String>, entry: Entry) -> &mut Self {
+        self.relations.insert(name.into(), entry.0);
+        self
+    }
+
+    /// The entry stored under `name`, as a shareable handle.
+    pub fn entry(&self, name: &str) -> Option<Entry> {
+        self.relations.get(name).map(|s| Entry(Arc::clone(s)))
+    }
+
+    /// The identity of what is stored under `name` now.
+    pub fn identity(&self, name: &str) -> Option<Identity> {
+        self.relations
+            .get(name)
+            .map(|s| Identity(Arc::downgrade(s)))
+    }
+
     /// Look up a relation.
     pub fn get(&self, name: &str) -> EngineResult<&Relation> {
         self.relations
@@ -96,7 +141,8 @@ impl Database {
     }
 
     /// The one way stored rows change: copy the entry if a snapshot still
-    /// shares it, forget its conversion, and hand it out for mutation.
+    /// shares it, move it to a fresh allocation if an [`Identity`] names
+    /// it, forget its conversion, and hand it out for mutation.
     fn stored_mut(&mut self, name: &str) -> EngineResult<&mut Stored> {
         let entry = self
             .relations
@@ -333,6 +379,46 @@ mod tests {
             Arc::ptr_eq(&u_before, &db.columnar("U").unwrap()),
             "the write did not touch U"
         );
+    }
+
+    /// An identity outlives in-place mutation: with no snapshot sharing
+    /// the entry, the write still lands in a fresh allocation, and a write
+    /// to another relation leaves the identity standing.
+    #[test]
+    fn identity_changes_exactly_when_the_entry_does() {
+        let mut db = indexed_and_converted();
+        let (t, u) = (db.identity("T").unwrap(), db.identity("U").unwrap());
+        assert!(db.identity("T").unwrap() == t);
+        assert!(
+            db.clone().identity("T").unwrap() == t,
+            "a snapshot shares it"
+        );
+        db.update("U", |rel, _| rel.push(vec![Value::Int(8)]))
+            .unwrap();
+        assert!(db.identity("T").unwrap() == t, "U's write leaves T alone");
+        assert!(db.identity("U").unwrap() != u);
+        db.update("T", |_, _| ()).unwrap();
+        assert!(
+            db.identity("T").unwrap() != t,
+            "even an empty write moves T"
+        );
+        let t = db.identity("T").unwrap();
+        db.insert("T", rel_of_ints(["a", "s"], &[&[1, 5]]));
+        assert!(db.identity("T").unwrap() != t, "a replaced relation is new");
+        assert!(db.identity("V").is_none());
+    }
+
+    #[test]
+    fn an_inserted_entry_shares_rows_and_conversion() {
+        let db = indexed_and_converted();
+        let mut other = Database::new();
+        other.insert_entry("Copy", db.entry("U").unwrap());
+        assert!(other.identity("Copy").unwrap() == db.identity("U").unwrap());
+        assert!(Arc::ptr_eq(
+            &db.columnar("U").unwrap(),
+            &other.columnar("Copy").unwrap()
+        ));
+        assert_eq!(other.get("Copy").unwrap().len(), 1);
     }
 
     #[test]

@@ -170,14 +170,21 @@ pub enum CounterId {
     /// Rows backfilled into advisor-created views.
     AdvisorBackfillRows,
     /// Answers served through an inline summary (eager aggregation: a
-    /// group-by pushdown computed per execution when no stored view
+    /// group-by pushdown over part of `FROM` when no stored view
     /// answers).
     EagerInline,
+    /// Auxiliary relations (inline summaries, the paper's `V^a`, `Nat`)
+    /// reused from the memo: every relation they read was unchanged.
+    AuxMemoHits,
+    /// Auxiliary relations built, on a memo miss or with no memo.
+    AuxMemoBuilds,
+    /// Bytes of auxiliary relations the memo currently keeps (gauge).
+    AuxMemoBytes,
 }
 
 impl CounterId {
     /// Every counter, in declaration order.
-    pub const ALL: [CounterId; 48] = [
+    pub const ALL: [CounterId; 51] = [
         CounterId::Statements,
         CounterId::Queries,
         CounterId::Writes,
@@ -226,6 +233,9 @@ impl CounterId {
         CounterId::AdvisorCreated,
         CounterId::AdvisorBackfillRows,
         CounterId::EagerInline,
+        CounterId::AuxMemoHits,
+        CounterId::AuxMemoBuilds,
+        CounterId::AuxMemoBytes,
     ];
 
     /// Stable snake_case name; the Prometheus metric is
@@ -280,6 +290,9 @@ impl CounterId {
             CounterId::AdvisorCreated => "advisor_created",
             CounterId::AdvisorBackfillRows => "advisor_backfill_rows",
             CounterId::EagerInline => "eager_inline",
+            CounterId::AuxMemoHits => "aux_memo_hits",
+            CounterId::AuxMemoBuilds => "aux_memo_builds",
+            CounterId::AuxMemoBytes => "aux_memo_bytes",
         }
     }
 
@@ -291,6 +304,7 @@ impl CounterId {
                 | CounterId::WriteQueueMax
                 | CounterId::NetConnectionsOpen
                 | CounterId::NetInflight
+                | CounterId::AuxMemoBytes
         )
     }
 }

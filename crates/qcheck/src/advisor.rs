@@ -52,7 +52,7 @@ pub(crate) fn check(case: &Case) -> Result<(), Discrepancy> {
         // advisor's views were maintained through every write since.
         let repeats = match cp {
             Checkpoint::Halfway => 3,
-            Checkpoint::PostView => 1,
+            Checkpoint::PostView | Checkpoint::Inserted => 1,
             Checkpoint::Final => 2,
         };
         for k in 1..=repeats {
@@ -73,6 +73,7 @@ pub(crate) fn check(case: &Case) -> Result<(), Discrepancy> {
                 let step = match cp {
                     Checkpoint::Halfway => format!("pre-view select {k}"),
                     Checkpoint::PostView => "post-view select".into(),
+                    Checkpoint::Inserted => "pre-delete select".into(),
                     Checkpoint::Final => format!("final select {k}"),
                 };
                 return Err(Discrepancy::new(

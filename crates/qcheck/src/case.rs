@@ -22,7 +22,8 @@ pub struct TableSpec {
 
 /// A differential test case. The write protocol the oracle drives (insert
 /// the first half of each table, create the views, insert the rest, delete
-/// from the first table, then query at each step) is *derived* from this
+/// from the first table, with the query answered between the steps) is
+/// *derived* from this
 /// structure, so a case round-trips through its SQL script form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Case {
@@ -49,20 +50,33 @@ impl Case {
     /// (`halfway = true`) or its final contents after the case's delete
     /// step (`halfway = false`).
     pub fn database(&self, halfway: bool) -> Database {
+        self.database_where(|i, at, row| {
+            if halfway {
+                at < self.split_at(i)
+            } else {
+                !(i == 0 && self.deletes_row(row))
+            }
+        })
+    }
+
+    /// Every table with all of its rows: the state after both insert
+    /// batches, before the delete step.
+    pub fn inserted_database(&self) -> Database {
+        self.database_where(|_, _, _| true)
+    }
+
+    /// A database holding the rows `keep(table index, row index, row)`
+    /// accepts.
+    fn database_where(&self, keep: impl Fn(usize, usize, &[i64]) -> bool) -> Database {
         let mut db = Database::new();
         for (i, t) in self.tables.iter().enumerate() {
-            let rows: Vec<Vec<Value>> = if halfway {
-                t.rows[..self.split_at(i)]
-                    .iter()
-                    .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
-                    .collect()
-            } else {
-                t.rows
-                    .iter()
-                    .filter(|r| !(i == 0 && self.deletes_row(r)))
-                    .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
-                    .collect()
-            };
+            let rows: Vec<Vec<Value>> = t
+                .rows
+                .iter()
+                .enumerate()
+                .filter(|(at, r)| keep(i, *at, r))
+                .map(|(_, r)| r.iter().map(|&v| Value::Int(v)).collect())
+                .collect();
             db.insert(t.name.clone(), Relation::new(t.columns.clone(), rows));
         }
         db

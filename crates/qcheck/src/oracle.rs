@@ -5,8 +5,10 @@
 //! rewriting, slow and obviously correct. A case's write `protocol` is
 //! derived once: create the tables, insert the first half of each, create
 //! the views, insert the rest, delete from table 0 — with the query
-//! answered at three checkpoints (half the data, after view creation,
-//! at the end). Every lattice mode replays it on a fresh `Target` at
+//! answered at four checkpoints (half the data, after view creation, with
+//! every row inserted, at the end). The last two are one write to one
+//! table apart, so a kept build that reads table 0 besides other tables
+//! must notice that table 0 alone changed. Every lattice mode replays it on a fresh `Target` at
 //! each point of the **session config lattice** (plan cache on/off ×
 //! delta-maintained vs. recomputed views × columnar vs. row-at-a-time
 //! execution — 8 points), and one walk checks, whatever the target:
@@ -137,6 +139,8 @@ pub(crate) enum Checkpoint {
     /// Same data, views created: the searches run, a rewriting may be
     /// chosen, the answer must not move.
     PostView,
+    /// All rows inserted, the delete not yet applied.
+    Inserted,
     /// All rows inserted and the delete applied.
     Final,
 }
@@ -146,6 +150,7 @@ impl fmt::Display for Checkpoint {
         f.write_str(match self {
             Checkpoint::Halfway => "halfway",
             Checkpoint::PostView => "post-view",
+            Checkpoint::Inserted => "inserted",
             Checkpoint::Final => "final",
         })
     }
@@ -158,7 +163,7 @@ pub(crate) struct Protocol {
     /// inserts, then the delete on table 0 (empty inserts are skipped).
     pub(crate) statements: Vec<Statement>,
     /// Each answer checkpoint with the number of statements before it.
-    checkpoints: [(Checkpoint, usize); 3],
+    checkpoints: [(Checkpoint, usize); 4],
 }
 
 impl Protocol {
@@ -212,6 +217,7 @@ pub(crate) fn protocol(case: &Case) -> Protocol {
     }));
     let post_view = statements.len();
     statements.extend(inserts(false));
+    let inserted = statements.len();
     let t0 = &case.tables[0];
     statements.push(Statement::Delete(Delete {
         table: t0.name.clone(),
@@ -227,6 +233,7 @@ pub(crate) fn protocol(case: &Case) -> Protocol {
         checkpoints: [
             (Checkpoint::Halfway, halfway),
             (Checkpoint::PostView, post_view),
+            (Checkpoint::Inserted, inserted),
             (Checkpoint::Final, end),
         ],
     }
@@ -234,11 +241,12 @@ pub(crate) fn protocol(case: &Case) -> Protocol {
 
 type Rows = Vec<Vec<Value>>;
 
-/// The reference interpreter's verdicts on a case: the query on both
-/// snapshots, and each view's contents on the final one (views range over
-/// base tables only).
+/// The reference interpreter's verdicts on a case: the query on each
+/// distinct state it is answered on, and each view's contents on the
+/// final one (views range over base tables only).
 struct Expected {
     half: Relation,
+    inserted: Relation,
     last: Relation,
     views: Vec<Relation>,
     final_db: Database,
@@ -253,6 +261,7 @@ impl Expected {
         };
         Ok(Expected {
             half: reference(&case.query, &case.database(true), "")?,
+            inserted: reference(&case.query, &case.inserted_database(), "")?,
             last: reference(&case.query, &final_db, "")?,
             views: case
                 .views
@@ -266,6 +275,7 @@ impl Expected {
     fn answer(&self, cp: Checkpoint) -> &Relation {
         match cp {
             Checkpoint::Halfway | Checkpoint::PostView => &self.half,
+            Checkpoint::Inserted => &self.inserted,
             Checkpoint::Final => &self.last,
         }
     }

@@ -6,8 +6,8 @@
 # byte-identically with and without --no-columnar), a differential smoke
 # (a short qcheck seed sweep plus the persisted corpus, failing on any
 # regression, and the fault-injection self-tests proving the sweep
-# catches a dropped join-delta term and a stale inline summary and
-# shrinks both), a concurrency smoke
+# catches a dropped join-delta term, a stale inline summary and a
+# partial aux memo key and shrinks all three), a concurrency smoke
 # (the shared-store stress test under --release plus a short
 # multi-session qcheck sweep), a metrics smoke, a sharding smoke (every
 # corpus script answers identically under --shards 2 and 4, and a short
@@ -83,16 +83,25 @@ if unsound_delta=$(AGGVIEW_UNSOUND_DROP_DIM_DELTA=1 ./target/release/qcheck --se
 fi
 grep -q "view-content-mismatch" <<<"$unsound_delta"
 grep -q "shrunk" <<<"$unsound_delta"
-# Fault-injection self-test: with every inline summary (eager
-# aggregation) unsoundly reused from its first materialization instead of
-# rebuilt from the pinned snapshot, the stream's writes leave later joins
-# answered stale, and the same sweep must FAIL with a shrunk witness.
+# Fault-injection self-test: with the aux memo unsoundly skipping its
+# identity check (a kept inline summary is reused after its inputs
+# changed), the stream's writes leave later joins answered stale, and the
+# same sweep must FAIL with a shrunk witness.
 if unsound_eager=$(AGGVIEW_UNSOUND_EAGER_STALE=1 ./target/release/qcheck --seeds 0..100 2>&1); then
   echo "ci: differential oracle failed to catch a stale inline summary" >&2
   exit 1
 fi
 grep -q "answer-mismatch" <<<"$unsound_eager"
 grep -q "shrunk" <<<"$unsound_eager"
+# Fault-injection self-test: with the aux memo comparing only the first
+# input's identity, a summary over two tables is reused after a write to
+# the second, and the same sweep must FAIL with a shrunk witness.
+if unsound_memo=$(AGGVIEW_UNSOUND_AUX_MEMO_ONE_INPUT=1 ./target/release/qcheck --seeds 0..100 2>&1); then
+  echo "ci: differential oracle failed to catch a partial aux memo key" >&2
+  exit 1
+fi
+grep -q "answer-mismatch" <<<"$unsound_memo"
+grep -q "shrunk" <<<"$unsound_memo"
 # Concurrency smoke: the 4-reader/1-writer stress test runs under
 # --release (debug-mode timing starves the readers), and a short
 # multi-session sweep replays the differential stream round-robined

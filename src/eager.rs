@@ -10,24 +10,26 @@
 //! the best as a plan rather than a proposal. The Theorem 4.1 rewriting
 //! over the candidate carries the candidate in `Rewriting::aux_views`,
 //! the slot the paper's `V^a` uses, so the summary is built from the
-//! pinned snapshot on every execution and is never stale. Its
-//! `views_used` stays empty: no stored view served the answer, which is
-//! also what lets the advisor promote the candidate to a stored view.
+//! pinned snapshot, never from anything older. The serving decision's
+//! [`AuxMemo`] keeps the build with the identity of every relation it
+//! read, and later executions reuse it until one of them is written.
+//! Its `views_used` stays empty: no stored view served the answer, which
+//! is also what lets the advisor promote the candidate to a stored view.
 //!
 //! The plan pays off only when the summary has far fewer groups than its
 //! input has rows. The advisor's estimate does not look at the data, so
-//! [`answer`] checks the summary it built: one that kept more than half
-//! of its input's rows reports [`Served::Unshrunk`], and the session then
-//! caches the base-table plan instead.
+//! [`answer`] checks each summary it builds (a reused one was checked
+//! when it was built): one that kept more than half of its input's rows
+//! reports [`Served::Unshrunk`], and the session then caches the
+//! base-table plan instead.
 
-use crate::run::{execute_rewriting_ctx, materialize_view};
+use crate::memo::{AuxMemo, Reuse};
+use crate::run::execute_with_aux;
 use crate::state::EngineState;
 use aggview_core::advisor::pushdown_candidates;
 use aggview_core::{Rewriting, TableStats, ViewDef};
 use aggview_engine::{execute_ctx, Database, EngineResult, ExecContext, Relation};
 use aggview_sql::Query;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 
 /// Inline summaries are named `Eager1`, `Eager2`, ... in the advisor's
 /// validation order.
@@ -94,17 +96,19 @@ pub(crate) fn summary_name(executed: &str) -> Option<&str> {
 /// How [`answer`] served a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Served {
-    /// Through the summary.
-    Summary,
-    /// Through a summary that kept more than half of its input's rows:
-    /// the answer is right, but the plan does not pay for itself.
-    Unshrunk,
+    /// Through the summary, reused or built.
+    Summary(Reuse),
+    /// Through a summary, built now with this many rows, that kept more
+    /// than half of its input's rows: the answer is right, but the plan
+    /// does not pay for itself.
+    Unshrunk(usize),
     /// From the base tables: the summary or the rewriting over it failed.
     BaseTables,
 }
 
 /// Answer `q` through its inline rewriting `rw`, under `q`'s own output
-/// column names. When the summary cannot be built or the rewriting fails
+/// column names, taking the summary from `memo` while its inputs are
+/// unchanged. When the summary cannot be built or the rewriting fails
 /// (a `SUM` over a string in a row the join would have dropped, say), `q`
 /// runs over the base tables instead.
 pub(crate) fn answer(
@@ -112,14 +116,14 @@ pub(crate) fn answer(
     rw: &Rewriting,
     db: &Database,
     cx: &ExecContext,
+    memo: &mut AuxMemo,
 ) -> EngineResult<(Relation, Served)> {
-    match run(rw, db, cx) {
-        Ok((mut rel, summary_rows)) => {
+    match run(rw, db, cx, memo) {
+        Ok((mut rel, reuse)) => {
             rel.columns = q.output_names();
-            let served = if shrank(summary_rows, &rw.aux_views[0], db) {
-                Served::Summary
-            } else {
-                Served::Unshrunk
+            let served = match reuse {
+                Reuse::Built(rows) if !shrank(rows, &rw.aux_views[0], db) => Served::Unshrunk(rows),
+                reuse => Served::Summary(reuse),
             };
             Ok((rel, served))
         }
@@ -141,58 +145,22 @@ fn shrank(summary_rows: usize, summary: &ViewDef, db: &Database) -> bool {
     input < JUDGED_FROM_ROWS || 2 * summary_rows <= input
 }
 
-/// Build the summary into a scratch copy of `db`, then run the rest of
-/// the rewriting over it; the summary's row count rides along.
-fn run(rw: &Rewriting, db: &Database, cx: &ExecContext) -> EngineResult<(Relation, usize)> {
+/// Put the summary into a scratch copy of `db`, then run the rest of the
+/// rewriting over it; how the summary got there rides along.
+fn run(
+    rw: &Rewriting,
+    db: &Database,
+    cx: &ExecContext,
+    memo: &mut AuxMemo,
+) -> EngineResult<(Relation, Reuse)> {
     let (summary, rest) = rw
         .aux_views
         .split_first()
         .expect("an inline rewriting carries its summary");
-    let rel = if unsound_eager_stale() {
-        // Injected bug: the summary's first materialization is reused.
-        let mut stale = stale_summaries();
-        match stale.get(&summary.query.to_string()) {
-            Some(rel) => rel.clone(),
-            None => {
-                let rel = materialize_view(db, summary, cx)?;
-                stale.insert(summary.query.to_string(), rel.clone());
-                rel
-            }
-        }
-    } else {
-        materialize_view(db, summary, cx)?
-    };
-    let summary_rows = rel.len();
     let mut scratch = db.clone();
-    scratch.insert(summary.name.clone(), rel);
-    let rest = Rewriting {
-        aux_views: rest.to_vec(),
-        ..rw.clone()
-    };
-    Ok((execute_rewriting_ctx(&rest, &scratch, cx)?, summary_rows))
-}
-
-/// Fault injection: `AGGVIEW_UNSOUND_EAGER_STALE=1` keeps the first
-/// materialization of each inline summary (keyed by its definition) and
-/// reuses it on every later execution until the next `CREATE TABLE`, so
-/// an answer after a write reads a stale summary — the soundness bug the
-/// qcheck oracle must catch. Read once per process.
-fn unsound_eager_stale() -> bool {
-    static STALE: OnceLock<bool> = OnceLock::new();
-    *STALE.get_or_init(|| std::env::var_os("AGGVIEW_UNSOUND_EAGER_STALE").is_some())
-}
-
-fn stale_summaries() -> std::sync::MutexGuard<'static, BTreeMap<String, Relation>> {
-    static SUMMARIES: Mutex<BTreeMap<String, Relation>> = Mutex::new(BTreeMap::new());
-    SUMMARIES.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Drop the injection's kept summaries (a `CREATE TABLE` starts a new
-/// schema universe). A no-op unless the injection is armed.
-pub(crate) fn forget_stale_summaries() {
-    if unsound_eager_stale() {
-        stale_summaries().clear();
-    }
+    let reuse = memo.materialize(summary, &mut scratch, cx)?;
+    let rel = execute_with_aux(&rw.query, rest, rw.requires_nat, &scratch, cx, memo)?;
+    Ok((rel, reuse))
 }
 
 #[cfg(test)]

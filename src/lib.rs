@@ -61,6 +61,7 @@ pub mod backend;
 pub mod durability;
 mod eager;
 pub mod gen;
+mod memo;
 pub mod net;
 pub mod plan_cache;
 pub mod run;

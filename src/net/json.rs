@@ -148,6 +148,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -164,6 +165,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -327,13 +329,18 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err("unescaped control byte in string".to_string()),
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go. All three are ASCII, and no
+                    // byte of a multi-byte UTF-8 character is, so the run
+                    // ends on a character boundary of the `&str` input.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.input[start..self.pos]);
                 }
             }
         }
@@ -421,6 +428,55 @@ mod tests {
             parse(r#""\ud83d\ude00""#).unwrap(),
             Json::Str("\u{1f600}".to_string())
         );
+    }
+
+    /// 2-, 3- and 4-byte characters decode at the very end of the input,
+    /// beside escapes, and in a run of their own.
+    #[test]
+    fn multibyte_characters_round_trip_next_to_escapes_and_the_end() {
+        for c in ['\u{e9}', '\u{20ac}', '\u{1f600}'] {
+            for text in [
+                format!("{c}"),
+                format!("a{c}"),
+                format!("{c}\n"),
+                format!("\t{c}"),
+                format!("\"{c}\\{c}\"{c}"),
+                format!("{c}{c}\u{1}{c}"),
+            ] {
+                let v = Json::Str(text.clone());
+                let wire = v.to_string();
+                assert_eq!(parse(&wire).unwrap(), v, "{wire:?}");
+            }
+            // The character is the last byte run of the whole document.
+            assert_eq!(
+                parse(&format!("\"{c}\"")).unwrap(),
+                Json::Str(c.to_string())
+            );
+            assert_eq!(
+                parse(&format!("[\"\\u0041{c}\"]")).unwrap(),
+                Json::Arr(vec![Json::Str(format!("A{c}"))])
+            );
+        }
+        assert!(
+            parse("\"caf\u{e9}").is_err(),
+            "unterminated after a 2-byte char"
+        );
+        assert!(
+            parse("\"\u{20ac}\u{1}\"").is_err(),
+            "control byte after a 3-byte char"
+        );
+    }
+
+    /// One string of 2 MB (mixed ASCII, multi-byte characters and
+    /// escapes) parses; decoding is linear in the input.
+    #[test]
+    fn a_two_megabyte_string_parses() {
+        let unit = "abc\u{e9}\u{20ac}\u{1f600} \"q\"\n";
+        let text: String = unit.repeat((2 << 20) / unit.len());
+        let wire = Json::Arr(vec![Json::Str(text.clone()), Json::Int(1)]).to_string();
+        assert!(wire.len() >= 2 << 20);
+        let parsed = parse(&wire).unwrap();
+        assert_eq!(parsed.as_arr().unwrap()[0], Json::Str(text));
     }
 
     #[test]

@@ -29,7 +29,18 @@
 //! stays correct across writes and only its cost *ranking* can drift
 //! (re-ranked on the next recompilation). `tests/session_fuzz.rs` checks
 //! cached and uncached sessions agree across interleaved reads and writes.
+//!
+//! ## Auxiliary relations
+//!
+//! A decision whose rewriting builds relations before it runs (an
+//! inline summary, the paper's `V^a`, `Nat`) keeps those builds in its
+//! entry's `memo::AuxMemo`, keyed by the identity of every relation they
+//! read, so a repeat reuses them until a write touches one of their
+//! inputs. The memo lives and dies with its entry — schema epoch, LRU
+//! eviction, and a zero cap (which turns both off) included — and all
+//! memos together keep at most `memo::AUX_MEMO_CAP_BYTES`.
 
+use crate::memo::{AuxMemo, AUX_MEMO_CAP_BYTES};
 use aggview_core::{Canonical, RewriteStats, Rewriting};
 use aggview_engine::PhysicalPlan;
 use std::collections::HashMap;
@@ -78,8 +89,9 @@ pub struct AnswerMeta {
 
 /// A cached serving decision: the chosen rewriting (if any), the compiled
 /// physical plan (when the executed query is a single block over stored
-/// relations), and the answer metadata the session reports.
-#[derive(Debug, Clone)]
+/// relations), the answer metadata the session reports, and the
+/// auxiliary relations its executions built.
+#[derive(Debug)]
 pub struct CachedPlan {
     /// The rewriting the search chose; `None` = answer from base tables.
     pub rewriting: Option<Rewriting>,
@@ -93,6 +105,8 @@ pub struct CachedPlan {
     pub fingerprint: u64,
     /// The search stats recorded when the entry was built.
     pub search: RewriteStats,
+    /// The rewriting's auxiliary relations, kept across executions.
+    pub(crate) memo: AuxMemo,
     epoch: u64,
     last_used: u64,
 }
@@ -145,6 +159,11 @@ impl PlanCache {
     /// caller re-runs the search). Returns a reference — the hit path must
     /// not pay a plan clone.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<&CachedPlan> {
+        self.lookup_mut(key).map(|entry| &*entry)
+    }
+
+    /// [`PlanCache::lookup`], handing out the entry for its memo.
+    pub(crate) fn lookup_mut(&mut self, key: &CacheKey) -> Option<&mut CachedPlan> {
         if self.cap == 0 {
             self.misses += 1;
             return None;
@@ -209,10 +228,43 @@ impl PlanCache {
                 meta,
                 fingerprint,
                 search,
+                memo: AuxMemo::default(),
                 epoch: self.epoch,
                 last_used: self.tick,
             },
         );
+    }
+
+    /// Give `key`'s entry the builds its first execution made (dropped
+    /// when the entry is not cached), then hold all memos to the cap.
+    pub(crate) fn keep_memo(&mut self, key: &CacheKey, memo: AuxMemo) {
+        if let Some(entry) = self.entries.get_mut(key) {
+            entry.memo = memo;
+            self.trim_memos();
+        }
+    }
+
+    /// Clear the memos of the least recently used entries until all of
+    /// them together keep at most `memo::AUX_MEMO_CAP_BYTES`.
+    pub(crate) fn trim_memos(&mut self) {
+        self.trim_memos_to(AUX_MEMO_CAP_BYTES);
+    }
+
+    fn trim_memos_to(&mut self, cap: usize) {
+        let mut held: usize = self.entries.values().map(|e| e.memo.bytes()).sum();
+        let mut by_age: Vec<&mut CachedPlan> = self
+            .entries
+            .values_mut()
+            .filter(|e| e.memo.bytes() > 0)
+            .collect();
+        by_age.sort_by_key(|e| e.last_used);
+        for entry in by_age {
+            if held <= cap {
+                break;
+            }
+            held -= entry.memo.bytes();
+            entry.memo.clear();
+        }
     }
 
     /// Copy the session-cumulative counters into a stats record (shown by
@@ -371,6 +423,42 @@ mod tests {
         );
         cache.sync_epoch(1);
         assert!(cache.lookup(&k).is_some());
+    }
+
+    /// Past the byte cap, the least recently used entry's memo goes
+    /// first; the entry itself stays cached.
+    #[test]
+    fn memos_are_trimmed_least_recently_used_first() {
+        use aggview_core::ViewDef;
+        use aggview_engine::{relation::rel_of_ints, Database, ExecContext};
+        let mut db = Database::new();
+        db.insert("T", rel_of_ints(["a", "b"], &[&[1, 5], &[2, 7]]));
+        let built = || {
+            let view = ViewDef::new("Aux", parse_query("SELECT a FROM T").unwrap());
+            let mut memo = AuxMemo::default();
+            memo.materialize(&view, &mut db.clone(), &ExecContext::new())
+                .unwrap();
+            memo
+        };
+        let mut cache = PlanCache::with_cap(8);
+        let (k1, k2) = (key("SELECT a FROM T"), key("SELECT b FROM T"));
+        for k in [&k1, &k2] {
+            cache.store(
+                k.clone(),
+                None,
+                None,
+                AnswerMeta::default(),
+                RewriteStats::default(),
+            );
+            cache.keep_memo(k, built());
+        }
+        let one = cache.entries[&k1].memo.bytes();
+        assert!(one > 0);
+        assert!(cache.lookup(&k1).is_some(), "k2 becomes the LRU entry");
+        cache.trim_memos_to(2 * one - 1);
+        assert_eq!(cache.entries[&k1].memo.bytes(), one);
+        assert_eq!(cache.entries[&k2].memo.bytes(), 0);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Gluing the rewriter to the execution engine: materializing views,
-//! executing rewritings (auxiliary views first), and validating
-//! multiset-equivalence — the paper's correctness criterion.
+//! executing rewritings (auxiliary views first, reused through a
+//! `memo::AuxMemo` on the serving path), and validating multiset-equivalence
+//! — the paper's correctness criterion.
 
+use crate::memo::AuxMemo;
 use aggview_core::expand::NAT_TABLE;
 use aggview_core::{Rewriter, Rewriting, ViewDef};
 use aggview_engine::datagen::nat_table;
@@ -50,21 +52,41 @@ pub fn execute_rewriting(rw: &Rewriting, db: &Database) -> EngineResult<Relation
 }
 
 /// [`execute_rewriting`] under an explicit [`ExecContext`], which the
-/// auxiliary views are materialized under too.
+/// auxiliary views are materialized under too. Everything is built for
+/// this execution alone; the serving path keeps its builds in the plan
+/// cache's `memo::AuxMemo` instead (`execute_with_aux`).
 pub fn execute_rewriting_ctx(
     rw: &Rewriting,
     db: &Database,
     cx: &ExecContext,
 ) -> EngineResult<Relation> {
-    if rw.aux_views.is_empty() && !rw.requires_nat {
-        return execute_ctx(&rw.query, db, cx);
+    let mut memo = AuxMemo::default();
+    execute_with_aux(&rw.query, &rw.aux_views, rw.requires_nat, db, cx, &mut memo)
+}
+
+/// Run `query` over `db` plus the relations it needs built first: the
+/// `aux` views, in order, and `Nat` when `requires_nat`. Each is taken
+/// from `memo` while every relation it reads is unchanged, and built
+/// into it otherwise.
+pub(crate) fn execute_with_aux(
+    query: &Query,
+    aux: &[ViewDef],
+    requires_nat: bool,
+    db: &Database,
+    cx: &ExecContext,
+    memo: &mut AuxMemo,
+) -> EngineResult<Relation> {
+    if aux.is_empty() && !requires_nat {
+        return execute_ctx(query, db, cx);
     }
     let mut scratch = db.clone();
-    materialize_views_ctx(&mut scratch, &rw.aux_views, cx)?;
-    if rw.requires_nat && !scratch.contains(NAT_TABLE) {
-        ensure_nat(&mut scratch);
+    for v in aux {
+        memo.materialize(v, &mut scratch, cx)?;
     }
-    execute_ctx(&rw.query, &scratch, cx)
+    if requires_nat && !scratch.contains(NAT_TABLE) {
+        memo.provide_nat(&mut scratch);
+    }
+    execute_ctx(query, &scratch, cx)
 }
 
 /// Insert the interpreted `Nat` table (footnote 3), sized to the largest
@@ -73,6 +95,13 @@ pub fn execute_rewriting_ctx(
 /// [`Rewriting::requires_nat`] set — [`execute_rewriting`] does it
 /// automatically when the table is absent.
 pub fn ensure_nat(db: &mut Database) {
+    let nat = nat_for(db);
+    db.insert(NAT_TABLE, nat);
+}
+
+/// The `Nat` table [`ensure_nat`] inserts: a scan of every row of every
+/// relation but `Nat` itself.
+pub(crate) fn nat_for(db: &Database) -> Relation {
     let mut max = 1i64;
     for (name, rel) in db.iter() {
         if name == NAT_TABLE {
@@ -86,7 +115,7 @@ pub fn ensure_nat(db: &mut Database) {
             }
         }
     }
-    db.insert(NAT_TABLE, nat_table(max));
+    nat_table(max)
 }
 
 /// Is the rewriting equivalent to the original query on this database?

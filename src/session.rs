@@ -33,8 +33,9 @@ use crate::advisor::{
     proposal_lines, workload_proposals, AdvisorMode, AdvisorPolicy, AdvisorState,
 };
 use crate::eager::{self, Served};
+use crate::memo::{AuxMemo, Reuse};
 use crate::plan_cache::{AnswerMeta, CacheKey, PlanCache, DEFAULT_PLAN_CACHE_CAP};
-use crate::run::{execute_rewriting_ctx, rewriting_equivalent};
+use crate::run::{execute_with_aux, rewriting_equivalent};
 use crate::server::{SharedStore, StoreSnapshot, WriteOp};
 use crate::sharded::{gather, gather_plan, ShardedStore, UnionState};
 use crate::state::{is_advisor_view_name, EngineState, WritePolicy};
@@ -333,6 +334,9 @@ pub struct Session {
     /// for unsharded sessions), surfaced as the `-- shards:` line of
     /// `EXPLAIN ANALYZE`.
     last_shard_note: Option<String>,
+    /// How an inline summary served the most recent `SELECT`, when one
+    /// did: the `-- eager:` line of `EXPLAIN ANALYZE`.
+    last_served: Option<Served>,
     /// Adaptive-advisor bookkeeping (`None` when the policy mode is
     /// off): claimed fingerprints, created views, budgets.
     advisor: Option<Arc<AdvisorState>>,
@@ -358,6 +362,7 @@ impl Session {
             metrics,
             invalidations_synced: 0,
             last_shard_note: None,
+            last_served: None,
             advisor,
         }
     }
@@ -383,6 +388,7 @@ impl Session {
             metrics,
             invalidations_synced: 0,
             last_shard_note: None,
+            last_served: None,
             advisor,
         }
     }
@@ -428,6 +434,7 @@ impl Session {
             metrics,
             invalidations_synced: 0,
             last_shard_note: None,
+            last_served: None,
             advisor,
         }
     }
@@ -690,11 +697,14 @@ impl Session {
     fn select(&mut self, q: &Query, attach_obs: bool) -> Result<StatementOutcome, SessionError> {
         self.refresh()?;
         self.last_shard_note = None;
+        self.last_served = None;
         let mut outcome = if matches!(self.backend, Backend::Sharded { .. }) {
             self.sharded_select(q, attach_obs)?
         } else {
             let (state, plan_cache, options, metrics) = self.parts_mut();
-            select_on(state, plan_cache, options, metrics, attach_obs, q)?
+            let (outcome, served) = select_on(state, plan_cache, options, metrics, attach_obs, q)?;
+            self.last_served = served;
+            outcome
         };
         if let StatementOutcome::Answer { search, obs, .. } = &mut outcome {
             self.fill_store_stats(search);
@@ -859,7 +869,7 @@ impl Session {
                 m.incr(CounterId::ShardGatherFallbacks);
             }
             let state = consulted.ensure(union, store, registry, "fallback")?;
-            let outcome = select_on(
+            let (outcome, served) = select_on(
                 state,
                 &mut self.plan_cache,
                 &self.options,
@@ -867,6 +877,7 @@ impl Session {
                 attach_obs,
                 q,
             )?;
+            self.last_served = served;
             self.last_shard_note = Some(format!(
                 "-- shards: {n}; gather: fallback ({reason}); {}",
                 consulted.note()
@@ -945,7 +956,7 @@ impl Session {
                     m.incr(CounterId::ShardGatherFallbacks);
                 }
                 let state = consulted.ensure(union, store, registry, "a failed gather")?;
-                let outcome = select_on(
+                let (outcome, served) = select_on(
                     state,
                     &mut PlanCache::with_cap(0),
                     &self.options,
@@ -953,6 +964,7 @@ impl Session {
                     attach_obs,
                     q,
                 )?;
+                self.last_served = served;
                 self.last_shard_note = Some(format!(
                     "-- shards: {n}; gather: failed ({e}); served from the union; {}",
                     consulted.note()
@@ -979,7 +991,7 @@ impl Session {
 
         let verified = if self.options.verify {
             let state = consulted.ensure(union, store, registry, "verify")?;
-            let oracle = select_on(state, oracle_cache, &self.options, None, false, q)?;
+            let (oracle, _) = select_on(state, oracle_cache, &self.options, None, false, q)?;
             Some(agrees_with(&oracle, &meta, &relation))
         } else {
             None
@@ -1107,10 +1119,9 @@ impl Session {
         }
         // Bracket the select with the execution-path counters so the
         // report can say which interpreter answered *this* query.
-        let (vec_before, row_before, eager_before) = (
+        let (vec_before, row_before) = (
             self.exec_count(CounterId::ExecVectorized),
             self.exec_count(CounterId::ExecRowFallback),
-            self.exec_count(CounterId::EagerInline),
         );
         let outcome = self.select(q, true)?;
         let StatementOutcome::Answer {
@@ -1128,10 +1139,9 @@ impl Session {
         lines.truncate(1);
         lines.push(format!("-- executed: {executed}"));
         lines.push(format!("-- rows: {}", relation.len()));
-        let (vec_total, row_total, eager_total) = (
+        let (vec_total, row_total) = (
             self.exec_count(CounterId::ExecVectorized),
             self.exec_count(CounterId::ExecRowFallback),
-            self.exec_count(CounterId::EagerInline),
         );
         let path = match (vec_total - vec_before, row_total - row_before) {
             (v, 0) if v > 0 => "vectorized (columnar kernels)".to_string(),
@@ -1143,10 +1153,20 @@ impl Session {
             "-- exec path: {path}; session totals: exec_vectorized={vec_total} \
              exec_row_fallback={row_total}"
         ));
-        if eager_total > eager_before {
+        let summary = match self.last_served {
+            Some(Served::Summary(Reuse::Reused)) => Some("summary reused".to_string()),
+            Some(Served::Summary(Reuse::Built(rows)) | Served::Unshrunk(rows)) => {
+                Some(format!("summary built ({rows} rows)"))
+            }
+            Some(Served::BaseTables) | None => None,
+        };
+        if let Some(summary) = summary {
             lines.push(format!(
-                "-- eager: inline summary built from the pinned snapshot for this \
-                 execution; session totals: eager_inline={eager_total}"
+                "-- eager: {summary}; session totals: aux_memo_hits={} aux_memo_builds={} \
+                 eager_inline={}",
+                self.exec_count(CounterId::AuxMemoHits),
+                self.exec_count(CounterId::AuxMemoBuilds),
+                self.exec_count(CounterId::EagerInline),
             ));
         }
         let advisor_views: Vec<&String> = views_used
@@ -1393,7 +1413,8 @@ fn finish_query_obs(
 /// The full select path against one fixed state: plan-cache lookup,
 /// rewrite search, cost ranking, compilation, execution, caching. Shared
 /// by both backends — a local session passes its own state, a store
-/// handle passes its pinned snapshot.
+/// handle passes its pinned snapshot. Also returns how an inline summary
+/// served the answer, when one did.
 fn select_on(
     state: &EngineState,
     plan_cache: &mut PlanCache,
@@ -1401,7 +1422,7 @@ fn select_on(
     metrics: Option<&MetricsRegistry>,
     attach_obs: bool,
     q: &Query,
-) -> Result<StatementOutcome, SessionError> {
+) -> Result<(StatementOutcome, Option<Served>), SessionError> {
     let cx = ExecContext::columnar(options.columnar);
     let total_start_ns = metrics.map(|m| m.now_ns());
     let key = cache_key(state, q);
@@ -1410,7 +1431,7 @@ fn select_on(
         // Hit path: no search, no cost ranking, no physical planning —
         // bind the stored relations and run. The entry is used by
         // reference (disjoint borrows), never cloned.
-        if let Some(cached) = plan_cache.lookup(k) {
+        if let Some(cached) = plan_cache.lookup_mut(k) {
             if let Some(m) = metrics {
                 m.incr(CounterId::PlanCacheHits);
             }
@@ -1422,6 +1443,7 @@ fn select_on(
             // Instant pair.)
             let exec_start_ns = metrics.map(|m| m.now_ns());
             let t = metrics.is_none().then(std::time::Instant::now);
+            let memo_bytes = cached.memo.bytes();
             let (relation, served) = run_decision(
                 q,
                 cached.rewriting.as_ref(),
@@ -1429,7 +1451,9 @@ fn select_on(
                 &state.db,
                 &cx,
                 metrics,
+                &mut cached.memo,
             )?;
+            let memo_grew = cached.memo.bytes() > memo_bytes;
             // The cached decision stands even when a summary no longer
             // shrinks: it was judged on the miss that made it.
             let fell_back = served == Some(Served::BaseTables);
@@ -1459,6 +1483,9 @@ fn select_on(
             let views_used = cached.meta.views_used.clone();
             let candidates = cached.meta.candidates;
             let set_semantics = cached.meta.set_semantics;
+            if memo_grew {
+                plan_cache.trim_memos();
+            }
             // No search ran: report zeroed search counters plus the
             // session-cumulative cache counters.
             let mut search = RewriteStats::default();
@@ -1474,7 +1501,7 @@ fn select_on(
                 hit_stages.as_ref().map_or(&[][..], |s| &s[..]),
                 &search,
             );
-            return Ok(StatementOutcome::Answer {
+            let answer = StatementOutcome::Answer {
                 relation,
                 executed,
                 views_used,
@@ -1484,7 +1511,8 @@ fn select_on(
                 set_semantics,
                 search: Box::new(search),
                 obs,
-            });
+            };
+            return Ok((answer, served));
         }
         if let Some(m) = metrics {
             m.incr(CounterId::PlanCacheMisses);
@@ -1547,8 +1575,16 @@ fn select_on(
     let plan_ns = plan_span.map(|s| s.finish());
     let exec_span = metrics.map(|m| m.span(Stage::Execute));
     let t = std::time::Instant::now();
-    let (relation, served) =
-        run_decision(q, chosen.as_ref(), plan.as_ref(), &state.db, &cx, metrics)?;
+    let mut memo = AuxMemo::default();
+    let (relation, served) = run_decision(
+        q,
+        chosen.as_ref(),
+        plan.as_ref(),
+        &state.db,
+        &cx,
+        metrics,
+        &mut memo,
+    )?;
     let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
     let exec_ns = exec_span.map(|s| s.finish());
     let fell_back = served == Some(Served::BaseTables);
@@ -1585,10 +1621,11 @@ fn select_on(
     if let Some(k) = key {
         // An inline summary that failed or did not shrink leaves later
         // arrivals the base-table plan.
-        if served.is_some_and(|s| s != Served::Summary) {
+        if served.is_some_and(|s| !matches!(s, Served::Summary(_))) {
             plan_cache.store(k, None, compile(q), base_meta(), search.clone());
         } else {
-            plan_cache.store(k, chosen, plan, meta, search.clone());
+            plan_cache.store(k.clone(), chosen, plan, meta, search.clone());
+            plan_cache.keep_memo(&k, memo);
         }
     }
     let obs = finish_query_obs(
@@ -1601,7 +1638,7 @@ fn select_on(
         &miss_stage_timings(rewrite_ns, plan_ns, exec_ns),
         &search,
     );
-    Ok(StatementOutcome::Answer {
+    let answer = StatementOutcome::Answer {
         relation,
         executed,
         views_used,
@@ -1611,13 +1648,15 @@ fn select_on(
         set_semantics,
         search: Box::new(search),
         obs,
-    })
+    };
+    Ok((answer, served))
 }
 
 /// Execute a serving decision, fresh or cached: its compiled plan when it
-/// has one, else its rewriting, else the query over the base tables. An
-/// inline-summary rewriting answers through [`eager::answer`] and reports
-/// how it was served; any other decision reports `None`.
+/// has one, else its rewriting, else the query over the base tables. A
+/// rewriting's auxiliary relations come from, and go into, the decision's
+/// `memo`. An inline-summary rewriting answers through [`eager::answer`]
+/// and reports how it was served; any other decision reports `None`.
 fn run_decision(
     q: &Query,
     rewriting: Option<&Rewriting>,
@@ -1625,16 +1664,22 @@ fn run_decision(
     db: &Database,
     cx: &ExecContext,
     metrics: Option<&MetricsRegistry>,
+    memo: &mut AuxMemo,
 ) -> Result<(Relation, Option<Served>), SessionError> {
     let ran = match (plan, rewriting) {
         (Some(plan), _) => plan.run(db).map(|rel| (rel, None)),
-        (None, Some(rw)) if eager::is_inline(rw) => eager::answer(q, rw, db, cx).map(|(rel, s)| {
-            if let (Some(m), true) = (metrics, s != Served::BaseTables) {
-                m.incr(CounterId::EagerInline);
-            }
-            (rel, Some(s))
-        }),
-        (None, Some(rw)) => execute_rewriting_ctx(rw, db, cx).map(|rel| (rel, None)),
+        (None, Some(rw)) if eager::is_inline(rw) => {
+            eager::answer(q, rw, db, cx, memo).map(|(rel, s)| {
+                if let (Some(m), true) = (metrics, s != Served::BaseTables) {
+                    m.incr(CounterId::EagerInline);
+                }
+                (rel, Some(s))
+            })
+        }
+        (None, Some(rw)) => {
+            execute_with_aux(&rw.query, &rw.aux_views, rw.requires_nat, db, cx, memo)
+                .map(|rel| (rel, None))
+        }
         (None, None) => execute_ctx(q, db, cx).map(|rel| (rel, None)),
     };
     ran.map_err(|e| err(e.to_string()))
@@ -2046,17 +2091,28 @@ mod tests {
     }
 
     /// `EXPLAIN` names the inline summary the serving path would build;
-    /// `EXPLAIN ANALYZE` names the one it built and the session's count.
+    /// `EXPLAIN ANALYZE` says whether this execution built it (and how
+    /// big) or reused the memoized build, with the session's counts. A
+    /// write to `Calling_Plans`, which the summary does not read, keeps
+    /// it; a write to `Calls` rebuilds it.
     #[test]
     fn explain_names_the_inline_summary() {
-        let script =
-            format!("{EAGER_SETUP}\n EXPLAIN {EAGER_PROBE}; EXPLAIN ANALYZE {EAGER_PROBE};");
+        let script = format!(
+            "{EAGER_SETUP}\n EXPLAIN {EAGER_PROBE}; EXPLAIN ANALYZE {EAGER_PROBE}; \
+             EXPLAIN ANALYZE {EAGER_PROBE}; INSERT INTO Calling_Plans VALUES (3, 'x'); \
+             EXPLAIN ANALYZE {EAGER_PROBE}; INSERT INTO Calls VALUES (5, 2, 3, 1); \
+             EXPLAIN ANALYZE {EAGER_PROBE};"
+        );
         let outcomes = run(&script, false);
-        let n = outcomes.len();
-        let (StatementOutcome::Explanation(plain), StatementOutcome::Explanation(analyzed)) =
-            (&outcomes[n - 2], &outcomes[n - 1])
-        else {
-            panic!("expected two explanations")
+        let explained: Vec<&Vec<String>> = outcomes
+            .iter()
+            .filter_map(|o| match o {
+                StatementOutcome::Explanation(lines) => Some(lines),
+                _ => None,
+            })
+            .collect();
+        let [plain, analyzed @ ..] = &explained[..] else {
+            panic!("expected explanations")
         };
         assert_eq!(plain[0], "no views defined");
         assert!(
@@ -2064,16 +2120,31 @@ mod tests {
                 .starts_with("-- eager: no stored view answers; inline summary: WITH Eager1 AS"),
             "{plain:#?}"
         );
+        let eager_lines: Vec<&String> = analyzed
+            .iter()
+            .map(|lines| {
+                assert_eq!(
+                    lines[0],
+                    "-- no usable view; answered from inline summary Eager1 over base tables"
+                );
+                lines
+                    .iter()
+                    .find(|l| l.starts_with("-- eager: "))
+                    .expect("an eager line")
+            })
+            .collect();
         assert_eq!(
-            analyzed[0],
-            "-- no usable view; answered from inline summary Eager1 over base tables"
-        );
-        assert!(
-            analyzed
-                .iter()
-                .any(|l| l.starts_with("-- eager: inline summary built")
-                    && l.ends_with("eager_inline=1")),
-            "{analyzed:#?}"
+            eager_lines,
+            [
+                "-- eager: summary built (3 rows); session totals: aux_memo_hits=0 \
+                 aux_memo_builds=1 eager_inline=1",
+                "-- eager: summary reused; session totals: aux_memo_hits=1 \
+                 aux_memo_builds=1 eager_inline=2",
+                "-- eager: summary reused; session totals: aux_memo_hits=2 \
+                 aux_memo_builds=1 eager_inline=3",
+                "-- eager: summary built (4 rows); session totals: aux_memo_hits=2 \
+                 aux_memo_builds=2 eager_inline=4",
+            ]
         );
     }
 

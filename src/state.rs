@@ -136,7 +136,6 @@ impl EngineState {
 
     /// Apply `CREATE TABLE`.
     pub fn create_table(&mut self, ct: &CreateTable) -> Result<Applied, SessionError> {
-        crate::eager::forget_stale_summaries();
         let mut schema = TableSchema::new(ct.name.clone(), ct.columns.clone());
         for key in &ct.keys {
             schema = schema.with_key(key.iter().map(|s| s.as_str()));
