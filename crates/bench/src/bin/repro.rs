@@ -1,6 +1,5 @@
 //! Regenerate the experiment tables of `EXPERIMENTS.md`: the paper
-//! reproduction T1–T9 and the performance figures F1–F4 and F6 (F5 and F7
-//! are Criterion-only, under `benches/`).
+//! reproduction T1–T9 and the performance figures F1–F4 and F6.
 //!
 //! Usage:
 //!   repro                 # all experiments, quick settings

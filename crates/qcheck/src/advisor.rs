@@ -36,7 +36,10 @@ pub(crate) fn check(case: &Case) -> Result<(), Discrepancy> {
         ("advisor-off", Session::new(SessionOptions::default())),
         (
             "advisor-auto",
-            Session::new(SessionOptions::builder().advisor(policy).build()),
+            Session::new(SessionOptions {
+                advisor: policy,
+                ..Default::default()
+            }),
         ),
     ];
     let select = Statement::Select(case.query.clone());

@@ -10,8 +10,10 @@
 # partial aux memo key and shrinks all three), a concurrency smoke
 # (the shared-store stress test under --release plus a short
 # multi-session qcheck sweep), a metrics smoke, a sharding smoke (every
-# corpus script answers identically under --shards 2 and 4, and a short
-# sharded qcheck sweep and a 4-shard corpus replay pass), a durability smoke (a 200-seed
+# corpus script answers identically under --shards 2 and 4, a short
+# sharded qcheck sweep and a 4-shard corpus replay pass, and the
+# fault-injection self-test proves the sharded sweep catches an unsoundly
+# skipped C3 check and shrinks the failure), a durability smoke (a 200-seed
 # crash-recovery sweep and both mid-stream reopen corpus replays pass,
 # `serve --data-dir` recovers a directory across two invocations, and
 # the fault-injection self-tests prove the crash oracle catches an
@@ -154,6 +156,16 @@ for f in tests/corpus/*.sql; do
 done
 ./target/release/qcheck --seeds 0..350 --shards 2
 ./target/release/qcheck --replay tests/corpus --shards 4
+# Fault-injection self-test: with usability condition C3 unsoundly
+# skipped, the sharded sweep must FAIL with a shrunk witness, so a
+# serving-decision bug that only the sharded backend hits cannot pass
+# the gate on the clean sweep alone.
+if unsound_c3=$(AGGVIEW_UNSOUND_SKIP_C3=1 ./target/release/qcheck --seeds 0..100 --shards 2 2>&1); then
+  echo "ci: sharded oracle failed to catch a skipped C3 check" >&2
+  exit 1
+fi
+grep -q "verify-mismatch" <<<"$unsound_c3"
+grep -q "shrunk" <<<"$unsound_c3"
 # Durability smoke: the crash oracle sweeps 200 seeded crash points
 # (random crash batch, phase, and checkpoint cadence per seed) and must
 # find no discrepancy; the corpus replays through both mid-stream

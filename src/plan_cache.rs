@@ -111,6 +111,28 @@ pub struct CachedPlan {
     last_used: u64,
 }
 
+impl CachedPlan {
+    /// A decision not yet cached, with no auxiliary relations built.
+    pub(crate) fn new(
+        rewriting: Option<Rewriting>,
+        plan: Option<PhysicalPlan>,
+        meta: AnswerMeta,
+        fingerprint: u64,
+        search: RewriteStats,
+    ) -> Self {
+        CachedPlan {
+            rewriting,
+            plan,
+            meta,
+            fingerprint,
+            search,
+            memo: AuxMemo::default(),
+            epoch: 0,
+            last_used: 0,
+        }
+    }
+}
+
 /// A bounded, epoch-validated map from canonical queries to serving plans.
 #[derive(Debug, Default)]
 pub struct PlanCache {
@@ -205,6 +227,16 @@ impl PlanCache {
         meta: AnswerMeta,
         search: RewriteStats,
     ) {
+        let fingerprint = key.fingerprint();
+        self.insert(
+            key,
+            CachedPlan::new(rewriting, plan, meta, fingerprint, search),
+        );
+    }
+
+    /// [`PlanCache::store`] for a whole entry, auxiliary relations its
+    /// first execution built included.
+    pub(crate) fn insert(&mut self, key: CacheKey, mut entry: CachedPlan) {
         if self.cap == 0 {
             return;
         }
@@ -219,29 +251,9 @@ impl PlanCache {
             }
         }
         self.tick += 1;
-        let fingerprint = key.fingerprint();
-        self.entries.insert(
-            key,
-            CachedPlan {
-                rewriting,
-                plan,
-                meta,
-                fingerprint,
-                search,
-                memo: AuxMemo::default(),
-                epoch: self.epoch,
-                last_used: self.tick,
-            },
-        );
-    }
-
-    /// Give `key`'s entry the builds its first execution made (dropped
-    /// when the entry is not cached), then hold all memos to the cap.
-    pub(crate) fn keep_memo(&mut self, key: &CacheKey, memo: AuxMemo) {
-        if let Some(entry) = self.entries.get_mut(key) {
-            entry.memo = memo;
-            self.trim_memos();
-        }
+        entry.epoch = self.epoch;
+        entry.last_used = self.tick;
+        self.entries.insert(key, entry);
     }
 
     /// Clear the memos of the least recently used entries until all of
@@ -443,14 +455,15 @@ mod tests {
         let mut cache = PlanCache::with_cap(8);
         let (k1, k2) = (key("SELECT a FROM T"), key("SELECT b FROM T"));
         for k in [&k1, &k2] {
-            cache.store(
-                k.clone(),
+            let mut entry = CachedPlan::new(
                 None,
                 None,
                 AnswerMeta::default(),
+                0,
                 RewriteStats::default(),
             );
-            cache.keep_memo(k, built());
+            entry.memo = built();
+            cache.insert(k.clone(), entry);
         }
         let one = cache.entries[&k1].memo.bytes();
         assert!(one > 0);

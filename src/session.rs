@@ -13,7 +13,7 @@
 //! * `EXPLAIN SELECT` reports, per view and mapping, the produced
 //!   rewriting or the violated usability condition.
 //!
-//! A session comes in two backends with identical statement semantics:
+//! A session comes in three backends with identical statement semantics:
 //!
 //! * **Local** ([`Session::new`]): the session owns its state; writes
 //!   mutate it in place. This is the classic single-owner CLI mode.
@@ -25,21 +25,30 @@
 //!   handle always reads its own writes). The per-handle plan cache
 //!   invalidates off the store's schema epoch, so DDL from any handle
 //!   drops every handle's stale plans.
+//! * **Sharded** ([`Session::on_sharded_store`] /
+//!   `ShardedStore::session`): the session drives N shard stores,
+//!   routing writes and scattering reads (see [`crate::sharded`]).
 //!
-//! Either way the session keeps a private [`PlanCache`] and rewrite
-//! options — only the stored state is shared.
+//! Every backend keeps a private [`PlanCache`] and rewrite options —
+//! only the stored state is shared — and serves a `SELECT` down one
+//! path: **decide** (the plan-cache entry, or the search, the cost
+//! ranking by the backend's cardinalities and the eager candidate, from
+//! the backend's pinned schema), **execute** (the one per-backend step:
+//! run the decision on a pinned state, or scatter it to the shards and
+//! merge), **finish** (verify, cache a fresh decision once it has
+//! served, account the query, build the answer).
 
 use crate::advisor::{
     proposal_lines, workload_proposals, AdvisorMode, AdvisorPolicy, AdvisorState,
 };
 use crate::eager::{self, Served};
-use crate::memo::{AuxMemo, Reuse};
-use crate::plan_cache::{AnswerMeta, CacheKey, PlanCache, DEFAULT_PLAN_CACHE_CAP};
+use crate::memo::Reuse;
+use crate::plan_cache::{AnswerMeta, CacheKey, CachedPlan, PlanCache, DEFAULT_PLAN_CACHE_CAP};
 use crate::run::{execute_with_aux, rewriting_equivalent};
 use crate::server::{SharedStore, StoreSnapshot, WriteOp};
-use crate::sharded::{gather, gather_plan, ShardedStore, UnionState};
-use crate::state::{is_advisor_view_name, EngineState, WritePolicy};
-use aggview_core::advisor::suggest_views;
+use crate::sharded::{gather, gather_plan, scatter, ShardedStore, UnionState};
+use crate::state::{is_advisor_view_name, Applied, EngineState, WritePolicy};
+use aggview_core::advisor::{suggest_views, ViewSuggestion};
 use aggview_core::{
     Canonical, RewriteOptions, RewriteStats, Rewriter, Rewriting, TableStats, ViewDef,
 };
@@ -48,16 +57,15 @@ use aggview_engine::{
     execute_ctx, multiset_eq, set_eq, Database, ExecContext, PhysicalPlan, Relation,
 };
 use aggview_obs::{
-    CounterId, Format, MetricsRegistry, ObsOptions, ObsSnapshot, QuerySection, Stage,
+    CounterId, Format, MetricsRegistry, ObsOptions, ObsSnapshot, QuerySection, Stage, StoreSection,
 };
 use aggview_sql::{Query, Statement};
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
-/// Session configuration. Construct with [`SessionOptions::builder`],
-/// `Default`, or struct-update syntax — all three stay supported so the
-/// differential harness's options lattice keeps compiling unchanged.
+/// Session configuration: `Default`, or struct-update syntax over it
+/// (`SessionOptions { verify: true, ..Default::default() }`).
 #[derive(Debug, Clone)]
 pub struct SessionOptions {
     /// Rewriter options (strategy, set mode, expand, ...).
@@ -96,71 +104,6 @@ impl Default for SessionOptions {
             obs: ObsOptions::default(),
             advisor: AdvisorPolicy::default(),
         }
-    }
-}
-
-impl SessionOptions {
-    /// A fluent builder over the defaults.
-    pub fn builder() -> SessionOptionsBuilder {
-        SessionOptionsBuilder {
-            options: SessionOptions::default(),
-        }
-    }
-}
-
-/// Fluent construction of [`SessionOptions`]; every setter defaults to
-/// the [`Default`] value when not called.
-#[derive(Debug, Clone, Default)]
-pub struct SessionOptionsBuilder {
-    options: SessionOptions,
-}
-
-impl SessionOptionsBuilder {
-    /// Set the rewriter options.
-    pub fn rewrite(mut self, rewrite: RewriteOptions) -> Self {
-        self.options.rewrite = rewrite;
-        self
-    }
-
-    /// Cross-check every rewritten answer against base-table evaluation.
-    pub fn verify(mut self, verify: bool) -> Self {
-        self.options.verify = verify;
-        self
-    }
-
-    /// Maximum number of cached serving plans (0 disables the cache).
-    pub fn plan_cache_cap(mut self, cap: usize) -> Self {
-        self.options.plan_cache_cap = cap;
-        self
-    }
-
-    /// Refresh dependent views by full recomputation.
-    pub fn recompute_views(mut self, on: bool) -> Self {
-        self.options.recompute_views = on;
-        self
-    }
-
-    /// Run eligible queries on the vectorized columnar operators.
-    pub fn columnar(mut self, on: bool) -> Self {
-        self.options.columnar = on;
-        self
-    }
-
-    /// Set the observability configuration.
-    pub fn obs(mut self, obs: ObsOptions) -> Self {
-        self.options.obs = obs;
-        self
-    }
-
-    /// Set the adaptive view-advisor policy.
-    pub fn advisor(mut self, advisor: AdvisorPolicy) -> Self {
-        self.options.advisor = advisor;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> SessionOptions {
-        self.options
     }
 }
 
@@ -288,7 +231,11 @@ pub(crate) fn err(msg: impl Into<String>) -> SessionError {
     SessionError(msg.into())
 }
 
-/// Where a session's state lives.
+/// Where a session's state lives. Every backend gives the select path
+/// the same two inputs — the pinned state decisions are made from
+/// ([`Backend::schema`]) and the cardinalities they are ranked by
+/// ([`Backend::stats`]) — and differs only in where an answer's rows
+/// come from ([`Target`]) and where writes go.
 enum Backend {
     /// The session owns catalog, database, and views exclusively.
     Local(EngineState),
@@ -300,22 +247,56 @@ enum Backend {
         store: SharedStore,
         snapshot: Arc<StoreSnapshot>,
     },
-    /// The session drives a [`ShardedStore`]: writes route through the
-    /// store (DDL broadcast, DML by partition key), reads scatter to the
-    /// per-shard handle sessions and gather with the §4 recombination
-    /// operators, planned from shard 0's catalog and views. `union`
-    /// caches the unioned shard state — the exact state an unsharded
-    /// store would hold — built only for what the shards cannot answer
-    /// (see [`Session::sharded_select`]) and for global-state reads.
-    /// `oracle_cache` is the plan cache of `--verify`'s answer on the
-    /// union, so that its cached decisions age as an unsharded
-    /// session's do.
-    Sharded {
-        store: ShardedStore,
-        shards: Vec<Session>,
-        union: UnionState,
-        oracle_cache: PlanCache,
-    },
+    /// The session drives a [`ShardedStore`].
+    Sharded(Box<Driver>),
+}
+
+/// A sharded session's driver. Writes route through `store` (DDL
+/// broadcast, DML by partition key); reads scatter to `shards`, one
+/// handle session per shard, and gather with the §4 recombination
+/// operators. Decisions come from `schema`, shard 0's pinned snapshot
+/// (DDL broadcasts keep every shard's catalog and views identical),
+/// ranked by global cardinalities, so they are the decisions an
+/// unsharded session makes. `union` caches the unioned shard state —
+/// the exact state an unsharded store would hold — built only for what
+/// the shards cannot answer and for global-state reads; `consulted`
+/// records why the current `SELECT` used it, and `union_built` whether
+/// that took a rebuild. `oracle_cache` is the plan cache of `--verify`'s
+/// answer on the union, so that its cached decisions age as an
+/// unsharded session's do.
+struct Driver {
+    store: ShardedStore,
+    schema: Arc<StoreSnapshot>,
+    shards: Vec<Session>,
+    union: UnionState,
+    consulted: Vec<&'static str>,
+    union_built: bool,
+    oracle_cache: PlanCache,
+}
+
+impl Backend {
+    /// The pinned state a serving decision is made from: catalog, views
+    /// and the stored relations' schemas.
+    fn schema(&self) -> &EngineState {
+        match self {
+            Backend::Local(state) => state,
+            Backend::Shared { snapshot, .. } => &snapshot.state,
+            Backend::Sharded(d) => &d.schema.state,
+        }
+    }
+
+    /// The cardinalities of the stored relations `names` as an unsharded
+    /// session sees them (a pinned state reports all of its own).
+    fn stats<'n>(
+        &mut self,
+        names: impl IntoIterator<Item = &'n String>,
+        metrics: Option<&Arc<MetricsRegistry>>,
+    ) -> Result<TableStats, SessionError> {
+        match self {
+            Backend::Sharded(d) => d.stats(names, metrics),
+            _ => Ok(self.schema().table_stats()),
+        }
+    }
 }
 
 /// A scriptable session.
@@ -345,7 +326,6 @@ pub struct Session {
 impl Session {
     /// A fresh session owning its own state.
     pub fn new(options: SessionOptions) -> Self {
-        let plan_cache = PlanCache::with_cap(options.plan_cache_cap);
         let metrics = options
             .obs
             .enabled
@@ -354,16 +334,25 @@ impl Session {
         if let Some(m) = &metrics {
             state.db.set_metrics(Arc::clone(m));
         }
-        let advisor = advisor_state(&options);
+        Session::with_backend(options, Backend::Local(state), metrics)
+    }
+
+    /// A session over `backend`, recording into `metrics` when
+    /// observability is on.
+    fn with_backend(
+        options: SessionOptions,
+        backend: Backend,
+        metrics: Option<Arc<MetricsRegistry>>,
+    ) -> Self {
         Session {
+            plan_cache: PlanCache::with_cap(options.plan_cache_cap),
+            metrics: metrics.filter(|_| options.obs.enabled),
+            advisor: advisor_state(&options),
             options,
-            backend: Backend::Local(state),
-            plan_cache,
-            metrics,
+            backend,
             invalidations_synced: 0,
             last_shard_note: None,
             last_served: None,
-            advisor,
         }
     }
 
@@ -373,24 +362,9 @@ impl Session {
     /// the metrics registry, so every handle's spans and counters land in
     /// one store-wide view (what `serve --metrics` scrapes).
     pub fn on_store(store: SharedStore, options: SessionOptions) -> Self {
-        let plan_cache = PlanCache::with_cap(options.plan_cache_cap);
-        let metrics = if options.obs.enabled {
-            store.metrics().cloned()
-        } else {
-            None
-        };
+        let metrics = store.metrics().cloned();
         let snapshot = store.load();
-        let advisor = advisor_state(&options);
-        Session {
-            options,
-            backend: Backend::Shared { store, snapshot },
-            plan_cache,
-            metrics,
-            invalidations_synced: 0,
-            last_shard_note: None,
-            last_served: None,
-            advisor,
-        }
+        Session::with_backend(options, Backend::Shared { store, snapshot }, metrics)
     }
 
     /// A driver session over a sharded store (prefer
@@ -401,12 +375,6 @@ impl Session {
     /// re-verify — the driver's `--verify` compares the gathered answer
     /// against the union instead.
     pub fn on_sharded_store(store: ShardedStore, options: SessionOptions) -> Self {
-        let plan_cache = PlanCache::with_cap(options.plan_cache_cap);
-        let metrics = if options.obs.enabled {
-            store.metrics().cloned()
-        } else {
-            None
-        };
         let inner_options = SessionOptions {
             verify: false,
             // The advisor acts at the driver, whose CREATE VIEW
@@ -420,23 +388,17 @@ impl Session {
             .iter()
             .map(|s| s.session(inner_options.clone()))
             .collect();
-        let advisor = advisor_state(&options);
-        let oracle_cache = PlanCache::with_cap(options.plan_cache_cap);
-        Session {
-            options,
-            backend: Backend::Sharded {
-                store,
-                shards,
-                union: UnionState::new(),
-                oracle_cache,
-            },
-            plan_cache,
-            metrics,
-            invalidations_synced: 0,
-            last_shard_note: None,
-            last_served: None,
-            advisor,
-        }
+        let metrics = store.metrics().cloned();
+        let driver = Driver {
+            schema: store.shards()[0].load(),
+            store,
+            shards,
+            union: UnionState::new(),
+            consulted: Vec::new(),
+            union_built: false,
+            oracle_cache: PlanCache::with_cap(options.plan_cache_cap),
+        };
+        Session::with_backend(options, Backend::Sharded(Box::new(driver)), metrics)
     }
 
     /// The registry this session records into, if observability is on.
@@ -455,8 +417,8 @@ impl Session {
         self.fill_store_stats(&mut stats);
         snap.plan_cache = Some(stats.plan_cache_section());
         snap.store = Some(stats.store_section());
-        if let Backend::Sharded { store, .. } = &self.backend {
-            snap.shards = store.shard_sections();
+        if let Backend::Sharded(d) = &self.backend {
+            snap.shards = d.store.shard_sections();
         }
         Some(snap)
     }
@@ -474,9 +436,7 @@ impl Session {
         match &self.backend {
             Backend::Local(state) => state,
             Backend::Shared { snapshot, .. } => &snapshot.state,
-            Backend::Sharded { store, union, .. } => {
-                union.get_or_build(store, self.metrics.as_ref())
-            }
+            Backend::Sharded(d) => d.union.get_or_build(&d.store, self.metrics.as_ref()),
         }
     }
 
@@ -505,7 +465,7 @@ impl Session {
     /// The sharded store behind this session, if any.
     pub fn sharded_store(&self) -> Option<&ShardedStore> {
         match &self.backend {
-            Backend::Sharded { store, .. } => Some(store),
+            Backend::Sharded(d) => Some(&d.store),
             _ => None,
         }
     }
@@ -519,41 +479,27 @@ impl Session {
         }
     }
 
-    /// The write-side maintenance policy of this session's options.
-    fn write_policy(&self) -> WritePolicy {
-        WritePolicy {
-            recompute_views: self.options.recompute_views,
-            columnar: self.options.columnar,
-            durability: false,
-        }
-    }
-
     /// Pin the store's current snapshot (no-op for local sessions) and
     /// align the plan cache with its schema epoch. For a sharded session
-    /// this drops a union that a shard publish has made stale; nothing
-    /// rebuilds it until it is needed.
-    fn refresh(&mut self) -> Result<(), SessionError> {
+    /// this pins shard 0's snapshot and drops a union that a shard
+    /// publish has made stale; nothing rebuilds it until it is needed.
+    fn refresh(&mut self) {
         match &mut self.backend {
             Backend::Local(_) => {}
             Backend::Shared { store, snapshot } => {
                 *snapshot = store.load();
                 self.plan_cache.sync_epoch(snapshot.schema_epoch);
             }
-            Backend::Sharded {
-                store,
-                union,
-                oracle_cache,
-                ..
-            } => {
-                if union.is_stale(store) {
-                    union.invalidate();
+            Backend::Sharded(d) => {
+                d.schema = d.store.shards()[0].load();
+                if d.union.is_stale(&d.store) {
+                    d.union.invalidate();
                 }
-                self.plan_cache.sync_epoch(store.schema_epoch());
-                oracle_cache.sync_epoch(store.schema_epoch());
+                self.plan_cache.sync_epoch(d.store.schema_epoch());
+                d.oracle_cache.sync_epoch(d.store.schema_epoch());
             }
         }
         self.sync_invalidation_metrics();
-        Ok(())
     }
 
     /// Fold plan-cache invalidations that happened since the last sync
@@ -573,41 +519,37 @@ impl Session {
     /// Copy the pinned snapshot's identity and the store-cumulative
     /// counters into a stats record (no-op for local sessions).
     fn fill_store_stats(&self, stats: &mut RewriteStats) {
-        match &self.backend {
-            Backend::Shared { store, snapshot } => {
-                let s = store.stats();
-                stats.store_attached = true;
-                stats.store_epoch = snapshot.epoch;
-                stats.store_schema_epoch = snapshot.schema_epoch;
-                stats.store_publishes = s.publishes.load(Ordering::Relaxed);
-                stats.store_batches = s.batches.load(Ordering::Relaxed);
-                stats.store_batched_ops = s.batched_ops.load(Ordering::Relaxed);
-                stats.store_max_batch = s.max_batch.load(Ordering::Relaxed);
-            }
-            Backend::Sharded { store, .. } => {
-                let agg = store.aggregate_section();
-                stats.store_attached = true;
-                stats.store_epoch = agg.epoch;
-                stats.store_schema_epoch = agg.schema_epoch;
-                stats.store_publishes = agg.publishes;
-                stats.store_batches = agg.batches;
-                stats.store_batched_ops = agg.batched_ops;
-                stats.store_max_batch = agg.max_batch;
-            }
-            Backend::Local(_) => {}
-        }
+        let section = match &self.backend {
+            Backend::Local(_) => return,
+            Backend::Shared { store, snapshot } => StoreSection {
+                epoch: snapshot.epoch,
+                schema_epoch: snapshot.schema_epoch,
+                ..store.store_section()
+            },
+            Backend::Sharded(d) => d.store.aggregate_section(),
+        };
+        stats.store_attached = true;
+        stats.store_epoch = section.epoch;
+        stats.store_schema_epoch = section.schema_epoch;
+        stats.store_publishes = section.publishes;
+        stats.store_batches = section.batches;
+        stats.store_batched_ops = section.batched_ops;
+        stats.store_max_batch = section.max_batch;
     }
 
     /// Execute one write statement on the session's backend: apply
-    /// in place (local) or submit to the store's writer thread and wait
-    /// for the publishing ack (shared).
-    fn write(&mut self, op: WriteOp) -> Result<StatementOutcome, SessionError> {
-        let policy = self.write_policy();
-        let metrics = self.metrics.clone();
-        if let Some(m) = &metrics {
+    /// in place (local), submit to the store's writer thread and wait
+    /// for the publishing ack (shared), or route it to the shards.
+    fn write(&mut self, op: WriteOp) -> Result<Applied, SessionError> {
+        if let Some(m) = &self.metrics {
             m.incr(CounterId::Writes);
         }
-        let outcome = match &mut self.backend {
+        let policy = WritePolicy {
+            recompute_views: self.options.recompute_views,
+            columnar: self.options.columnar,
+            durability: false,
+        };
+        let applied = match &mut self.backend {
             Backend::Local(state) => {
                 let applied = match &op {
                     WriteOp::CreateTable(ct) => state.create_table(ct)?,
@@ -618,32 +560,16 @@ impl Session {
                 if applied.schema_change {
                     self.plan_cache.note_schema_change();
                 }
-                Ok(StatementOutcome::Ok(applied.message))
+                Ok(applied)
             }
-            Backend::Shared { store, snapshot } => {
-                let applied = store.submit(op)?;
-                // The ack guarantees the snapshot containing this write
-                // is published: re-pin so we read our own write.
-                *snapshot = store.load();
-                self.plan_cache.sync_epoch(snapshot.schema_epoch);
-                Ok(StatementOutcome::Ok(applied.message))
-            }
-            Backend::Sharded {
-                store,
-                union,
-                oracle_cache,
-                ..
-            } => {
-                // Even a refused write may have reached some shards.
-                let applied = store.apply_write(op);
-                union.invalidate();
-                self.plan_cache.sync_epoch(store.schema_epoch());
-                oracle_cache.sync_epoch(store.schema_epoch());
-                Ok(StatementOutcome::Ok(applied?.message))
-            }
+            Backend::Shared { store, .. } => store.submit(op),
+            Backend::Sharded(d) => d.store.apply_write(op),
         };
-        self.sync_invalidation_metrics();
-        outcome
+        // A store's ack guarantees the snapshot containing the write is
+        // published: re-pin so the session reads its own write. (Even a
+        // refused sharded write may have reached some shards.)
+        self.refresh();
+        applied
     }
 
     /// Execute one statement.
@@ -651,16 +577,18 @@ impl Session {
         if let Some(m) = &self.metrics {
             m.incr(CounterId::Statements);
         }
-        match stmt {
-            Statement::CreateTable(ct) => self.write(WriteOp::CreateTable(ct.clone())),
-            Statement::CreateView(cv) => self.write(WriteOp::CreateView(cv.clone())),
-            Statement::Insert(ins) => self.write(WriteOp::Insert(ins.clone())),
-            Statement::Delete(del) => self.write(WriteOp::Delete(del.clone())),
-            Statement::Select(q) => self.select(q, self.options.obs.attach_answers),
-            Statement::Explain(q) => self.explain(q),
-            Statement::ExplainAnalyze(q) => self.explain_analyze(q),
-            Statement::Suggest(q) => self.suggest(q),
-        }
+        let op = match stmt {
+            Statement::CreateTable(ct) => WriteOp::CreateTable(ct.clone()),
+            Statement::CreateView(cv) => WriteOp::CreateView(cv.clone()),
+            Statement::Insert(ins) => WriteOp::Insert(ins.clone()),
+            Statement::Delete(del) => WriteOp::Delete(del.clone()),
+            Statement::Select(q) => return self.select(q, self.options.obs.attach_answers),
+            Statement::Explain(q) => return self.explain(q),
+            Statement::ExplainAnalyze(q) => return self.explain_analyze(q),
+            Statement::Suggest(q) => return self.suggest(q),
+        };
+        self.write(op)
+            .map(|applied| StatementOutcome::Ok(applied.message))
     }
 
     /// Run a whole script, returning per-statement outcomes.
@@ -671,49 +599,32 @@ impl Session {
         stmts.iter().map(|s| self.execute(s)).collect()
     }
 
-    /// Disjoint borrows of the read state, the plan cache, the options,
-    /// and the registry — what the select path needs simultaneously.
-    fn parts_mut(
-        &mut self,
-    ) -> (
-        &EngineState,
-        &mut PlanCache,
-        &SessionOptions,
-        Option<&MetricsRegistry>,
-    ) {
-        let state = match &self.backend {
-            Backend::Local(s) => s,
-            Backend::Shared { snapshot, .. } => &snapshot.state,
-            Backend::Sharded { union, .. } => union.state(),
-        };
-        (
-            state,
-            &mut self.plan_cache,
-            &self.options,
-            self.metrics.as_deref(),
-        )
-    }
-
     fn select(&mut self, q: &Query, attach_obs: bool) -> Result<StatementOutcome, SessionError> {
-        self.refresh()?;
-        self.last_shard_note = None;
-        self.last_served = None;
-        let mut outcome = if matches!(self.backend, Backend::Sharded { .. }) {
-            self.sharded_select(q, attach_obs)?
-        } else {
-            let (state, plan_cache, options, metrics) = self.parts_mut();
-            let (outcome, served) = select_on(state, plan_cache, options, metrics, attach_obs, q)?;
-            self.last_served = served;
-            outcome
+        self.refresh();
+        let sv = Serve {
+            q,
+            options: &self.options,
+            metrics: self.metrics.as_ref(),
+            attach: attach_obs,
         };
+        let cache = &mut self.plan_cache;
+        let (mut outcome, served, note) = match &mut self.backend {
+            Backend::Sharded(driver) => driver.select(&sv, cache)?,
+            backend => {
+                let (outcome, served) = serve(&sv, cache, &mut Target::State(backend.schema()))?;
+                (outcome, served, None)
+            }
+        };
+        self.last_served = served;
+        self.last_shard_note = note;
         if let StatementOutcome::Answer { search, obs, .. } = &mut outcome {
             self.fill_store_stats(search);
             // The store section is filled after the select path returns,
             // so refresh it on the attached snapshot too.
             if let Some(snap) = obs {
                 snap.store = Some(search.store_section());
-                if let Backend::Sharded { store, .. } = &self.backend {
-                    snap.shards = store.shard_sections();
+                if let Backend::Sharded(d) = &self.backend {
+                    snap.shards = d.store.shard_sections();
                 }
             }
         }
@@ -729,28 +640,17 @@ impl Session {
     /// invalidation all apply unchanged. Best-effort: a failed CREATE
     /// VIEW never fails the query that triggered it.
     fn maybe_auto_advise(&mut self, q: &Query, outcome: &StatementOutcome) {
-        let Some(advisor) = self.advisor.clone() else {
+        let (Some(advisor), Some(m)) = (self.advisor.clone(), self.metrics.clone()) else {
             return;
         };
-        if advisor.policy().mode != AdvisorMode::Auto {
-            return;
-        }
-        let Some(m) = self.metrics.clone() else {
-            return;
-        };
+        // An answer already served from a view has nothing to gain.
         let StatementOutcome::Answer { views_used, .. } = outcome else {
             return;
         };
-        if !views_used.is_empty() {
-            // Already served from a view; nothing to gain.
+        if advisor.policy().mode != AdvisorMode::Auto || !views_used.is_empty() {
             return;
         }
-        let key = match &self.backend {
-            // The key needs the schemas only, which shard 0 has.
-            Backend::Sharded { store, .. } => cache_key(&store.shards()[0].load().state, q),
-            _ => cache_key(self.state(), q),
-        };
-        let Some(key) = key else {
+        let Some(key) = cache_key(self.backend.schema(), q) else {
             return;
         };
         let fingerprint = key.fingerprint();
@@ -763,20 +663,12 @@ impl Session {
         // Score candidate views for this hot query against live
         // cardinalities; act only on a positive-benefit suggestion whose
         // estimated materialized size fits the backfill budget.
-        let best = {
-            let state = self.state();
-            let stats = state.table_stats();
-            match suggest_views(q, &state.catalog, &stats) {
-                Ok(suggestions) => suggestions
-                    .into_iter()
-                    .find(|s| {
-                        s.benefit() > 0.0 && s.estimated_rows <= advisor.policy().max_backfill_rows
-                    })
-                    .map(|s| s.view.query),
-                Err(_) => None,
-            }
-        };
-        let Some(view_query) = best else {
+        let suggestions = self.suggestions(q).unwrap_or_default();
+        let Some(view_query) = suggestions
+            .into_iter()
+            .find(|s| s.benefit() > 0.0 && s.estimated_rows <= advisor.policy().max_backfill_rows)
+            .map(|s| s.view.query)
+        else {
             return;
         };
         let name = advisor.next_name();
@@ -785,19 +677,15 @@ impl Session {
             name: name.clone(),
             query: view_query,
         };
-        if self.write(WriteOp::CreateView(cv)).is_err() {
-            // The fingerprint stays claimed: don't retry a failing view
-            // on every subsequent arrival.
+        // The fingerprint stays claimed on failure: don't retry a failing
+        // view on every subsequent arrival.
+        let Ok(applied) = self.write(WriteOp::CreateView(cv)) else {
             return;
-        }
-        advisor.note_created(name.clone());
+        };
+        advisor.note_created(name);
         m.incr(CounterId::AdvisorCreated);
         // The actual backfill cost: the materialized row count.
-        if self.refresh().is_ok() {
-            if let Ok(rel) = self.state().db.get(&name) {
-                m.add(CounterId::AdvisorBackfillRows, rel.len() as u64);
-            }
-        }
+        m.add(CounterId::AdvisorBackfillRows, applied.rows_affected as u64);
     }
 
     /// Current advisor proposals for the observed workload, ranked by
@@ -807,15 +695,16 @@ impl Session {
     /// `:advise`, `aggview advise`, and the net `advise` request all
     /// surface exactly these lines.
     pub fn advise(&mut self) -> Result<StatementOutcome, SessionError> {
-        self.refresh()?;
+        self.refresh();
         let Some(m) = self.metrics.clone() else {
             return Err(err(
                 "advisor needs observability enabled (session started with --no-obs)",
             ));
         };
-        let state = self.state();
-        let stats = state.table_stats();
-        let proposals = workload_proposals(&m, &state.catalog, &stats);
+        let catalog = &self.backend.schema().catalog;
+        let tables: Vec<String> = catalog.tables().map(|t| t.name.clone()).collect();
+        let stats = self.backend.stats(&tables, Some(&m))?;
+        let proposals = workload_proposals(&m, &self.backend.schema().catalog, &stats);
         m.add(CounterId::AdvisorProposals, proposals.len() as u64);
         Ok(StatementOutcome::Explanation(proposal_lines(&proposals)))
     }
@@ -825,236 +714,9 @@ impl Session {
         self.advisor.as_ref()
     }
 
-    /// The sharded `SELECT` path. A query the gather planner decomposes
-    /// is served from the shard snapshots alone. Its serving decision —
-    /// the plan-cache key, the rewrite search and the cost ranking, and
-    /// with them `views_used`, `candidates`, `executed`, `set_semantics`
-    /// and the column names — comes from shard 0's catalog and views,
-    /// ranked by global cardinalities ([`global_stats`]), so it is the
-    /// decision an unsharded session makes. Its rows are the
-    /// scatter+merge result: a disjoint union when each group lives on
-    /// one shard, a §4 re-aggregation of partial aggregates otherwise. A
-    /// plan-cache hit is one scatter plus one merge.
-    ///
-    /// The union is built only for a fallback shape (a join, an unaligned
-    /// view), for a failed scatter or merge (both served from the union,
-    /// so the client sees the unsharded answer or error), and for
-    /// `--verify`, which compares the whole outcome with the union's.
-    fn sharded_select(
-        &mut self,
-        q: &Query,
-        attach_obs: bool,
-    ) -> Result<StatementOutcome, SessionError> {
-        let Backend::Sharded {
-            store,
-            shards,
-            union,
-            oracle_cache,
-        } = &mut self.backend
-        else {
-            unreachable!("sharded_select on a non-sharded backend");
-        };
-        let registry = self.metrics.as_ref();
-        let metrics = self.metrics.as_deref();
-        let n = store.shard_count();
-        if let Some(m) = metrics {
-            m.incr(CounterId::ShardFanouts);
-        }
-        let pinned = store.shards()[0].load();
-        let schema = &pinned.state;
-        let plan = gather_plan(schema, q);
-        let mut consulted = UnionUse::default();
-        if let GatherPlan::Fallback(reason) = plan {
-            if let Some(m) = metrics {
-                m.incr(CounterId::ShardGatherFallbacks);
-            }
-            let state = consulted.ensure(union, store, registry, "fallback")?;
-            let (outcome, served) = select_on(
-                state,
-                &mut self.plan_cache,
-                &self.options,
-                metrics,
-                attach_obs,
-                q,
-            )?;
-            self.last_served = served;
-            self.last_shard_note = Some(format!(
-                "-- shards: {n}; gather: fallback ({reason}); {}",
-                consulted.note()
-            ));
-            return Ok(outcome);
-        }
-
-        // The serving decision, from the plan cache or a fresh search.
-        let total_start_ns = metrics.map(|m| m.now_ns());
-        let key = cache_key(schema, q);
-        let fingerprint = key.as_ref().map_or(0, CacheKey::fingerprint);
-        let hit = key
-            .as_ref()
-            .and_then(|k| self.plan_cache.lookup(k))
-            .map(|c| (c.meta.clone(), decision_columns(q, c.rewriting.as_ref())));
-        let (meta, columns, fresh) = match hit {
-            Some((meta, columns)) => {
-                if let Some(m) = metrics {
-                    m.incr(CounterId::PlanCacheHits);
-                }
-                (meta, columns, None)
-            }
-            None => {
-                if let (Some(m), Some(_)) = (metrics, &key) {
-                    m.incr(CounterId::PlanCacheMisses);
-                }
-                let rewriter =
-                    Rewriter::with_options(&schema.catalog, self.options.rewrite.clone());
-                let (mut rewritings, search) = rewriter
-                    .rewrite_with_stats(q, &schema.views)
-                    .map_err(|e| err(e.to_string()))?;
-                if rewritings.len() > 1 {
-                    let stats = match global_stats(store, schema, shards, &rewritings) {
-                        Some(stats) => stats,
-                        None => consulted
-                            .ensure(union, store, registry, "cardinalities")?
-                            .table_stats(),
-                    };
-                    rewritings.sort_by(|a, b| {
-                        a.cost(&stats)
-                            .partial_cmp(&b.cost(&stats))
-                            .expect("finite costs")
-                    });
-                }
-                let candidates = rewritings.len();
-                let chosen = rewritings.into_iter().next();
-                if let Some(m) = metrics {
-                    search.record_into(m);
-                }
-                let meta = match &chosen {
-                    None => AnswerMeta {
-                        executed: q.to_string(),
-                        ..AnswerMeta::default()
-                    },
-                    Some(rw) => AnswerMeta {
-                        executed: rw.query.to_string(),
-                        views_used: rw.views_used.clone(),
-                        candidates,
-                        set_semantics: rw.set_semantics,
-                    },
-                };
-                let columns = decision_columns(q, chosen.as_ref());
-                (meta, columns, Some((chosen, search)))
-            }
-        };
-
-        // The rows: scatter, merge, and adopt the decision's column names
-        // (e.g. `min_lo` when served from a view) so the printed header
-        // matches the unsharded session byte for byte.
-        let exec_start_ns = metrics.map(|m| m.now_ns());
-        let t = std::time::Instant::now();
-        let (mut relation, rows) = match gather(&plan, q, |sq| scatter(shards, sq)) {
-            Ok(gathered) => gathered,
-            Err(e) => {
-                if let Some(m) = metrics {
-                    m.incr(CounterId::ShardGatherFallbacks);
-                }
-                let state = consulted.ensure(union, store, registry, "a failed gather")?;
-                let (outcome, served) = select_on(
-                    state,
-                    &mut PlanCache::with_cap(0),
-                    &self.options,
-                    metrics,
-                    attach_obs,
-                    q,
-                )?;
-                self.last_served = served;
-                self.last_shard_note = Some(format!(
-                    "-- shards: {n}; gather: failed ({e}); served from the union; {}",
-                    consulted.note()
-                ));
-                return Ok(outcome);
-            }
-        };
-        let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
-        let exec_ns = exec_start_ns.zip(metrics).map(|(start, m)| {
-            let ns = m.now_ns().saturating_sub(start);
-            m.observe_ns(Stage::Execute, ns);
-            ns
-        });
-        if let Some(m) = metrics {
-            m.add(CounterId::ShardScatterQueries, n as u64);
-            m.incr(match plan {
-                GatherPlan::Concat => CounterId::ShardConcatMerges,
-                _ => CounterId::ShardReaggMerges,
-            });
-        }
-        if relation.arity() == columns.len() {
-            relation.columns = columns;
-        }
-
-        let verified = if self.options.verify {
-            let state = consulted.ensure(union, store, registry, "verify")?;
-            let (oracle, _) = select_on(state, oracle_cache, &self.options, None, false, q)?;
-            Some(agrees_with(&oracle, &meta, &relation))
-        } else {
-            None
-        };
-
-        // Cache a fresh decision only once it has served an answer, as
-        // `select_on` does.
-        let (search, rewrite_ns) = match fresh {
-            Some((chosen, mut search)) => {
-                self.plan_cache.fill_stats(&mut search);
-                if let Some(k) = key {
-                    self.plan_cache
-                        .store(k, chosen, None, meta.clone(), search.clone());
-                }
-                let ns = (search.prepare_time + search.search_time).as_nanos();
-                (search, Some(ns.min(u64::MAX as u128) as u64))
-            }
-            None => {
-                let mut search = RewriteStats::default();
-                self.plan_cache.fill_stats(&mut search);
-                (search, None)
-            }
-        };
-        let stages = match rewrite_ns {
-            Some(ns) => miss_stage_timings(ns, None, exec_ns),
-            None => exec_ns.map(|ns| (Stage::Execute, ns)).into_iter().collect(),
-        };
-        let obs = finish_query_obs(
-            metrics,
-            attach_obs,
-            q,
-            fingerprint,
-            rewrite_ns.is_none(),
-            total_ns_since(metrics, total_start_ns),
-            &stages,
-            &search,
-        );
-        let gathered = match &plan {
-            GatherPlan::Reaggregate(p) => {
-                format!("re-aggregate ({} partial slot(s))", p.slot_count())
-            }
-            _ => "concat (disjoint groups)".to_string(),
-        };
-        self.last_shard_note = Some(format!(
-            "-- shards: {n}; gather: {gathered}; per-shard rows: {rows:?}; {}",
-            consulted.note()
-        ));
-        Ok(StatementOutcome::Answer {
-            relation,
-            executed: meta.executed,
-            views_used: meta.views_used,
-            candidates: meta.candidates,
-            verified,
-            elapsed_ms,
-            set_semantics: meta.set_semantics,
-            search: Box::new(search),
-            obs,
-        })
-    }
-
     fn explain(&mut self, q: &Query) -> Result<StatementOutcome, SessionError> {
-        self.refresh()?;
-        let state = self.state();
+        self.refresh();
+        let state = self.backend.schema();
         let rewriter = Rewriter::with_options(&state.catalog, self.options.rewrite.clone());
         let reports = rewriter
             .explain(q, &state.views)
@@ -1064,24 +726,27 @@ impl Session {
             .map_err(|e| err(e.to_string()))?;
         // With no stored rewriting, name the inline summary the serving
         // path would build instead (eager aggregation).
-        let inline = rewritings
-            .is_empty()
-            .then(|| eager::inline_rewriting(q, state, &state.table_stats()))
-            .flatten()
+        let stats = if rewritings.is_empty() && q.from.len() > 1 {
+            let names = q.from.iter().map(|t| &t.table);
+            Some(self.backend.stats(names, self.metrics.as_ref())?)
+        } else {
+            None
+        };
+        let state = self.backend.schema();
+        let inline = stats
+            .and_then(|stats| eager::inline_rewriting(q, state, &stats))
             .map(|rw| {
                 format!(
                     "-- eager: no stored view answers; inline summary: {}",
                     eager::executed_text(&rw)
                 )
             });
-        if reports.is_empty() && inline.is_none() {
-            return Ok(StatementOutcome::Explanation(vec![
-                "no views defined".to_string()
-            ]));
-        }
         let mut lines: Vec<String> = reports.iter().map(|r| r.to_string()).collect();
         if lines.is_empty() {
             lines.push("no views defined".to_string());
+            if inline.is_none() {
+                return Ok(StatementOutcome::Explanation(lines));
+            }
         }
         lines.extend(inline);
         // Tail: what the full search does with these candidates, the
@@ -1190,7 +855,7 @@ impl Session {
     /// driver, in every shard's, where its scatter queries execute.
     fn exec_count(&self, id: CounterId) -> u64 {
         let shards = match &self.backend {
-            Backend::Sharded { store, .. } => store.shards(),
+            Backend::Sharded(d) => d.store.shards(),
             _ => &[],
         };
         let shard_registries = shards.iter().filter_map(SharedStore::metrics);
@@ -1201,12 +866,17 @@ impl Session {
             .sum()
     }
 
+    /// The views [`suggest_views`] proposes for `q`, priced by the
+    /// cardinalities of `q`'s relations.
+    fn suggestions(&mut self, q: &Query) -> Result<Vec<ViewSuggestion>, SessionError> {
+        let names = q.from.iter().map(|t| &t.table);
+        let stats = self.backend.stats(names, self.metrics.as_ref())?;
+        suggest_views(q, &self.backend.schema().catalog, &stats).map_err(|e| err(e.to_string()))
+    }
+
     fn suggest(&mut self, q: &Query) -> Result<StatementOutcome, SessionError> {
-        self.refresh()?;
-        let state = self.state();
-        let stats = state.table_stats();
-        let suggestions =
-            suggest_views(q, &state.catalog, &stats).map_err(|e| err(e.to_string()))?;
+        self.refresh();
+        let suggestions = self.suggestions(q)?;
         if suggestions.is_empty() {
             return Ok(StatementOutcome::Explanation(vec![
                 "no beneficial view suggestions".to_string(),
@@ -1228,95 +898,120 @@ impl Session {
     }
 }
 
-/// Execute `q` on every shard's handle session, in shard order,
-/// returning the per-shard relations (the gather barrier).
-fn scatter(shards: &mut [Session], q: &Query) -> Result<Vec<Relation>, SessionError> {
-    shards
-        .iter_mut()
-        .map(|s| match s.execute(&Statement::Select(q.clone()))? {
-            StatementOutcome::Answer { relation, .. } => Ok(relation),
-            _ => Err(err("scatter: shard returned a non-answer outcome")),
-        })
-        .collect()
-}
-
-/// Whether, and why, one sharded `SELECT` consulted the union: the tail
-/// of its `-- shards:` line.
-#[derive(Default)]
-struct UnionUse {
-    built: bool,
-    why: Vec<&'static str>,
-}
-
-impl UnionUse {
-    /// Bring the union up to date for `why`.
-    fn ensure<'u>(
+impl Driver {
+    /// The union, brought up to date for `why`.
+    fn union_for(
         &mut self,
-        union: &'u mut UnionState,
-        store: &ShardedStore,
-        metrics: Option<&Arc<MetricsRegistry>>,
         why: &'static str,
-    ) -> Result<&'u EngineState, SessionError> {
-        self.built |= union.rebuild_if_stale(store, metrics)?;
-        self.why.push(why);
-        Ok(union.state())
+        metrics: Option<&Arc<MetricsRegistry>>,
+    ) -> Result<&EngineState, SessionError> {
+        self.union_built |= self.union.rebuild_if_stale(&self.store, metrics)?;
+        self.consulted.push(why);
+        Ok(self.union.state())
     }
 
-    fn note(&self) -> String {
-        let why = self.why.join(", ");
-        match (self.why.is_empty(), self.built) {
-            (true, _) => "union: not built".to_string(),
-            (false, true) => format!("union: built for {why}"),
-            (false, false) => format!("union: reused for {why}"),
-        }
-    }
-}
-
-/// Global cardinalities of the stored relations `rewritings` read, as an
-/// unsharded session's cost ranking sees them: a base table's is the sum
-/// of its shard partitions, a view's the row count of its gathered
-/// definition. `None` when a view's definition does not gather; the
-/// caller then takes the union's.
-fn global_stats(
-    store: &ShardedStore,
-    schema: &EngineState,
-    shards: &mut [Session],
-    rewritings: &[Rewriting],
-) -> Option<TableStats> {
-    let snaps = store.load_all();
-    let mut stats = TableStats::new();
-    let queries = rewritings
-        .iter()
-        .flat_map(|rw| rw.aux_views.iter().map(|v| &v.query).chain([&rw.query]));
-    for name in queries.flat_map(|q| q.from.iter().map(|t| &t.table)) {
-        if stats.has(name) {
-            continue;
-        }
-        let rows = if schema.catalog.table(name).is_some() {
-            snaps
-                .iter()
-                .map(|s| s.state.db.get(name).map_or(0, Relation::len))
-                .sum()
-        } else if let Some(view) = schema.views.iter().find(|v| v.name == *name) {
-            let plan = gather_plan(schema, &view.query);
-            gather(&plan, &view.query, |q| scatter(shards, q))
-                .ok()?
-                .0
-                .len()
-        } else {
-            // An auxiliary view or `Nat`: never stored, so priced at the
-            // default, as in an unsharded session.
-            continue;
+    /// `--verify`'s oracle for a gathered answer: an independent
+    /// decision on the union, cached in the union's own plan cache.
+    fn oracle(&mut self, sv: &Serve) -> Result<StatementOutcome, SessionError> {
+        self.union_for("verify", sv.metrics)?;
+        let sv = Serve {
+            metrics: None,
+            attach: false,
+            ..*sv
         };
-        stats.set(name.clone(), rows);
+        let union = &mut Target::State(self.union.state());
+        serve(&sv, &mut self.oracle_cache, union).map(|(outcome, _)| outcome)
     }
-    Some(stats)
-}
 
-/// The column names a serving decision's answer carries: the chosen
-/// rewriting's output names, or the query's own on the base tables.
-fn decision_columns(q: &Query, rewriting: Option<&Rewriting>) -> Vec<String> {
-    rewriting.map_or_else(|| q.output_names(), |rw| rw.query.output_names())
+    /// The cardinalities of the stored relations `names` as an unsharded
+    /// session sees them: a base table's is the sum of its shard
+    /// partitions, a view's the row count of its gathered definition —
+    /// or, when a view's definition does not gather, the union's.
+    fn stats<'n>(
+        &mut self,
+        names: impl IntoIterator<Item = &'n String>,
+        metrics: Option<&Arc<MetricsRegistry>>,
+    ) -> Result<TableStats, SessionError> {
+        let snaps = self.store.load_all();
+        let schema = &self.schema.state;
+        let mut stats = TableStats::new();
+        for name in names {
+            let rows = if stats.has(name) {
+                continue;
+            } else if schema.catalog.table(name).is_some() {
+                let parts = snaps
+                    .iter()
+                    .map(|s| s.state.db.get(name).map_or(0, Relation::len));
+                parts.sum()
+            } else if let Some(view) = schema.views.iter().find(|v| v.name == *name) {
+                let plan = gather_plan(schema, &view.query);
+                match gather(&plan, &view.query, |q| scatter(&mut self.shards, q)) {
+                    Ok((relation, _)) => relation.len(),
+                    Err(_) => {
+                        let union = self.union_for("cardinalities", metrics)?;
+                        return Ok(union.table_stats());
+                    }
+                }
+            } else {
+                // An auxiliary view or `Nat`: never stored, so priced at
+                // the default, as in an unsharded session.
+                continue;
+            };
+            stats.set(name.clone(), rows);
+        }
+        Ok(stats)
+    }
+
+    /// The sharded `SELECT`: the one select path ([`serve`]) on the
+    /// shards when the gather planner decomposes the query, on the union
+    /// when it does not (a join, an unaligned view). Also returns the
+    /// `-- shards:` line of `EXPLAIN ANALYZE`.
+    fn select(
+        &mut self,
+        sv: &Serve,
+        cache: &mut PlanCache,
+    ) -> Result<(StatementOutcome, Option<Served>, Option<String>), SessionError> {
+        sv.count(CounterId::ShardFanouts);
+        self.consulted.clear();
+        self.union_built = false;
+        let (outcome, served, gathered) = match gather_plan(&self.schema.state, sv.q) {
+            GatherPlan::Fallback(reason) => {
+                sv.count(CounterId::ShardGatherFallbacks);
+                let union = self.union_for("fallback", sv.metrics)?;
+                let (outcome, served) = serve(sv, cache, &mut Target::State(union))?;
+                (outcome, served, format!("fallback ({reason})"))
+            }
+            plan => {
+                let mut target = Target::Shards {
+                    driver: self,
+                    plan,
+                    gathered: Ok(Vec::new()),
+                };
+                let (outcome, served) = serve(sv, cache, &mut target)?;
+                let Target::Shards { plan, gathered, .. } = target else {
+                    unreachable!("the target stays sharded");
+                };
+                let how = match (gathered, plan) {
+                    (Err(e), _) => format!("failed ({e}); served from the union"),
+                    (Ok(rows), GatherPlan::Reaggregate(p)) => format!(
+                        "re-aggregate ({} partial slot(s)); per-shard rows: {rows:?}",
+                        p.slot_count()
+                    ),
+                    (Ok(rows), _) => format!("concat (disjoint groups); per-shard rows: {rows:?}"),
+                };
+                (outcome, served, how)
+            }
+        };
+        let why = self.consulted.join(", ");
+        let union = match (self.consulted.is_empty(), self.union_built) {
+            (true, _) => "not built".to_string(),
+            (false, true) => format!("built for {why}"),
+            (false, false) => format!("reused for {why}"),
+        };
+        let n = self.store.shard_count();
+        let note = format!("-- shards: {n}; gather: {gathered}; union: {union}");
+        Ok((outcome, served, Some(note)))
+    }
 }
 
 /// Does the union's outcome `oracle` agree with a union-free answer:
@@ -1378,23 +1073,368 @@ fn explain_tail_lines(snap: &ObsSnapshot, cache_status: Option<&str>) -> Vec<Str
         .collect()
 }
 
+/// One `SELECT`'s inputs besides its backend.
+#[derive(Clone, Copy)]
+struct Serve<'a> {
+    q: &'a Query,
+    options: &'a SessionOptions,
+    metrics: Option<&'a Arc<MetricsRegistry>>,
+    /// Attach an observability snapshot to the answer.
+    attach: bool,
+}
+
+impl Serve<'_> {
+    fn count(&self, id: CounterId) {
+        if let Some(m) = self.metrics {
+            m.incr(id);
+        }
+    }
+}
+
+/// Where a `SELECT`'s rows come from: the one per-backend step of the
+/// select path.
+enum Target<'a> {
+    /// A pinned state, which the decision runs on: a local session's own,
+    /// a shared handle's snapshot, or a sharded driver's union.
+    State(&'a EngineState),
+    /// A sharded driver's shards, for a query the gather planner
+    /// decomposes: scatter, then merge per `plan`. `gathered` is the
+    /// per-shard row counts, or why the gather failed (the decision then
+    /// ran on the union, so the client sees the unsharded answer or
+    /// error).
+    Shards {
+        driver: &'a mut Driver,
+        plan: GatherPlan,
+        gathered: Result<Vec<usize>, SessionError>,
+    },
+}
+
+impl Target<'_> {
+    /// The state decisions are made from: catalog, views and the stored
+    /// relations' schemas.
+    fn schema(&self) -> &EngineState {
+        match self {
+            Target::State(state) => state,
+            Target::Shards { driver, .. } => &driver.schema.state,
+        }
+    }
+
+    /// The cardinalities the stored relations `rewritings` read have in
+    /// the state the answer comes from (all of them for a pinned state).
+    fn stats(&mut self, sv: &Serve, rewritings: &[Rewriting]) -> Result<TableStats, SessionError> {
+        match self {
+            Target::State(state) => Ok(state.table_stats()),
+            Target::Shards { driver, .. } => {
+                let queries = rewritings
+                    .iter()
+                    .flat_map(|rw| rw.aux_views.iter().map(|v| &v.query).chain([&rw.query]));
+                let names = queries.flat_map(|q| q.from.iter().map(|t| &t.table));
+                driver.stats(names, sv.metrics)
+            }
+        }
+    }
+
+    /// Produce the rows of decision `entry`.
+    fn execute(
+        &mut self,
+        sv: &Serve,
+        entry: &mut CachedPlan,
+    ) -> Result<(Relation, Option<Served>), SessionError> {
+        let (driver, plan, gathered) = match self {
+            Target::State(state) => return run_decision(sv, entry, &state.db),
+            Target::Shards {
+                driver,
+                plan,
+                gathered,
+            } => (driver, plan, gathered),
+        };
+        match gather(plan, sv.q, |sq| scatter(&mut driver.shards, sq)) {
+            Ok((mut relation, rows)) => {
+                if let Some(m) = sv.metrics {
+                    m.add(CounterId::ShardScatterQueries, rows.len() as u64);
+                    m.incr(match plan {
+                        GatherPlan::Concat => CounterId::ShardConcatMerges,
+                        _ => CounterId::ShardReaggMerges,
+                    });
+                }
+                // Adopt the decision's column names (e.g. `min_lo` when
+                // served from a view) so the printed header matches the
+                // unsharded session byte for byte.
+                let columns = entry
+                    .rewriting
+                    .as_ref()
+                    .map_or_else(|| sv.q.output_names(), |rw| rw.query.output_names());
+                if relation.arity() == columns.len() {
+                    relation.columns = columns;
+                }
+                *gathered = Ok(rows);
+                Ok((relation, None))
+            }
+            Err(e) => {
+                sv.count(CounterId::ShardGatherFallbacks);
+                *gathered = Err(e);
+                let union = driver.union_for("a failed gather", sv.metrics)?;
+                run_decision(sv, entry, &union.db)
+            }
+        }
+    }
+
+    /// `--verify`'s check of an answer. Rows a pinned state produced are
+    /// checked by running the decision's rewriting against the base
+    /// tables of that state. Gathered rows are compared, metadata and
+    /// all, with an independent decision on the union.
+    fn verify(
+        &mut self,
+        sv: &Serve,
+        entry: &CachedPlan,
+        relation: &Relation,
+        served: Option<Served>,
+    ) -> Result<Option<bool>, SessionError> {
+        if !sv.options.verify {
+            return Ok(None);
+        }
+        let db = match self {
+            Target::State(state) => &state.db,
+            Target::Shards {
+                driver,
+                gathered: Ok(_),
+                ..
+            } => {
+                let oracle = driver.oracle(sv)?;
+                return Ok(Some(agrees_with(&oracle, &entry.meta, relation)));
+            }
+            Target::Shards { driver, .. } => &driver.union.state().db,
+        };
+        match &entry.rewriting {
+            Some(rw) if served != Some(Served::BaseTables) => rewriting_equivalent(sv.q, rw, db)
+                .map(Some)
+                .map_err(|e| err(e.to_string())),
+            _ => Ok(None),
+        }
+    }
+}
+
+/// A `SELECT`'s serving decision.
+enum Decision<'c> {
+    /// A plan-cache hit: the cached entry, used in place (never cloned).
+    Hit(&'c mut CachedPlan),
+    /// A fresh decision and the stage timings of making it; cached once
+    /// it has served an answer.
+    Miss {
+        key: Option<CacheKey>,
+        entry: Box<CachedPlan>,
+        stages: Vec<(Stage, u64)>,
+    },
+}
+
+/// Decide how to serve `sv.q` from `target`'s schema and stats: the
+/// plan-cache entry on a hit; on a miss, the rewrite search, the cost
+/// ranking, the eager candidate when no stored view answers, and — when
+/// the target runs decisions on a pinned state — the compiled plan.
+fn decide<'c>(
+    sv: &Serve,
+    target: &mut Target,
+    cache: &'c mut PlanCache,
+) -> Result<Decision<'c>, SessionError> {
+    let q = sv.q;
+    let key = cache_key(target.schema(), q);
+    if let Some(k) = &key {
+        if let Some(entry) = cache.lookup_mut(k) {
+            sv.count(CounterId::PlanCacheHits);
+            return Ok(Decision::Hit(entry));
+        }
+        sv.count(CounterId::PlanCacheMisses);
+    }
+    let schema = target.schema();
+    let (mut rewritings, mut search) =
+        Rewriter::with_options(&schema.catalog, sv.options.rewrite.clone())
+            .rewrite_with_stats(q, &schema.views)
+            .map_err(|e| err(e.to_string()))?;
+    if rewritings.len() > 1 {
+        let stats = target.stats(sv, &rewritings)?;
+        rewritings.sort_by(|a, b| a.cost(&stats).total_cmp(&b.cost(&stats)));
+    }
+    let candidates = rewritings.len();
+    // The serving decision: the cheapest stored-view rewriting; failing
+    // that, an inline summary over part of `FROM` (eager aggregation,
+    // timed as part of the search); failing that, the base tables.
+    let mut chosen = rewritings.into_iter().next();
+    if chosen.is_none() && q.from.len() > 1 {
+        let stats = target.stats(sv, &[])?;
+        let t = Instant::now();
+        chosen = eager::inline_rewriting(q, target.schema(), &stats);
+        search.search_time += t.elapsed();
+    }
+    if let Some(m) = sv.metrics {
+        // Folds the search counters in and observes the rewrite stage
+        // with the search's own prepare+search wall time.
+        search.record_into(m);
+    }
+    let rewrite_ns = (search.prepare_time + search.search_time).as_nanos();
+    let mut stages = vec![(Stage::Rewrite, rewrite_ns.min(u64::MAX as u128) as u64)];
+    let meta = match &chosen {
+        None => base_meta(q),
+        Some(rw) => AnswerMeta {
+            executed: if eager::is_inline(rw) {
+                eager::executed_text(rw)
+            } else {
+                rw.query.to_string()
+            },
+            views_used: rw.views_used.clone(),
+            candidates,
+            set_semantics: rw.set_semantics,
+        },
+    };
+    // Compile once and cache the plan for canonically identical arrivals:
+    // the query itself, or a rewriting that needs no scaffolding (the
+    // auxiliary views or inline summary, the Nat table) and so is a single
+    // block over stored relations. Scaffolded rewritings cache without a
+    // plan — the hit still skips the whole search. Shards compile their
+    // own scatter queries.
+    let plan = match target {
+        Target::State(state) => {
+            let span = sv.metrics.map(|m| m.span(Stage::Plan));
+            let plan = match &chosen {
+                None => compile(sv, q, state),
+                Some(rw) if rw.aux_views.is_empty() && !rw.requires_nat => {
+                    compile(sv, &rw.query, state)
+                }
+                Some(_) => None,
+            };
+            stages.extend(span.map(|s| (Stage::Plan, s.finish())));
+            plan
+        }
+        Target::Shards { .. } => None,
+    };
+    let fingerprint = key.as_ref().map_or(0, CacheKey::fingerprint);
+    let entry = Box::new(CachedPlan::new(chosen, plan, meta, fingerprint, search));
+    Ok(Decision::Miss { key, entry, stages })
+}
+
+/// The select path, one for every backend: decide, execute on `target`,
+/// finish (verify, cache a fresh decision once it has served, account
+/// the query, build the answer). Also returns how an inline summary
+/// served the answer, when one did.
+fn serve(
+    sv: &Serve,
+    cache: &mut PlanCache,
+    target: &mut Target,
+) -> Result<(StatementOutcome, Option<Served>), SessionError> {
+    let q = sv.q;
+    let start_ns = sv.metrics.map(|m| m.now_ns());
+    let mut decision = decide(sv, target, cache)?;
+    let entry: &mut CachedPlan = match &mut decision {
+        Decision::Hit(entry) => entry,
+        Decision::Miss { entry, .. } => entry,
+    };
+    // The warm path is the one the ≤5% observability-overhead budget
+    // protects, so execution is timed with the registry clock alone: one
+    // read before, one after, which closes the execute stage and
+    // elapsed_ms. (Without a registry an Instant pair times it.)
+    let memo_bytes = entry.memo.bytes();
+    let exec_start_ns = sv.metrics.map(|m| m.now_ns());
+    let t = sv.metrics.is_none().then(Instant::now);
+    let (relation, served) = target.execute(sv, entry)?;
+    let exec_ns = sv.metrics.zip(exec_start_ns).map(|(m, start)| {
+        let ns = m.now_ns().saturating_sub(start);
+        m.observe_ns(Stage::Execute, ns);
+        ns
+    });
+    let elapsed_ms = match t {
+        Some(t) => t.elapsed().as_secs_f64() * 1e3,
+        None => exec_ns.map_or(0.0, |ns| ns as f64 / 1e6),
+    };
+    let verified = target.verify(sv, entry, &relation, served)?;
+
+    // Finish. A cached decision stands even when a summary no longer
+    // shrinks: it was judged on the miss that made it.
+    let memo_grew = entry.memo.bytes() > memo_bytes;
+    let fingerprint = entry.fingerprint;
+    let AnswerMeta {
+        executed,
+        views_used,
+        candidates,
+        set_semantics,
+    } = entry.meta.clone();
+    let executed = match served {
+        Some(Served::BaseTables) => q.to_string(),
+        _ => executed,
+    };
+    // A hit ran no search: it reports zeroed search counters.
+    let (hit, mut search, mut stages) = match decision {
+        Decision::Hit(_) => (true, RewriteStats::default(), Vec::new()),
+        Decision::Miss { key, entry, stages } => {
+            let search = entry.search.clone();
+            if let Some(k) = key {
+                // An inline summary that failed or did not shrink leaves
+                // later arrivals the base-table plan.
+                let entry = match served {
+                    Some(Served::Unshrunk(_) | Served::BaseTables) => {
+                        let plan = compile(sv, q, target.schema());
+                        CachedPlan::new(None, plan, base_meta(q), fingerprint, search.clone())
+                    }
+                    _ => *entry,
+                };
+                cache.insert(k, entry);
+            }
+            (false, search, stages)
+        }
+    };
+    cache.fill_stats(&mut search);
+    if memo_grew {
+        cache.trim_memos();
+    }
+    stages.extend(exec_ns.map(|ns| (Stage::Execute, ns)));
+    let total_ns = sv
+        .metrics
+        .zip(start_ns)
+        .map_or(0, |(m, start)| m.now_ns().saturating_sub(start));
+    let obs = finish_query_obs(sv, fingerprint, hit, total_ns, &stages, &search);
+    let answer = StatementOutcome::Answer {
+        relation,
+        executed,
+        views_used,
+        candidates,
+        verified,
+        elapsed_ms,
+        set_semantics,
+        search: Box::new(search),
+        obs,
+    };
+    Ok((answer, served))
+}
+
+/// The metadata of an answer from the base tables.
+fn base_meta(q: &Query) -> AnswerMeta {
+    AnswerMeta {
+        executed: q.to_string(),
+        ..AnswerMeta::default()
+    }
+}
+
+/// Compile `query` against `schema`'s relations. A plan binds relations
+/// by name when it runs, so it runs on any state with these schemas.
+fn compile(sv: &Serve, query: &Query, schema: &EngineState) -> Option<PhysicalPlan> {
+    let mut plan = PhysicalPlan::compile(query, &schema.db).ok()?;
+    plan.set_columnar(sv.options.columnar);
+    sv.count(CounterId::PlanCompiles);
+    Some(plan)
+}
+
 /// Per-query observability bookkeeping at the end of the select path:
 /// account the query (and its slowness) on the registry and build the
 /// attached snapshot when requested.
-#[allow(clippy::too_many_arguments)]
 fn finish_query_obs(
-    metrics: Option<&MetricsRegistry>,
-    attach: bool,
-    q: &Query,
+    sv: &Serve,
     fingerprint: u64,
     cached: bool,
     total_ns: u64,
     stages: &[(Stage, u64)],
     search: &RewriteStats,
 ) -> Option<Box<ObsSnapshot>> {
-    let m = metrics?;
-    m.note_query(fingerprint, || q.to_string(), total_ns, stages);
-    attach.then(|| {
+    let m = sv.metrics?;
+    m.note_query(fingerprint, || sv.q.to_string(), total_ns, stages);
+    sv.attach.then(|| {
         Box::new(ObsSnapshot {
             search: Some(search.search_section()),
             plan_cache: Some(search.plan_cache_section()),
@@ -1410,304 +1450,40 @@ fn finish_query_obs(
     })
 }
 
-/// The full select path against one fixed state: plan-cache lookup,
-/// rewrite search, cost ranking, compilation, execution, caching. Shared
-/// by both backends — a local session passes its own state, a store
-/// handle passes its pinned snapshot. Also returns how an inline summary
-/// served the answer, when one did.
-fn select_on(
-    state: &EngineState,
-    plan_cache: &mut PlanCache,
-    options: &SessionOptions,
-    metrics: Option<&MetricsRegistry>,
-    attach_obs: bool,
-    q: &Query,
-) -> Result<(StatementOutcome, Option<Served>), SessionError> {
-    let cx = ExecContext::columnar(options.columnar);
-    let total_start_ns = metrics.map(|m| m.now_ns());
-    let key = cache_key(state, q);
-    let fingerprint = key.as_ref().map_or(0, |k| k.fingerprint());
-    if let Some(k) = &key {
-        // Hit path: no search, no cost ranking, no physical planning —
-        // bind the stored relations and run. The entry is used by
-        // reference (disjoint borrows), never cloned.
-        if let Some(cached) = plan_cache.lookup_mut(k) {
-            if let Some(m) = metrics {
-                m.incr(CounterId::PlanCacheHits);
-            }
-            // The warm path is the one the ≤5% observability-overhead
-            // budget protects, so it is timed with the registry clock
-            // alone: one read before execution, one read after — the
-            // second closes the execute stage, the end-to-end total,
-            // AND elapsed_ms. (The un-instrumented path keeps its own
-            // Instant pair.)
-            let exec_start_ns = metrics.map(|m| m.now_ns());
-            let t = metrics.is_none().then(std::time::Instant::now);
-            let memo_bytes = cached.memo.bytes();
-            let (relation, served) = run_decision(
-                q,
-                cached.rewriting.as_ref(),
-                cached.plan.as_ref(),
-                &state.db,
-                &cx,
-                metrics,
-                &mut cached.memo,
-            )?;
-            let memo_grew = cached.memo.bytes() > memo_bytes;
-            // The cached decision stands even when a summary no longer
-            // shrinks: it was judged on the miss that made it.
-            let fell_back = served == Some(Served::BaseTables);
-            let (elapsed_ms, hit_timing) = match (metrics, exec_start_ns, total_start_ns) {
-                (Some(m), Some(exec_start), Some(total_start)) => {
-                    let end = m.now_ns();
-                    let exec_ns = end.saturating_sub(exec_start);
-                    m.observe_ns(Stage::Execute, exec_ns);
-                    (
-                        exec_ns as f64 / 1e6,
-                        Some((exec_ns, end.saturating_sub(total_start))),
-                    )
-                }
-                _ => (t.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3), None),
-            };
-            let verified = match (options.verify, &cached.rewriting) {
-                (true, Some(rw)) if !fell_back => {
-                    Some(rewriting_equivalent(q, rw, &state.db).map_err(|e| err(e.to_string()))?)
-                }
-                _ => None,
-            };
-            let executed = if fell_back {
-                q.to_string()
-            } else {
-                cached.meta.executed.clone()
-            };
-            let views_used = cached.meta.views_used.clone();
-            let candidates = cached.meta.candidates;
-            let set_semantics = cached.meta.set_semantics;
-            if memo_grew {
-                plan_cache.trim_memos();
-            }
-            // No search ran: report zeroed search counters plus the
-            // session-cumulative cache counters.
-            let mut search = RewriteStats::default();
-            plan_cache.fill_stats(&mut search);
-            let hit_stages = hit_timing.map(|(exec_ns, _)| [(Stage::Execute, exec_ns)]);
-            let obs = finish_query_obs(
-                metrics,
-                attach_obs,
-                q,
-                fingerprint,
-                true,
-                hit_timing.map_or(0, |(_, total_ns)| total_ns),
-                hit_stages.as_ref().map_or(&[][..], |s| &s[..]),
-                &search,
-            );
-            let answer = StatementOutcome::Answer {
-                relation,
-                executed,
-                views_used,
-                candidates,
-                verified,
-                elapsed_ms,
-                set_semantics,
-                search: Box::new(search),
-                obs,
-            };
-            return Ok((answer, served));
-        }
-        if let Some(m) = metrics {
-            m.incr(CounterId::PlanCacheMisses);
-        }
-    }
-    let rewriter = Rewriter::with_options(&state.catalog, options.rewrite.clone());
-    let (mut rewritings, mut search): (Vec<Rewriting>, RewriteStats) = rewriter
-        .rewrite_with_stats(q, &state.views)
-        .map_err(|e| err(e.to_string()))?;
-    let stats = state.table_stats();
-    rewritings.sort_by(|a, b| {
-        a.cost(&stats)
-            .partial_cmp(&b.cost(&stats))
-            .expect("finite costs")
-    });
-    let candidates = rewritings.len();
-    // The serving decision: the cheapest stored-view rewriting; failing
-    // that, an inline summary over part of `FROM` (eager aggregation,
-    // timed as part of the search); failing that, the base tables.
-    let chosen = match rewritings.into_iter().next() {
-        Some(best) => Some(best),
-        None => {
-            let t = std::time::Instant::now();
-            let inline = eager::inline_rewriting(q, state, &stats);
-            search.search_time += t.elapsed();
-            inline
-        }
-    };
-    if let Some(m) = metrics {
-        // Folds the search counters in and observes the rewrite stage
-        // with the search's own prepare+search wall time.
-        search.record_into(m);
-    }
-    let rewrite_ns = (search.prepare_time + search.search_time)
-        .as_nanos()
-        .min(u64::MAX as u128) as u64;
-    plan_cache.fill_stats(&mut search);
-
-    // Compile once and cache the plan for canonically identical arrivals:
-    // the query itself, or a rewriting that needs no scaffolding (the
-    // auxiliary views or inline summary, the Nat table) and so is a single
-    // block over stored relations. Scaffolded rewritings cache without a
-    // plan — the hit still skips the whole search.
-    let compile = |query: &Query| {
-        let plan = PhysicalPlan::compile(query, &state.db).ok().map(|mut p| {
-            p.set_columnar(options.columnar);
-            p
-        });
-        if let (Some(m), true) = (metrics, plan.is_some()) {
-            m.incr(CounterId::PlanCompiles);
-        }
-        plan
-    };
-    let plan_span = metrics.map(|m| m.span(Stage::Plan));
-    let plan = match &chosen {
-        None => compile(q),
-        Some(rw) if rw.aux_views.is_empty() && !rw.requires_nat => compile(&rw.query),
-        Some(_) => None,
-    };
-    let plan_ns = plan_span.map(|s| s.finish());
-    let exec_span = metrics.map(|m| m.span(Stage::Execute));
-    let t = std::time::Instant::now();
-    let mut memo = AuxMemo::default();
-    let (relation, served) = run_decision(
-        q,
-        chosen.as_ref(),
-        plan.as_ref(),
-        &state.db,
-        &cx,
-        metrics,
-        &mut memo,
-    )?;
-    let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
-    let exec_ns = exec_span.map(|s| s.finish());
-    let fell_back = served == Some(Served::BaseTables);
-    let verified = match (options.verify, &chosen) {
-        (true, Some(rw)) if !fell_back => {
-            Some(rewriting_equivalent(q, rw, &state.db).map_err(|e| err(e.to_string()))?)
-        }
-        _ => None,
-    };
-    let base_meta = || AnswerMeta {
-        executed: q.to_string(),
-        ..AnswerMeta::default()
-    };
-    let meta = match &chosen {
-        None => base_meta(),
-        Some(rw) => AnswerMeta {
-            executed: if eager::is_inline(rw) {
-                eager::executed_text(rw)
-            } else {
-                rw.query.to_string()
-            },
-            views_used: rw.views_used.clone(),
-            candidates,
-            set_semantics: rw.set_semantics,
-        },
-    };
-    let executed = if fell_back {
-        q.to_string()
-    } else {
-        meta.executed.clone()
-    };
-    let (views_used, candidates, set_semantics) =
-        (meta.views_used.clone(), meta.candidates, meta.set_semantics);
-    if let Some(k) = key {
-        // An inline summary that failed or did not shrink leaves later
-        // arrivals the base-table plan.
-        if served.is_some_and(|s| !matches!(s, Served::Summary(_))) {
-            plan_cache.store(k, None, compile(q), base_meta(), search.clone());
-        } else {
-            plan_cache.store(k.clone(), chosen, plan, meta, search.clone());
-            plan_cache.keep_memo(&k, memo);
-        }
-    }
-    let obs = finish_query_obs(
-        metrics,
-        attach_obs,
-        q,
-        fingerprint,
-        false,
-        total_ns_since(metrics, total_start_ns),
-        &miss_stage_timings(rewrite_ns, plan_ns, exec_ns),
-        &search,
-    );
-    let answer = StatementOutcome::Answer {
-        relation,
-        executed,
-        views_used,
-        candidates,
-        verified,
-        elapsed_ms,
-        set_semantics,
-        search: Box::new(search),
-        obs,
-    };
-    Ok((answer, served))
-}
-
-/// Execute a serving decision, fresh or cached: its compiled plan when it
-/// has one, else its rewriting, else the query over the base tables. A
-/// rewriting's auxiliary relations come from, and go into, the decision's
-/// `memo`. An inline-summary rewriting answers through [`eager::answer`]
-/// and reports how it was served; any other decision reports `None`.
+/// Execute a serving decision, fresh or cached, on `db`: its compiled
+/// plan when it has one, else its rewriting, else the query over the
+/// base tables. A rewriting's auxiliary relations come from, and go
+/// into, the decision's memo. An inline-summary rewriting answers
+/// through [`eager::answer`] and reports how it was served; any other
+/// decision reports `None`.
 fn run_decision(
-    q: &Query,
-    rewriting: Option<&Rewriting>,
-    plan: Option<&PhysicalPlan>,
+    sv: &Serve,
+    entry: &mut CachedPlan,
     db: &Database,
-    cx: &ExecContext,
-    metrics: Option<&MetricsRegistry>,
-    memo: &mut AuxMemo,
 ) -> Result<(Relation, Option<Served>), SessionError> {
-    let ran = match (plan, rewriting) {
+    let cx = ExecContext::columnar(sv.options.columnar);
+    let ran = match (&entry.plan, &entry.rewriting) {
         (Some(plan), _) => plan.run(db).map(|rel| (rel, None)),
         (None, Some(rw)) if eager::is_inline(rw) => {
-            eager::answer(q, rw, db, cx, memo).map(|(rel, s)| {
-                if let (Some(m), true) = (metrics, s != Served::BaseTables) {
-                    m.incr(CounterId::EagerInline);
+            eager::answer(sv.q, rw, db, &cx, &mut entry.memo).map(|(rel, s)| {
+                if s != Served::BaseTables {
+                    sv.count(CounterId::EagerInline);
                 }
                 (rel, Some(s))
             })
         }
-        (None, Some(rw)) => {
-            execute_with_aux(&rw.query, &rw.aux_views, rw.requires_nat, db, cx, memo)
-                .map(|rel| (rel, None))
-        }
-        (None, None) => execute_ctx(q, db, cx).map(|rel| (rel, None)),
+        (None, Some(rw)) => execute_with_aux(
+            &rw.query,
+            &rw.aux_views,
+            rw.requires_nat,
+            db,
+            &cx,
+            &mut entry.memo,
+        )
+        .map(|rel| (rel, None)),
+        (None, None) => execute_ctx(sv.q, db, &cx).map(|rel| (rel, None)),
     };
     ran.map_err(|e| err(e.to_string()))
-}
-
-/// Elapsed registry-clock nanoseconds since `start_ns` (0 when
-/// observability is off).
-fn total_ns_since(metrics: Option<&MetricsRegistry>, start_ns: Option<u64>) -> u64 {
-    match (metrics, start_ns) {
-        (Some(m), Some(start)) => m.now_ns().saturating_sub(start),
-        _ => 0,
-    }
-}
-
-/// The per-query stage breakdown of a plan-cache miss, in pipeline order.
-fn miss_stage_timings(
-    rewrite_ns: u64,
-    plan_ns: Option<u64>,
-    exec_ns: Option<u64>,
-) -> Vec<(Stage, u64)> {
-    let mut stages = vec![(Stage::Rewrite, rewrite_ns)];
-    if let Some(ns) = plan_ns {
-        stages.push((Stage::Plan, ns));
-    }
-    if let Some(ns) = exec_ns {
-        stages.push((Stage::Execute, ns));
-    }
-    stages
 }
 
 #[cfg(test)]
@@ -2237,63 +2013,98 @@ mod tests {
         assert_eq!(cached_decision(&mut session, &q), (false, true));
     }
 
-    const SHARDED_SCRIPT: &str = "CREATE TABLE Sales (Region, Product, Amount);
+    const SHARDED_SETUP: &str = "CREATE TABLE Sales (Region, Product, Amount);
          INSERT INTO Sales VALUES (1, 10, 5), (1, 11, 7), (2, 10, 3), (2, 10, 3), (3, 12, 9);
          CREATE VIEW Totals AS
            SELECT Region, Product, SUM(Amount) AS T, COUNT(Amount) AS N
-           FROM Sales GROUP BY Region, Product;
-         SELECT Region, SUM(Amount) FROM Sales GROUP BY Region;
+           FROM Sales GROUP BY Region, Product;";
+    const SHARDED_SELECTS: &str = "SELECT Region, SUM(Amount) FROM Sales GROUP BY Region;
          SELECT Product, SUM(Amount), AVG(Amount) FROM Sales GROUP BY Product;
          SELECT COUNT(Amount) FROM Sales;";
+    const SHARDED_WRITES: &str = "INSERT INTO Sales VALUES (4, 10, 1), (1, 12, 2);
+         INSERT INTO Calls VALUES (5, 2, 1, 100);";
 
-    /// Every sharded answer (concat, re-aggregate, and scalar gather)
-    /// equals the unsharded answer as a multiset, with identical DDL/DML
-    /// acks and rewrite metadata, at every shard count.
+    /// Every backend — local, a shared-store handle, and 1, 2 and 3
+    /// shards — gives the same outcome for every statement: acks, and
+    /// for answers (concat, re-aggregate, scalar gather, and a join the
+    /// shards hand to the union, answered through an inline summary) the
+    /// rows as a multiset, `executed`, `views_used`, `candidates`,
+    /// `set_semantics` and the column names, on the miss that decides,
+    /// the hit that repeats it, and the hit after a write.
     #[test]
     fn sharded_session_matches_local_answers() {
-        let stmts = parse_script(SHARDED_SCRIPT).expect("parses");
-        let mut local = Session::new(SessionOptions {
+        let parse = |sql| parse_script(sql).expect("parses");
+        let mut selects = parse(SHARDED_SELECTS);
+        selects.push(Statement::Select(
+            aggview_sql::parse_query(EAGER_PROBE).expect("parses"),
+        ));
+        let stmts: Vec<Statement> = [
+            parse(SHARDED_SETUP),
+            parse(EAGER_SETUP),
+            selects.clone(),
+            selects.clone(),
+            parse(SHARDED_WRITES),
+            selects,
+        ]
+        .concat();
+        let options = SessionOptions {
             verify: true,
             ..SessionOptions::default()
-        });
-        let reference = local.run_script(&stmts).expect("local runs");
+        };
+        let reference = Session::new(options.clone())
+            .run_script(&stmts)
+            .expect("local runs");
+        let StatementOutcome::Answer { executed, .. } = &reference[10] else {
+            panic!("the join's first answer")
+        };
+        assert!(executed.starts_with("WITH Eager1 AS ("), "{executed}");
+        let mut backends = vec![(
+            "shared".to_string(),
+            crate::server::SharedStore::with_defaults().session(options.clone()),
+        )];
         for shards in [1, 2, 3] {
             let store = crate::sharded::ShardedStore::with_defaults(shards);
-            let mut session = store.session(SessionOptions {
-                verify: true,
-                ..SessionOptions::default()
-            });
-            let outcomes = session.run_script(&stmts).expect("sharded runs");
+            backends.push((format!("{shards} shard(s)"), store.session(options.clone())));
+        }
+        for (name, mut session) in backends {
+            let outcomes = session.run_script(&stmts).expect("runs");
             assert_eq!(outcomes.len(), reference.len());
             for (i, (got, want)) in outcomes.iter().zip(&reference).enumerate() {
                 match (got, want) {
                     (StatementOutcome::Ok(g), StatementOutcome::Ok(w)) => {
-                        assert_eq!(g, w, "ack #{i} diverged at {shards} shard(s)")
+                        assert_eq!(g, w, "ack #{i} diverged on {name}")
                     }
                     (
                         StatementOutcome::Answer {
                             relation: gr,
+                            executed: ge,
                             views_used: gv,
                             candidates: gc,
+                            set_semantics: gs,
                             verified: gok,
                             ..
                         },
                         StatementOutcome::Answer {
                             relation: wr,
+                            executed: we,
                             views_used: wv,
                             candidates: wc,
+                            set_semantics: ws,
                             ..
                         },
                     ) => {
                         assert!(
                             multiset_eq(gr, wr),
-                            "answer #{i} diverged at {shards} shard(s):\n{gr}\nvs\n{wr}"
+                            "answer #{i} diverged on {name}:\n{gr}\nvs\n{wr}"
                         );
-                        assert_eq!(gv, wv, "views #{i} at {shards} shard(s)");
-                        assert_eq!(gc, wc, "candidates #{i} at {shards} shard(s)");
-                        assert_eq!(gok, &Some(true), "verify #{i} at {shards} shard(s)");
+                        assert_eq!(gr.columns, wr.columns, "columns #{i} on {name}");
+                        assert_eq!(ge, we, "executed #{i} on {name}");
+                        assert_eq!(gv, wv, "views #{i} on {name}");
+                        assert_eq!(gc, wc, "candidates #{i} on {name}");
+                        assert_eq!(gs, ws, "set semantics #{i} on {name}");
+                        assert_eq!(gok, &Some(true), "verify #{i} on {name}");
                     }
-                    _ => panic!("outcome kind #{i} diverged at {shards} shard(s)"),
+                    _ => panic!("outcome kind #{i} diverged on {name}"),
                 }
             }
         }

@@ -36,13 +36,13 @@
 //! `Session::database`/`views`.
 
 use crate::server::{SharedStore, StoreSnapshot, WriteOp};
-use crate::session::{err, Session, SessionError, SessionOptions};
+use crate::session::{err, Session, SessionError, SessionOptions, StatementOutcome};
 use crate::state::{Applied, EngineState, WritePolicy};
 use aggview_engine::shard::{self, GatherPlan};
 use aggview_engine::value::lit_value;
 use aggview_engine::{execute_ctx, ExecContext, Relation};
 use aggview_obs::{CounterId, MetricsRegistry, ObsOptions, StoreSection};
-use aggview_sql::{CreateView, Insert, Literal, Query};
+use aggview_sql::{CreateView, Insert, Literal, Query, Statement};
 use std::cell::OnceCell;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -497,6 +497,18 @@ fn build_union(
         state.views.push(view.clone());
     }
     Ok(state)
+}
+
+/// Execute `q` on every shard's handle session, in shard order,
+/// returning the per-shard relations (the gather barrier).
+pub(crate) fn scatter(shards: &mut [Session], q: &Query) -> Result<Vec<Relation>, SessionError> {
+    shards
+        .iter_mut()
+        .map(|s| match s.execute(&Statement::Select(q.clone()))? {
+            StatementOutcome::Answer { relation, .. } => Ok(relation),
+            _ => Err(err("scatter: shard returned a non-answer outcome")),
+        })
+        .collect()
 }
 
 /// Answer `q` from per-shard partial answers. `scatter` runs a query on

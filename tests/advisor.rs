@@ -29,7 +29,10 @@ fn setup_script() -> String {
 const HOT_QUERY: &str = "SELECT Region, SUM(Amount) FROM Sales GROUP BY Region;";
 
 fn session_with(policy: AdvisorPolicy) -> Session {
-    Session::new(SessionOptions::builder().advisor(policy).build())
+    Session::new(SessionOptions {
+        advisor: policy,
+        ..Default::default()
+    })
 }
 
 fn run_script(session: &mut Session, script: &str) -> Vec<StatementOutcome> {

@@ -304,3 +304,45 @@ fn ranking_uses_global_view_cardinalities() {
         assert_eq!((views_used, candidates), (vec!["ByC".to_string()], 2));
     }
 }
+
+/// `EXPLAIN` and `SUGGEST` need only the catalog, the views and the
+/// base-table cardinalities, so a 2-shard driver answers them from the
+/// shard snapshots: no union build, and the lines an unsharded session
+/// prints (the store line, which describes the backend, and timings
+/// aside).
+#[test]
+fn planning_statements_build_no_union() {
+    let setup = parse_script(
+        "CREATE TABLE T (a, b, KEY (a));
+         INSERT INTO T VALUES (1, 5), (2, 7), (3, 9), (4, 5), (5, 11);
+         CREATE VIEW V AS SELECT b, SUM(a) AS s FROM T GROUP BY b;",
+    )
+    .expect("parses");
+    let mut local = Session::new(SessionOptions::default());
+    let mut driver = ShardedStore::with_defaults(2).session(SessionOptions::default());
+    for stmt in &setup {
+        same_outcome(&mut local, &mut driver, stmt);
+    }
+    let builds = union_builds(&driver);
+    for sql in [
+        "EXPLAIN SELECT b, SUM(a) FROM T GROUP BY b",
+        "EXPLAIN SELECT a FROM T WHERE b = 5",
+        "SUGGEST SELECT a, SUM(b) FROM T GROUP BY a",
+        "SUGGEST SELECT b, COUNT(a) FROM T GROUP BY b",
+    ] {
+        let stmt = statement(sql);
+        let lines = |session: &mut Session| match session.execute(&stmt) {
+            Ok(StatementOutcome::Explanation(lines)) => lines
+                .into_iter()
+                .filter(|l| !l.starts_with("-- store:"))
+                // Drop the search's wall-clock timings.
+                .map(|l| l.split(" prepare=").next().unwrap_or_default().to_string())
+                .collect::<Vec<_>>(),
+            other => panic!("`{sql}`: {other:?}"),
+        };
+        let want = lines(&mut local);
+        assert!(!want.is_empty(), "`{sql}` printed nothing");
+        assert_eq!(lines(&mut driver), want, "`{sql}`");
+        assert_eq!(union_builds(&driver), builds, "`{sql}` built the union");
+    }
+}

@@ -151,7 +151,10 @@ impl Pair {
     fn new(setup: &str) -> Pair {
         let mut pair = Pair {
             folding: Session::new(SessionOptions::default()),
-            recomputing: Session::new(SessionOptions::builder().recompute_views(true).build()),
+            recomputing: Session::new(SessionOptions {
+                recompute_views: true,
+                ..Default::default()
+            }),
         };
         run(&mut pair.folding, setup).expect("setup");
         run(&mut pair.recomputing, setup).expect("setup");
