@@ -411,6 +411,81 @@ impl Canonical {
         c
     }
 
+    /// The query's *template*: the [`Canonical::normalized`] form with
+    /// every constant lifted out, plus the lifted constants. Each
+    /// `Term::Const` and `GTerm::Const` becomes a slot — a literal of the
+    /// same type with a fixed value — and the vector holds the constants
+    /// in slot order (conjuncts in the template's order, left side first).
+    /// Conjuncts are sorted *after* lifting, so queries that differ only
+    /// in their constants share a template; conjuncts that lift to the
+    /// same atom keep their relative order.
+    pub fn lift_constants(&self) -> (Canonical, Vec<Literal>) {
+        fn slot(l: &mut Literal, params: &mut Vec<Literal>) {
+            let fixed = match l {
+                Literal::Int(_) => Literal::Int(0),
+                Literal::Double(_) => Literal::Double(0.0),
+                Literal::Str(_) => Literal::Str(String::new()),
+                Literal::Bool(_) => Literal::Bool(false),
+            };
+            params.push(std::mem::replace(l, fixed));
+        }
+        let mut conds: Vec<(Atom, Vec<Literal>)> = self
+            .conds
+            .iter()
+            .map(|a| {
+                let mut a = a.normalized();
+                let mut params = Vec::new();
+                for t in [&mut a.lhs, &mut a.rhs] {
+                    if let Term::Const(l) = t {
+                        slot(l, &mut params);
+                    }
+                }
+                (a, params)
+            })
+            .collect();
+        let mut gconds: Vec<(GAtom, Vec<Literal>)> = self
+            .gconds
+            .iter()
+            .map(|g| {
+                let mut g = g.clone();
+                let mut params = Vec::new();
+                for t in [&mut g.lhs, &mut g.rhs] {
+                    if let GTerm::Const(l) = t {
+                        slot(l, &mut params);
+                    }
+                }
+                (g, params)
+            })
+            .collect();
+        conds.sort_by_cached_key(|(a, _)| stable_hash(a));
+        gconds.sort_by_cached_key(|(g, _)| stable_hash(g));
+        let mut params = Vec::new();
+        let conds = conds
+            .into_iter()
+            .map(|(a, p)| {
+                params.extend(p);
+                a
+            })
+            .collect();
+        let gconds = gconds
+            .into_iter()
+            .map(|(g, p)| {
+                params.extend(p);
+                g
+            })
+            .collect();
+        let template = Canonical {
+            distinct: self.distinct,
+            tables: self.tables.clone(),
+            columns: self.columns.clone(),
+            select: self.select.clone(),
+            conds,
+            groups: self.groups.clone(),
+            gconds,
+        };
+        (template, params)
+    }
+
     /// Stable 64-bit fingerprint of the [`Canonical::normalized`] form.
     /// Canonically identical queries share a fingerprint; it is used for
     /// display and statistics only — cache lookups compare the full
@@ -780,6 +855,31 @@ mod tests {
         assert_ne!(a, b, "surface forms differ before normalization");
         assert_eq!(a.normalized(), b.normalized());
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn constant_variants_share_a_template() {
+        let (a, pa) =
+            canon("SELECT A, SUM(B) FROM R1 WHERE D > 3 AND C = 1 GROUP BY A HAVING SUM(B) < 7")
+                .lift_constants();
+        let (b, pb) = canon(
+            "SELECT x.A, SUM(x.B) FROM R1 x WHERE 5 = x.C AND x.D > 2 GROUP BY x.A \
+             HAVING SUM(x.B) < 9",
+        )
+        .lift_constants();
+        assert_eq!(a, b);
+        // Parameters follow the template's slot order, whatever the
+        // textual order of the conjuncts.
+        let pos = |p: &[Literal], want: i64| p.iter().position(|l| *l == Literal::Int(want));
+        assert_eq!(pos(&pa, 3), pos(&pb, 2));
+        assert_eq!(pos(&pa, 1), pos(&pb, 5));
+        assert_eq!(pa.last(), Some(&Literal::Int(7)));
+        assert_eq!(pb.last(), Some(&Literal::Int(9)));
+        // A constant of another type is another template.
+        let (c, _) =
+            canon("SELECT A, SUM(B) FROM R1 WHERE D > 3.5 AND C = 1 GROUP BY A HAVING SUM(B) < 7")
+                .lift_constants();
+        assert_ne!(a, c);
     }
 
     #[test]

@@ -176,6 +176,13 @@ pub struct RewriteStats {
     /// Serving-layer plan-cache entries invalidated by catalog or data
     /// changes since the session started.
     pub plan_cache_invalidations: u64,
+    /// Serving-layer plan-cache hits on a query-shape template: a
+    /// constant variant of an earlier query whose cached choice was
+    /// replayed (also counted in `plan_cache_hits`).
+    pub plan_cache_template_hits: u64,
+    /// Template replays that found no rewriting matching the cached
+    /// choice, so the full search ran.
+    pub plan_cache_replay_rejects: u64,
     /// Is this session a handle on a shared concurrent store? When
     /// false, the `store_*` counters below are meaningless. Filled in by
     /// the session, not the search.
@@ -239,6 +246,8 @@ impl RewriteStats {
             hits: self.plan_cache_hits,
             misses: self.plan_cache_misses,
             invalidations: self.plan_cache_invalidations,
+            template_hits: self.plan_cache_template_hits,
+            replay_rejects: self.plan_cache_replay_rejects,
         }
     }
 

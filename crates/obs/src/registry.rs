@@ -97,6 +97,12 @@ pub enum CounterId {
     PlanCacheMisses,
     /// Plan-cache entries invalidated by schema changes.
     PlanCacheInvalidations,
+    /// Plan-cache hits on a query-shape template (a constant variant of
+    /// an earlier query, replayed; also counted in `PlanCacheHits`).
+    PlanCacheTemplateHits,
+    /// Template replays that found no rewriting matching the cached
+    /// choice and fell back to the full search.
+    PlanCacheReplayRejects,
     /// Physical plans compiled.
     PlanCompiles,
     /// Grouped-view index probes that answered an aggregate lookup.
@@ -184,7 +190,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in declaration order.
-    pub const ALL: [CounterId; 51] = [
+    pub const ALL: [CounterId; 53] = [
         CounterId::Statements,
         CounterId::Queries,
         CounterId::Writes,
@@ -198,6 +204,8 @@ impl CounterId {
         CounterId::PlanCacheHits,
         CounterId::PlanCacheMisses,
         CounterId::PlanCacheInvalidations,
+        CounterId::PlanCacheTemplateHits,
+        CounterId::PlanCacheReplayRejects,
         CounterId::PlanCompiles,
         CounterId::IndexProbes,
         CounterId::IndexProbeRows,
@@ -255,6 +263,8 @@ impl CounterId {
             CounterId::PlanCacheHits => "plan_cache_hits",
             CounterId::PlanCacheMisses => "plan_cache_misses",
             CounterId::PlanCacheInvalidations => "plan_cache_invalidations",
+            CounterId::PlanCacheTemplateHits => "plan_cache_template_hits",
+            CounterId::PlanCacheReplayRejects => "plan_cache_replay_rejects",
             CounterId::PlanCompiles => "plan_compiles",
             CounterId::IndexProbes => "index_probes",
             CounterId::IndexProbeRows => "index_probe_rows",
@@ -480,26 +490,27 @@ impl MetricsRegistry {
                 if slow {
                     sample = Some(entry.sql.clone());
                 }
-            } else {
+            } else if map.len() < self.workload_capacity {
+                // The map is capacity-bounded: a pathological stream of
+                // distinct fingerprints stops profiling instead of
+                // growing without bound (the ring still sees slow ones),
+                // and the text is rendered only when something keeps it.
                 let text = sql();
                 if slow {
                     sample = Some(text.clone());
                 }
-                // The map is capacity-bounded: a pathological stream of
-                // distinct fingerprints stops profiling instead of
-                // growing without bound (the ring still sees slow ones).
-                if map.len() < self.workload_capacity {
-                    map.insert(
+                map.insert(
+                    fingerprint,
+                    WorkloadEntry {
                         fingerprint,
-                        WorkloadEntry {
-                            fingerprint,
-                            count: 1,
-                            total_ns,
-                            slow_hits: slow as u64,
-                            sql: text,
-                        },
-                    );
-                }
+                        count: 1,
+                        total_ns,
+                        slow_hits: slow as u64,
+                        sql: text,
+                    },
+                );
+            } else if slow {
+                sample = Some(sql());
             }
         }
         if slow {
@@ -680,6 +691,31 @@ mod tests {
         // Tracked fingerprints keep counting past the cap.
         r.note_query(1, || panic!("tracked"), 100, &[]);
         assert_eq!(r.fingerprint_count(1), 2);
+    }
+
+    /// Past the capacity, a fast unseen fingerprint keeps nothing, so its
+    /// text is never rendered; a slow one still is, for the ring.
+    #[test]
+    fn full_workload_map_renders_only_what_it_keeps() {
+        let opts = ObsOptions {
+            workload_capacity: 4,
+            slow_query_ms: 1,
+            ..ObsOptions::default()
+        };
+        let r = MetricsRegistry::new(&opts);
+        let rendered = std::cell::Cell::new(0);
+        let sql = || {
+            rendered.set(rendered.get() + 1);
+            "SELECT x".to_string()
+        };
+        for fp in 0..10u64 {
+            r.note_query(fp, sql, 100, &[]);
+        }
+        assert_eq!(rendered.get(), 4);
+        r.note_query(99, sql, 2_000_000, &[]);
+        assert_eq!(rendered.get(), 5);
+        assert_eq!(r.slow_queries()[0].sql, "SELECT x");
+        assert_eq!(r.workload().len(), 4);
     }
 
     #[test]

@@ -82,16 +82,27 @@ pub struct PlanCacheSection {
     pub misses: u64,
     /// Entries invalidated by schema changes.
     pub invalidations: u64,
+    /// Hits on a query-shape template (included in `hits`).
+    pub template_hits: u64,
+    /// Template replays that found no match and ran the full search.
+    pub replay_rejects: u64,
 }
 
 impl PlanCacheSection {
-    /// One-line summary, byte-identical to the historical
-    /// `RewriteStats::plan_cache_summary()` output.
+    /// One-line summary: the historical `RewriteStats::plan_cache_summary()`
+    /// shape, extended with the template counters once either is nonzero.
     pub fn summary(&self) -> String {
-        format!(
+        let mut line = format!(
             "plan-cache: {} hit(s), {} miss(es), {} invalidation(s)",
             self.hits, self.misses, self.invalidations
-        )
+        );
+        if self.template_hits > 0 || self.replay_rejects > 0 {
+            line.push_str(&format!(
+                "; by order type: {} template hit(s), {} replay reject(s)",
+                self.template_hits, self.replay_rejects
+            ));
+        }
+        line
     }
 }
 
@@ -384,6 +395,21 @@ impl ObsSnapshot {
                 let _ = writeln!(out, "aggview_plan_cache_hits_total {}", p.hits);
                 let _ = writeln!(out, "# TYPE aggview_plan_cache_misses_total counter");
                 let _ = writeln!(out, "aggview_plan_cache_misses_total {}", p.misses);
+                let _ = writeln!(out, "# TYPE aggview_plan_cache_template_hits_total counter");
+                let _ = writeln!(
+                    out,
+                    "aggview_plan_cache_template_hits_total {}",
+                    p.template_hits
+                );
+                let _ = writeln!(
+                    out,
+                    "# TYPE aggview_plan_cache_replay_rejects_total counter"
+                );
+                let _ = writeln!(
+                    out,
+                    "aggview_plan_cache_replay_rejects_total {}",
+                    p.replay_rejects
+                );
             }
         }
         if !self.shards.is_empty() {
@@ -501,11 +527,20 @@ mod tests {
         let p = PlanCacheSection {
             hits: 2,
             misses: 1,
-            invalidations: 0,
+            ..PlanCacheSection::default()
         };
         assert_eq!(
             p.summary(),
             "plan-cache: 2 hit(s), 1 miss(es), 0 invalidation(s)"
+        );
+        let templates = PlanCacheSection {
+            template_hits: 1,
+            ..p
+        };
+        assert_eq!(
+            templates.summary(),
+            "plan-cache: 2 hit(s), 1 miss(es), 0 invalidation(s); \
+             by order type: 1 template hit(s), 0 replay reject(s)"
         );
     }
 

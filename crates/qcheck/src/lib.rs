@@ -32,6 +32,7 @@ mod net;
 pub mod oracle;
 pub mod shrink;
 mod target;
+mod variants;
 
 pub use case::{Case, TableSpec};
 pub use crash::check_case_crash_at;

@@ -22,7 +22,15 @@
 //!   table's global contents;
 //! * the final **materialized view contents**, equal to reference
 //!   evaluation of the view definitions and identical across lattice
-//!   points.
+//!   points;
+//! * a few **constant-only variants** of the query (see
+//!   [`crate::variants`]), asked after a schema event so every point
+//!   decides them from the final data: each answer against the reference
+//!   interpreter, and each decision's metadata (executed text, views,
+//!   candidate count, semantics, column names) identical with the plan
+//!   cache on and off — a `decision-drift` otherwise, which is what a
+//!   template served to a variant it does not fit looks like — and no
+//!   template replay rejected (`replay-reject`).
 //!
 //! The local mode adds a **display→parse round-trip** of the query and
 //! each view, and executes **every emitted rewriting** (not just the
@@ -33,6 +41,7 @@
 
 use crate::case::Case;
 use crate::target::{self, Target};
+use crate::variants::variants;
 use crate::Mode;
 use aggview::run::execute_rewriting;
 use aggview::session::{SessionOptions, StatementOutcome};
@@ -290,11 +299,30 @@ pub(crate) fn check_lattice(case: &Case, mode: &Mode) -> Result<(), Discrepancy>
     let expected = Expected::of(case)?;
     let protocol = protocol(case);
     let mut first: Option<(LatticePoint, Vec<Rows>)> = None;
+    let mut cached: Vec<(LatticePoint, Vec<Decided>)> = Vec::new();
     for point in LatticePoint::all() {
         let at = target::label(mode, point);
-        let views = target::open(mode, point)
+        let (views, decided) = target::open(mode, point)
             .and_then(|mut t| walk(case, &protocol, &expected, t.as_mut(), point.cache))
             .map_err(|d| d.within(&at))?;
+        if point.cache {
+            cached.push((point, decided));
+        } else if let Some((on, want)) = cached
+            .iter()
+            .find(|(p, _)| (p.recompute, p.columnar) == (point.recompute, point.columnar))
+        {
+            if let Some((i, (w, g))) = want
+                .iter()
+                .zip(&decided)
+                .enumerate()
+                .find(|(_, (w, g))| w != g)
+            {
+                return Err(Discrepancy::new(
+                    "decision-drift",
+                    format!("{at}: variant {i} decided differently from [{on}]: {g:?} vs {w:?}"),
+                ));
+            }
+        }
         match &first {
             None => first = Some((point, views)),
             Some((baseline, rows)) if *rows != views => {
@@ -316,14 +344,15 @@ pub(crate) fn check_lattice(case: &Case, mode: &Mode) -> Result<(), Discrepancy>
 /// One lattice point: the protocol on `target`, round-robined across its
 /// handles (one driver thread, every write acked before the next
 /// statement, so the interleaving is identical on every run). Returns
-/// each view's final sorted rows.
+/// each view's final sorted rows and the decisions on the query's
+/// constant variants.
 fn walk(
     case: &Case,
     protocol: &Protocol,
     expected: &Expected,
     target: &mut dyn Target,
     cache: bool,
-) -> Result<Vec<Rows>, Discrepancy> {
+) -> Result<(Vec<Rows>, Vec<Decided>), Discrepancy> {
     let select = Statement::Select(case.query.clone());
     let handles = target.handles();
     let mut next = 0;
@@ -378,6 +407,8 @@ fn walk(
         ));
     }
 
+    let decided = ask_variants(case, &expected.final_db, target)?;
+
     // Partition completeness: every base table's global contents must be
     // exactly the disjoint union of its per-shard partitions.
     let shards = target.partitions();
@@ -405,7 +436,8 @@ fn walk(
         }
     }
 
-    case.views
+    let views = case
+        .views
         .iter()
         .zip(&expected.views)
         .map(|(v, want)| {
@@ -421,7 +453,89 @@ fn walk(
             }
             Ok(got.sorted_rows())
         })
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok((views, decided))
+}
+
+/// Where a schema event marks the start of the variant phase: no case
+/// table or view has this name.
+const VARIANT_MARK: &str = "Variants_mark";
+
+/// What a `SELECT` reported about the decision that served it.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Decided {
+    executed: String,
+    views_used: Vec<String>,
+    candidates: usize,
+    set_semantics: bool,
+    columns: Vec<String>,
+}
+
+/// Ask the query's constant-only variants after a schema event, checking
+/// each answer against the reference on the final data. The event drops
+/// every cached decision: a cached decision deliberately stands across
+/// data writes, so one made at an earlier checkpoint may rank candidates
+/// by older cardinalities, which is not what the comparison of cache-on
+/// and cache-off decisions is about.
+fn ask_variants(
+    case: &Case,
+    final_db: &Database,
+    target: &mut dyn Target,
+) -> Result<Vec<Decided>, Discrepancy> {
+    let variants = variants(case);
+    if variants.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mark = Statement::CreateTable(CreateTable {
+        name: VARIANT_MARK.to_string(),
+        columns: vec!["a".to_string()],
+        keys: Vec::new(),
+    });
+    target.run(0, &mark)?;
+    let handles = target.handles();
+    let decided = variants
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let outcome = target.run(i % handles, &Statement::Select(q.clone()))?;
+            let decided = match &outcome {
+                StatementOutcome::Answer {
+                    relation,
+                    executed,
+                    views_used,
+                    candidates,
+                    set_semantics,
+                    ..
+                } => Decided {
+                    executed: executed.clone(),
+                    views_used: views_used.clone(),
+                    candidates: *candidates,
+                    set_semantics: *set_semantics,
+                    columns: relation.columns.clone(),
+                },
+                _ => {
+                    return Err(Discrepancy::new(
+                        "session-error",
+                        "a variant did not answer",
+                    ))
+                }
+            };
+            let want = execute_reference(q, final_db)
+                .map_err(|e| Discrepancy::new("reference-error", format!("variant {i}: {e}")))?;
+            compare(&served(outcome)?, &want, &format!("variant {i} ({q})"))?;
+            Ok(decided)
+        })
+        .collect::<Result<_, _>>()?;
+    // With no write between them, variants of one order type get one
+    // search: a replay that finds no match means the order type missed a
+    // comparison the search depends on.
+    match target.replay_rejects() {
+        0 => Ok(decided),
+        n => Err(Discrepancy::new(
+            "replay-reject",
+            format!("{n} template replay(s) found no rewriting matching the cached choice"),
+        )),
+    }
 }
 
 /// A served answer plus the semantics (and views) it was produced under.

@@ -37,6 +37,11 @@ pub(crate) trait Target {
     fn view(&self, name: &str) -> Result<Vec<Vec<Value>>, String>;
     /// Plan-cache hits over every handle (`None`: not observable).
     fn cache_hits(&self) -> Option<u64>;
+    /// Plan-cache template replays over every handle that found no
+    /// rewriting matching the template's choice (0 when not observable).
+    fn replay_rejects(&self) -> u64 {
+        0
+    }
     /// Every shard's current snapshot (empty when unsharded).
     fn partitions(&self) -> Vec<Arc<StoreSnapshot>> {
         Vec::new()
@@ -64,6 +69,10 @@ impl Target for Session {
 
     fn cache_hits(&self) -> Option<u64> {
         Some(self.plan_cache().hits())
+    }
+
+    fn replay_rejects(&self) -> u64 {
+        self.plan_cache().replay_rejects()
     }
 
     fn partitions(&self) -> Vec<Arc<StoreSnapshot>> {
@@ -124,6 +133,10 @@ impl Target for StoreHandles {
 
     fn cache_hits(&self) -> Option<u64> {
         Some(self.handles.iter().map(|s| s.plan_cache().hits()).sum())
+    }
+
+    fn replay_rejects(&self) -> u64 {
+        self.handles.iter().map(Target::replay_rejects).sum()
     }
 
     fn partitions(&self) -> Vec<Arc<StoreSnapshot>> {

@@ -6,8 +6,9 @@
 # byte-identically with and without --no-columnar), a differential smoke
 # (a short qcheck seed sweep plus the persisted corpus, failing on any
 # regression, and the fault-injection self-tests proving the sweep
-# catches a dropped join-delta term, a stale inline summary and a
-# partial aux memo key and shrinks all three), a concurrency smoke
+# catches a dropped join-delta term, a stale inline summary, a partial
+# aux memo key and a plan-cache template key missing a comparison, and
+# shrinks all four), a concurrency smoke
 # (the shared-store stress test under --release plus a short
 # multi-session qcheck sweep), a metrics smoke, a sharding smoke (every
 # corpus script answers identically under --shards 2 and 4, a short
@@ -104,6 +105,16 @@ if unsound_memo=$(AGGVIEW_UNSOUND_AUX_MEMO_ONE_INPUT=1 ./target/release/qcheck -
 fi
 grep -q "answer-mismatch" <<<"$unsound_memo"
 grep -q "shrunk" <<<"$unsound_memo"
+# Fault-injection self-test: with the first constant's comparisons left
+# out of the plan cache's template key, a constant variant replays a
+# choice the full search would not make; the cache-on vs cache-off
+# comparison of the variants' decisions must FAIL with a shrunk witness.
+if unsound_rank=$(AGGVIEW_UNSOUND_RANK_KEY=1 ./target/release/qcheck --seeds 0..100 2>&1); then
+  echo "ci: differential oracle failed to catch a template key missing a comparison" >&2
+  exit 1
+fi
+grep -q "decision-drift" <<<"$unsound_rank"
+grep -q "shrunk" <<<"$unsound_rank"
 # Concurrency smoke: the 4-reader/1-writer stress test runs under
 # --release (debug-mode timing starves the readers), and a short
 # multi-session sweep replays the differential stream round-robined

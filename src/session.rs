@@ -43,7 +43,9 @@ use crate::advisor::{
 };
 use crate::eager::{self, Served};
 use crate::memo::Reuse;
-use crate::plan_cache::{AnswerMeta, CacheKey, CachedPlan, PlanCache, DEFAULT_PLAN_CACHE_CAP};
+use crate::plan_cache::{
+    AnswerMeta, CacheKey, CachedPlan, Choice, PlanCache, Shape, ShapeKey, DEFAULT_PLAN_CACHE_CAP,
+};
 use crate::run::{execute_with_aux, rewriting_equivalent};
 use crate::server::{SharedStore, StoreSnapshot, WriteOp};
 use crate::sharded::{gather, gather_plan, scatter, ShardedStore, UnionState};
@@ -752,12 +754,25 @@ impl Session {
         // Tail: what the full search does with these candidates, the
         // serving-cache status for this query, and the shared store (if
         // any) — one ObsSnapshot, rendered by the shared renderer.
-        let status = match cache_key(state, q) {
-            Some(k) if self.plan_cache.peek(&k) => {
-                format!("cached (fingerprint {:016x})", k.fingerprint())
+        let status = match Canonical::from_query(q, &state.db) {
+            Ok(canon) => {
+                let key = CacheKey::new(&canon, q.output_names());
+                let fp = key.fingerprint();
+                let cache = &mut self.plan_cache;
+                if cache.peek(&key) {
+                    format!("cached (fingerprint {fp:016x})")
+                } else if let Some(source) =
+                    cache.peek_template(&canon, q.output_names(), &state.views, &state.db)
+                {
+                    format!(
+                        "cached by order type (fingerprint {fp:016x}, \
+                         template of fingerprint {source:016x})"
+                    )
+                } else {
+                    format!("not cached (fingerprint {fp:016x})")
+                }
             }
-            Some(k) => format!("not cached (fingerprint {:016x})", k.fingerprint()),
-            None => "uncacheable (outside the canonical fragment)".to_string(),
+            Err(_) => "uncacheable (outside the canonical fragment)".to_string(),
         };
         let mut stats = RewriteStats::default();
         self.plan_cache.fill_stats(&mut stats);
@@ -1214,21 +1229,34 @@ impl Target<'_> {
     }
 }
 
+/// Stage timings of a decision, in the order they ran.
+type Stages = Vec<(Stage, u64)>;
+
 /// A `SELECT`'s serving decision.
 enum Decision<'c> {
     /// A plan-cache hit: the cached entry, used in place (never cloned).
     Hit(&'c mut CachedPlan),
-    /// A fresh decision and the stage timings of making it; cached once
+    /// A template hit: the cached choice of a constant variant, replayed
+    /// on this query. Reported as a hit; cached under its literal key once
     /// it has served an answer.
+    Replay {
+        key: CacheKey,
+        entry: Box<CachedPlan>,
+        stages: Stages,
+    },
+    /// A fresh decision and the stage timings of making it; cached under
+    /// both keys once it has served an answer.
     Miss {
         key: Option<CacheKey>,
+        shape: Option<ShapeKey>,
         entry: Box<CachedPlan>,
-        stages: Vec<(Stage, u64)>,
+        stages: Stages,
     },
 }
 
 /// Decide how to serve `sv.q` from `target`'s schema and stats: the
-/// plan-cache entry on a hit; on a miss, the rewrite search, the cost
+/// plan-cache entry on a hit; the template's choice, replayed, on a hit
+/// of a constant variant; otherwise the rewrite search, the cost
 /// ranking, the eager candidate when no stored view answers, and — when
 /// the target runs decisions on a pinned state — the compiled plan.
 fn decide<'c>(
@@ -1237,12 +1265,32 @@ fn decide<'c>(
     cache: &'c mut PlanCache,
 ) -> Result<Decision<'c>, SessionError> {
     let q = sv.q;
-    let key = cache_key(target.schema(), q);
+    let schema = target.schema();
+    let canon = Canonical::from_query(q, &schema.db).ok();
+    let key = canon.as_ref().map(|c| CacheKey::new(c, q.output_names()));
     if let Some(k) = &key {
-        if let Some(entry) = cache.lookup_mut(k) {
+        if cache.probe(k) {
             sv.count(CounterId::PlanCacheHits);
-            return Ok(Decision::Hit(entry));
+            return Ok(Decision::Hit(cache.hit(k)));
         }
+    }
+    let shape = canon
+        .filter(|_| cache.enabled())
+        .map(|c| cache.shape_key(&c, q.output_names(), &schema.views, &schema.db));
+    let template = shape.as_ref().and_then(|s| cache.lookup_shape(s));
+    if let (Some(k), Some(template)) = (&key, template) {
+        if let Some((entry, stages)) = replay(sv, target, &template, k.fingerprint())? {
+            cache.note_template_hit();
+            sv.count(CounterId::PlanCacheHits);
+            sv.count(CounterId::PlanCacheTemplateHits);
+            let key = k.clone();
+            return Ok(Decision::Replay { key, entry, stages });
+        }
+        cache.note_replay_reject();
+        sv.count(CounterId::PlanCacheReplayRejects);
+    }
+    if key.is_some() {
+        cache.note_miss();
         sv.count(CounterId::PlanCacheMisses);
     }
     let schema = target.schema();
@@ -1271,7 +1319,90 @@ fn decide<'c>(
         search.record_into(m);
     }
     let rewrite_ns = (search.prepare_time + search.search_time).as_nanos();
-    let mut stages = vec![(Stage::Rewrite, rewrite_ns.min(u64::MAX as u128) as u64)];
+    let stages = vec![(Stage::Rewrite, rewrite_ns.min(u64::MAX as u128) as u64)];
+    let fingerprint = key.as_ref().map_or(0, CacheKey::fingerprint);
+    let (entry, stages) = decision(sv, target, chosen, candidates, fingerprint, search, stages);
+    Ok(Decision::Miss {
+        key,
+        shape,
+        entry,
+        stages,
+    })
+}
+
+/// Replay a template's choice on `sv.q`: the rewriter over the pool
+/// restricted to the choice's views (and the views `sv.q` reads), kept
+/// in pool order, and the candidate with the choice's views and flags —
+/// the paper's conditions checked against this query's own constants.
+/// An inline choice re-runs the eager planner; a base-table choice needs
+/// nothing. `None` when the replay finds no such candidate.
+fn replay(
+    sv: &Serve,
+    target: &mut Target,
+    template: &Shape,
+    fingerprint: u64,
+) -> Result<Option<(Box<CachedPlan>, Stages)>, SessionError> {
+    let q = sv.q;
+    let t = Instant::now();
+    let chosen = match &template.choice {
+        Choice::BaseTables => None,
+        Choice::Inline => {
+            let stats = target.stats(sv, &[])?;
+            let Some(rw) = eager::inline_rewriting(q, target.schema(), &stats) else {
+                return Ok(None);
+            };
+            Some(rw)
+        }
+        Choice::Views { views_used, .. } => {
+            let schema = target.schema();
+            let reads = |v: &ViewDef| q.from.iter().any(|t| t.table == v.name);
+            let pool: Vec<ViewDef> = schema
+                .views
+                .iter()
+                .filter(|v| views_used.contains(&v.name) || reads(v))
+                .cloned()
+                .collect();
+            let rewriter = Rewriter::with_options(&schema.catalog, sv.options.rewrite.clone());
+            let Ok(rewritings) = rewriter.rewrite(q, &pool) else {
+                return Ok(None);
+            };
+            let mut matching: Vec<Rewriting> = rewritings
+                .into_iter()
+                .filter(|rw| Choice::of(Some(rw)) == template.choice)
+                .collect();
+            if matching.len() > 1 {
+                let stats = target.stats(sv, &matching)?;
+                matching.sort_by(|a, b| a.cost(&stats).total_cmp(&b.cost(&stats)));
+            }
+            let Some(rw) = matching.into_iter().next() else {
+                return Ok(None);
+            };
+            Some(rw)
+        }
+    };
+    let replay_ns = t.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    if let Some(m) = sv.metrics {
+        m.observe_ns(Stage::Rewrite, replay_ns);
+    }
+    let (candidates, search) = (template.candidates, RewriteStats::default());
+    let stages = vec![(Stage::Rewrite, replay_ns)];
+    let made = decision(sv, target, chosen, candidates, fingerprint, search, stages);
+    Ok(Some(made))
+}
+
+/// A decision for `chosen` (`None` = the base tables): its answer
+/// metadata and — when the target runs decisions on a pinned state — its
+/// compiled plan, the planning time appended to `stages`.
+fn decision(
+    sv: &Serve,
+    target: &Target,
+    chosen: Option<Rewriting>,
+    candidates: usize,
+    fingerprint: u64,
+    search: RewriteStats,
+    mut stages: Stages,
+) -> (Box<CachedPlan>, Stages) {
+    let q = sv.q;
     let meta = match &chosen {
         None => base_meta(q),
         Some(rw) => AnswerMeta {
@@ -1306,9 +1437,8 @@ fn decide<'c>(
         }
         Target::Shards { .. } => None,
     };
-    let fingerprint = key.as_ref().map_or(0, CacheKey::fingerprint);
     let entry = Box::new(CachedPlan::new(chosen, plan, meta, fingerprint, search));
-    Ok(Decision::Miss { key, entry, stages })
+    (entry, stages)
 }
 
 /// The select path, one for every backend: decide, execute on `target`,
@@ -1325,7 +1455,7 @@ fn serve(
     let mut decision = decide(sv, target, cache)?;
     let entry: &mut CachedPlan = match &mut decision {
         Decision::Hit(entry) => entry,
-        Decision::Miss { entry, .. } => entry,
+        Decision::Replay { entry, .. } | Decision::Miss { entry, .. } => entry,
     };
     // The warm path is the one the ≤5% observability-overhead budget
     // protects, so execution is timed with the registry clock alone: one
@@ -1360,22 +1490,37 @@ fn serve(
         Some(Served::BaseTables) => q.to_string(),
         _ => executed,
     };
-    // A hit ran no search: it reports zeroed search counters.
+    // An inline summary that failed or did not shrink leaves later
+    // arrivals of this query the base-table plan; its template keeps the
+    // inline choice, which each variant's replay judges for itself.
+    let cacheable = |entry: Box<CachedPlan>| match served {
+        Some(Served::Unshrunk(_) | Served::BaseTables) => {
+            let plan = compile(sv, q, target.schema());
+            CachedPlan::new(None, plan, base_meta(q), fingerprint, entry.search)
+        }
+        _ => *entry,
+    };
+    // A hit ran no search: it reports zeroed search counters, and so does
+    // a replayed template.
     let (hit, mut search, mut stages) = match decision {
         Decision::Hit(_) => (true, RewriteStats::default(), Vec::new()),
-        Decision::Miss { key, entry, stages } => {
+        Decision::Replay { key, entry, stages } => {
+            cache.insert(key, cacheable(entry));
+            (true, RewriteStats::default(), stages)
+        }
+        Decision::Miss {
+            key,
+            shape,
+            entry,
+            stages,
+        } => {
             let search = entry.search.clone();
+            if let Some(s) = shape {
+                let choice = Choice::of(entry.rewriting.as_ref());
+                cache.store_shape(s, choice, candidates, fingerprint);
+            }
             if let Some(k) = key {
-                // An inline summary that failed or did not shrink leaves
-                // later arrivals the base-table plan.
-                let entry = match served {
-                    Some(Served::Unshrunk(_) | Served::BaseTables) => {
-                        let plan = compile(sv, q, target.schema());
-                        CachedPlan::new(None, plan, base_meta(q), fingerprint, search.clone())
-                    }
-                    _ => *entry,
-                };
-                cache.insert(k, entry);
+                cache.insert(k, cacheable(entry));
             }
             (false, search, stages)
         }
