@@ -1152,7 +1152,7 @@ pub fn f6_maintenance(full: bool) -> Table {
         let mut t_recompute = 0.0f64;
         for b in 0..n_batches {
             let rows = f6_batch(&mut rng, base_calls + b * batch, batch);
-            db.update("Calls", |calls, _| calls.rows.extend_from_slice(&rows))
+            db.update("Calls", |calls, _| calls.extend_from_slice(&rows))
                 .expect("present");
 
             let t = Instant::now();

@@ -16,9 +16,9 @@
 //! loops over *clean* columns (all bits set, no exceptions); anything else
 //! falls back to the row-at-a-time interpreter, which reads the same
 //! values through [`ColumnarRelation::value`] semantics. `Relation`
-//! remains the wire, display, and oracle format — columnar storage is an
-//! execution-side cache, built on demand by
-//! [`Database::columnar`](crate::Database::columnar).
+//! remains the wire, display, and oracle format — a conversion is an
+//! execution-side cache that each stored chunk builds on demand
+//! ([`Table::columnar`](crate::table::Table::columnar)).
 
 use crate::relation::Relation;
 use crate::value::Value;
@@ -124,6 +124,11 @@ impl Column {
         }
     }
 
+    /// Do both columns have the same native type?
+    pub fn same_type(&self, other: &Column) -> bool {
+        std::mem::discriminant(&self.data) == std::mem::discriminant(&other.data)
+    }
+
     /// Every slot holds a value of the column's native type.
     pub fn is_clean(&self) -> bool {
         self.validity.is_none()
@@ -207,18 +212,24 @@ impl ColumnarRelation {
     /// of its first row (`Int` when the relation is empty); rows of a
     /// different type land in the exception side table.
     pub fn from_rows(rel: &Relation) -> Self {
-        let mut cols: Vec<Column> = (0..rel.arity())
-            .map(|c| Column::with_type_of(rel.rows.first().map(|r| &r[c]), rel.rows.len()))
+        ColumnarRelation::from_slice(&rel.columns, &rel.rows)
+    }
+
+    /// Convert `rows` under the schema `columns` (see [`Self::from_rows`]):
+    /// how a stored chunk builds its conversion.
+    pub fn from_slice(columns: &[String], rows: &[Vec<Value>]) -> Self {
+        let mut cols: Vec<Column> = (0..columns.len())
+            .map(|c| Column::with_type_of(rows.first().map(|r| &r[c]), rows.len()))
             .collect();
-        for row in &rel.rows {
+        for row in rows {
             for (c, v) in row.iter().enumerate() {
                 cols[c].push(v);
             }
         }
         ColumnarRelation {
-            columns: rel.columns.clone(),
+            columns: columns.to_vec(),
             cols,
-            n_rows: rel.rows.len(),
+            n_rows: rows.len(),
         }
     }
 

@@ -1,33 +1,47 @@
 //! A named collection of relations: base tables plus materialized views.
 
-use crate::columnar::ColumnarRelation;
 use crate::error::{EngineError, EngineResult};
 use crate::index::GroupIndex;
 use crate::maintenance::FoldPlan;
 use crate::relation::Relation;
+use crate::table::Table;
 use aggview_catalog::SchemaSource;
 use aggview_obs::{CounterId, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, Weak};
 
 /// Everything stored under one relation name. The rows, the index over
-/// them and their columnar conversion live and die together: whoever
-/// holds the `Arc` sees all three as they were when it was taken.
-#[derive(Debug, Clone)]
+/// them and each chunk's columnar conversion live and die together:
+/// whoever holds the `Arc` sees all of them as they were when it was
+/// taken.
+#[derive(Debug)]
 struct Stored {
-    relation: Relation,
+    table: Table,
     index: Option<GroupIndex>,
     /// A materialized view's compiled delta rule (see
     /// [`crate::maintenance`]); depends on the definition only, so it
     /// survives every change to the rows.
     fold_plan: Option<Arc<FoldPlan>>,
-    /// Built on first use; reset by every mutation, so a conversion is
-    /// reachable only from the exact rows it was built from.
-    columnar: OnceLock<Arc<ColumnarRelation>>,
+    /// The flat copy [`Database::get`] hands out, built only when a cold
+    /// caller asks for one; never by a serving path.
+    flat: OnceLock<Relation>,
+}
+
+/// A copy is about to be written, so it starts without a flat copy. Its
+/// table shares every chunk with the original.
+impl Clone for Stored {
+    fn clone(&self) -> Self {
+        Stored {
+            table: self.table.clone(),
+            index: self.index.clone(),
+            fold_plan: self.fold_plan.clone(),
+            flat: OnceLock::new(),
+        }
+    }
 }
 
 /// One stored relation as a shareable handle: its rows together with
-/// whatever was built beside them (index, columnar conversion). Taken
+/// whatever was built beside them (index, columnar conversions). Taken
 /// with [`Database::entry`] and put back, under any name and into any
 /// database, with [`Database::insert_entry`]: a refcount bump, no row
 /// copy, and a conversion built through either copy is seen by both.
@@ -57,14 +71,17 @@ impl Eq for Identity {}
 /// tables — the paper's rewritten queries reference them by name in their
 /// `FROM` clause.
 ///
-/// A relation may carry a [`GroupIndex`] (grouped views do). Replacing a
-/// relation with [`Database::insert`] drops its index; [`Database::update`]
-/// maintains rows and index together.
+/// Every relation is stored as a chunked [`Table`]. A relation may carry
+/// a [`GroupIndex`] (grouped views do). Replacing a relation with
+/// [`Database::insert`] drops its index; [`Database::update`] maintains
+/// rows and index together.
 ///
 /// `Clone` is the snapshot operation and costs one reference-count bump
 /// per relation. A later write copies only the entry it touches (and only
-/// while a snapshot still holds it), so a snapshot never observes it and
-/// untouched relations keep their index and conversion across snapshots.
+/// while a snapshot still holds it): the entry's spine of chunk pointers,
+/// its index, and the chunks the write changes. So a snapshot never
+/// observes the write, and every chunk the write did not change keeps its
+/// rows and its conversion across snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     relations: BTreeMap<String, Arc<Stored>>,
@@ -82,12 +99,12 @@ impl Database {
     /// Insert (or replace) a relation under `name`. Any index on the old
     /// relation is dropped (its row positions are stale), and so is its
     /// fold plan (the name may now mean something else).
-    pub fn insert(&mut self, name: impl Into<String>, relation: Relation) -> &mut Self {
+    pub fn insert(&mut self, name: impl Into<String>, relation: impl Into<Table>) -> &mut Self {
         let stored = Stored {
-            relation,
+            table: relation.into(),
             index: None,
             fold_plan: None,
-            columnar: OnceLock::new(),
+            flat: OnceLock::new(),
         };
         self.relations.insert(name.into(), Arc::new(stored));
         self
@@ -111,12 +128,24 @@ impl Database {
             .map(|s| Identity(Arc::downgrade(s)))
     }
 
-    /// Look up a relation.
-    pub fn get(&self, name: &str) -> EngineResult<&Relation> {
+    /// Look up a relation in its stored, chunked form.
+    pub fn table(&self, name: &str) -> EngineResult<&Table> {
         self.relations
             .get(name)
-            .map(|s| &s.relation)
+            .map(|s| &s.table)
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+    }
+
+    /// Look up a relation as one flat [`Relation`], for cold callers that
+    /// want the interchange type (tests, harnesses, checks). The copy is
+    /// made on first use and kept until the relation changes; serving
+    /// paths read [`Database::table`] and never make it.
+    pub fn get(&self, name: &str) -> EngineResult<&Relation> {
+        let stored = self
+            .relations
+            .get(name)
+            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
+        Ok(stored.flat.get_or_init(|| stored.table.to_relation()))
     }
 
     /// Does the database contain `name`?
@@ -125,31 +154,22 @@ impl Database {
     }
 
     /// Remove a relation (e.g. a temporary auxiliary view) and its index.
-    pub fn remove(&mut self, name: &str) -> Option<Relation> {
+    pub fn remove(&mut self, name: &str) -> Option<Table> {
         let stored = self.relations.remove(name)?;
-        Some(Arc::try_unwrap(stored).map_or_else(|shared| shared.relation.clone(), |s| s.relation))
-    }
-
-    /// The columnar conversion of relation `name`, built on first use and
-    /// kept until the relation changes. `None` for unknown relations.
-    pub fn columnar(&self, name: &str) -> Option<Arc<ColumnarRelation>> {
-        let stored = self.relations.get(name)?;
-        let built = stored
-            .columnar
-            .get_or_init(|| Arc::new(ColumnarRelation::from_rows(&stored.relation)));
-        Some(Arc::clone(built))
+        Some(Arc::try_unwrap(stored).map_or_else(|shared| shared.table.clone(), |s| s.table))
     }
 
     /// The one way stored rows change: copy the entry if a snapshot still
-    /// shares it, move it to a fresh allocation if an [`Identity`] names
-    /// it, forget its conversion, and hand it out for mutation.
+    /// shares it (its spine, not its chunks), move it to a fresh
+    /// allocation if an [`Identity`] names it, and hand it out for
+    /// mutation.
     fn stored_mut(&mut self, name: &str) -> EngineResult<&mut Stored> {
         let entry = self
             .relations
             .get_mut(name)
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
         let stored = Arc::make_mut(entry);
-        stored.columnar = OnceLock::new();
+        stored.flat = OnceLock::new();
         Ok(stored)
     }
 
@@ -159,13 +179,13 @@ impl Database {
     pub fn update<R>(
         &mut self,
         name: &str,
-        f: impl FnOnce(&mut Relation, Option<&mut GroupIndex>) -> R,
+        f: impl FnOnce(&mut Table, Option<&mut GroupIndex>) -> R,
     ) -> EngineResult<R> {
         let stored = self.stored_mut(name)?;
-        let out = f(&mut stored.relation, stored.index.as_mut());
+        let out = f(&mut stored.table, stored.index.as_mut());
         if let Some(index) = &stored.index {
             debug_assert!(
-                index.is_consistent_with(&stored.relation),
+                index.is_consistent_with(&stored.table),
                 "index inconsistent with relation `{name}`"
             );
         }
@@ -179,7 +199,7 @@ impl Database {
         match self.stored_mut(&name) {
             Ok(stored) => {
                 debug_assert!(
-                    index.is_consistent_with(&stored.relation),
+                    index.is_consistent_with(&stored.table),
                     "index inconsistent with relation `{name}`"
                 );
                 stored.index = Some(index);
@@ -201,7 +221,7 @@ impl Database {
         match self.stored_mut(name) {
             Ok(stored) => {
                 if let Some(key) = plan.index_key_cols() {
-                    stored.index = Some(GroupIndex::build(&stored.relation, key.to_vec()));
+                    stored.index = Some(GroupIndex::build(&stored.table, key.to_vec()));
                 }
                 stored.fold_plan = Some(Arc::new(plan));
             }
@@ -215,9 +235,9 @@ impl Database {
         self.relations.get(name)?.fold_plan.as_ref()
     }
 
-    /// Iterate over `(name, relation)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Relation)> {
-        self.relations.iter().map(|(name, s)| (name, &s.relation))
+    /// Iterate over `(name, table)` pairs in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&String, &Table)> {
+        self.relations.iter().map(|(name, s)| (name, &s.table))
     }
 
     /// Attach the observability registry events in this database (index
@@ -256,7 +276,7 @@ impl Database {
 
 impl SchemaSource for Database {
     fn table_columns(&self, name: &str) -> Option<Vec<String>> {
-        self.relations.get(name).map(|s| s.relation.columns.clone())
+        self.relations.get(name).map(|s| s.table.columns().to_vec())
     }
 }
 
@@ -283,6 +303,7 @@ impl SchemaSource for ChainedSchemas<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::ColumnarRelation;
     use crate::relation::rel_of_ints;
     use crate::value::Value;
 
@@ -297,11 +318,18 @@ mod tests {
         );
     }
 
+    /// The conversion of the only chunk of `name`.
+    fn conv<'a>(db: &'a Database, name: &str) -> &'a ColumnarRelation {
+        let mut convs = db.table(name).unwrap().columnar();
+        assert_eq!(convs.len(), 1, "`{name}` is one chunk");
+        convs.next().unwrap()
+    }
+
     #[test]
     fn insert_drops_stale_index() {
         let mut db = Database::new();
         db.insert("T", rel_of_ints(["a", "s"], &[&[1, 5]]));
-        let idx = GroupIndex::build(db.get("T").unwrap(), vec![0]);
+        let idx = GroupIndex::build(db.table("T").unwrap(), vec![0]);
         db.set_index("T", idx);
         assert!(db.index("T").is_some());
         db.insert("T", rel_of_ints(["a", "s"], &[&[2, 7]]));
@@ -312,26 +340,37 @@ mod tests {
     fn columnar_cache_builds_once_and_invalidates_on_write() {
         let mut db = Database::new();
         db.insert("T", rel_of_ints(["a"], &[&[1]]));
-        let c1 = db.columnar("T").unwrap();
+        let c1 = conv(&db, "T");
         assert_eq!(c1.n_rows(), 1);
         assert!(
-            Arc::ptr_eq(&c1, &db.columnar("T").unwrap()),
+            std::ptr::eq(c1, conv(&db, "T")),
             "second lookup reuses the cached conversion"
         );
-        db.insert("T", rel_of_ints(["a"], &[&[1], &[2]]));
-        assert_eq!(db.columnar("T").unwrap().n_rows(), 2);
+        db.update("T", |rel, _| rel.push(vec![Value::Int(2)]))
+            .unwrap();
+        assert_eq!(conv(&db, "T").n_rows(), 2);
         db.remove("T");
-        assert!(db.columnar("T").is_none());
+        assert!(db.table("T").is_err());
+    }
+
+    #[test]
+    fn get_flattens_for_cold_callers_until_the_next_write() {
+        let mut db = Database::new();
+        db.insert("T", rel_of_ints(["a"], &[&[1]]));
+        assert!(std::ptr::eq(db.get("T").unwrap(), db.get("T").unwrap()));
+        db.update("T", |rel, _| rel.push(vec![Value::Int(2)]))
+            .unwrap();
+        assert_eq!(db.get("T").unwrap(), &rel_of_ints(["a"], &[&[1], &[2]]));
     }
 
     /// `T` (indexed on `a`) and `U`, both converted once.
     fn indexed_and_converted() -> Database {
         let mut db = Database::new();
         db.insert("T", rel_of_ints(["a", "s"], &[&[1, 5]]));
-        db.set_index("T", GroupIndex::build(db.get("T").unwrap(), vec![0]));
+        db.set_index("T", GroupIndex::build(db.table("T").unwrap(), vec![0]));
         db.insert("U", rel_of_ints(["x"], &[&[7]]));
-        db.columnar("T").unwrap();
-        db.columnar("U").unwrap();
+        conv(&db, "T");
+        conv(&db, "U");
         db
     }
 
@@ -339,10 +378,7 @@ mod tests {
     fn clone_shares_untouched_conversion_and_index() {
         let db = indexed_and_converted();
         let snap = db.clone();
-        assert!(Arc::ptr_eq(
-            &db.columnar("T").unwrap(),
-            &snap.columnar("T").unwrap()
-        ));
+        assert!(std::ptr::eq(conv(&db, "T"), conv(&snap, "T")));
         assert!(std::ptr::eq(
             db.index("T").unwrap(),
             snap.index("T").unwrap()
@@ -353,7 +389,7 @@ mod tests {
     fn write_through_master_leaves_the_clone_as_it_was() {
         let mut db = indexed_and_converted();
         let snap = db.clone();
-        let (t_before, u_before) = (snap.columnar("T").unwrap(), snap.columnar("U").unwrap());
+        let (t_before, u_before) = (conv(&snap, "T"), conv(&snap, "U"));
         db.update("T", |rel, idx| {
             let row = vec![Value::Int(2), Value::Int(9)];
             idx.expect("T is indexed").note_push(&row, rel.len());
@@ -361,22 +397,22 @@ mod tests {
         })
         .unwrap();
 
-        assert_eq!(snap.get("T").unwrap().len(), 1);
+        assert_eq!(snap.table("T").unwrap().len(), 1);
         assert!(snap
             .index("T")
             .unwrap()
-            .is_consistent_with(snap.get("T").unwrap()));
-        assert!(Arc::ptr_eq(&t_before, &snap.columnar("T").unwrap()));
+            .is_consistent_with(snap.table("T").unwrap()));
+        assert!(std::ptr::eq(t_before, conv(&snap, "T")));
 
-        assert_eq!(db.get("T").unwrap().len(), 2);
+        assert_eq!(db.table("T").unwrap().len(), 2);
         assert!(db
             .index("T")
             .unwrap()
-            .is_consistent_with(db.get("T").unwrap()));
+            .is_consistent_with(db.table("T").unwrap()));
         assert_eq!(db.index("T").unwrap().probe(&[Value::Int(2)]), &[1]);
-        assert_eq!(db.columnar("T").unwrap().n_rows(), 2);
+        assert_eq!(conv(&db, "T").n_rows(), 2);
         assert!(
-            Arc::ptr_eq(&u_before, &db.columnar("U").unwrap()),
+            std::ptr::eq(u_before, conv(&db, "U")),
             "the write did not touch U"
         );
     }
@@ -414,10 +450,7 @@ mod tests {
         let mut other = Database::new();
         other.insert_entry("Copy", db.entry("U").unwrap());
         assert!(other.identity("Copy").unwrap() == db.identity("U").unwrap());
-        assert!(Arc::ptr_eq(
-            &db.columnar("U").unwrap(),
-            &other.columnar("Copy").unwrap()
-        ));
+        assert!(std::ptr::eq(conv(&db, "U"), conv(&other, "Copy")));
         assert_eq!(other.get("Copy").unwrap().len(), 1);
     }
 

@@ -30,6 +30,7 @@ use crate::ctx::ExecContext;
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::relation::Relation;
+use crate::table::Table;
 use crate::value::{self, Value};
 use aggview_catalog::SchemaSource;
 use aggview_sql::ast::{AggFunc, ArithOp, BoolExpr, CmpOp, ColumnRef, Expr, Query, TableRef};
@@ -294,9 +295,9 @@ impl PhysicalPlan {
     /// compiled against (callers caching plans across DDL guard this with
     /// an epoch; the arity check catches misuse).
     pub fn run(&self, db: &Database) -> EngineResult<Relation> {
-        let mut rels: Vec<&Relation> = Vec::with_capacity(self.occs.len());
+        let mut rels: Vec<&Table> = Vec::with_capacity(self.occs.len());
         for o in &self.occs {
-            let r = db.get(&o.table)?;
+            let r = db.table(&o.table)?;
             if r.arity() != o.arity {
                 return Err(EngineError::TypeError(format!(
                     "stale plan: `{}` has arity {} but the plan was compiled with {}",
@@ -383,7 +384,7 @@ impl PhysicalPlan {
     /// Build the core table (FROM × WHERE) with a greedy hash-join plan.
     /// Returns rows in the *core column space* (concatenation of FROM
     /// occurrences in declaration order).
-    fn build_core(&self, rels: &[&Relation], db: &Database) -> EngineResult<Vec<Vec<Value>>> {
+    fn build_core(&self, rels: &[&Table], db: &Database) -> EngineResult<Vec<Vec<Value>>> {
         let n_occ = self.occs.len();
         if self.const_false || n_occ == 0 {
             return Ok(Vec::new());
@@ -539,8 +540,9 @@ impl PhysicalPlan {
     /// Produce the locally filtered rows of occurrence `oi`: an index probe
     /// when the relation carries a [`GroupIndex`](crate::index::GroupIndex)
     /// whose key columns are all bound to constants, a scan otherwise.
-    /// Both paths yield identical rows in identical order.
-    fn scan(&self, oi: usize, rel: &Relation, db: &Database) -> EngineResult<Vec<Vec<Value>>> {
+    /// Both paths yield identical rows in identical order. The scan reads
+    /// the stored chunks in place, one slice at a time.
+    fn scan(&self, oi: usize, rel: &Table, db: &Database) -> EngineResult<Vec<Vec<Value>>> {
         let locals = &self.local_preds[oi];
         if let Some(rows) = self.index_probe(oi, rel, db)? {
             db.record(aggview_obs::CounterId::IndexProbes, 1);
@@ -548,13 +550,15 @@ impl PhysicalPlan {
             return Ok(rows);
         }
         let mut rows = Vec::new();
-        'row: for r in &rel.rows {
-            for p in locals {
-                if !eval_pred(p, r, &[])? {
-                    continue 'row;
+        for chunk in rel.chunks() {
+            'row: for r in chunk {
+                for p in locals {
+                    if !eval_pred(p, r, &[])? {
+                        continue 'row;
+                    }
                 }
+                rows.push(r.clone());
             }
-            rows.push(r.clone());
         }
         Ok(rows)
     }
@@ -567,7 +571,7 @@ impl PhysicalPlan {
     fn index_probe(
         &self,
         oi: usize,
-        rel: &Relation,
+        rel: &Table,
         db: &Database,
     ) -> EngineResult<Option<Vec<Vec<Value>>>> {
         let Some(idx) = db.index(&self.occs[oi].table) else {
@@ -620,13 +624,13 @@ impl PhysicalPlan {
                     positions.dedup();
                     let mut rows = Vec::with_capacity(positions.len());
                     'row: for &ri in &positions {
-                        let r = &rel.rows[ri];
+                        let r = rel.row(ri);
                         for p in locals {
                             if !eval_pred(p, r, &[])? {
                                 continue 'row;
                             }
                         }
-                        rows.push(r.clone());
+                        rows.push(r.to_vec());
                     }
                     return Ok(Some(rows));
                 }
@@ -674,6 +678,14 @@ impl PhysicalPlan {
 // subset (joins, mixed-type columns, NaN under comparison, arithmetic in
 // predicates or aggregate arguments, scans an attached index might serve)
 // declines, and the plan falls back to the row interpreter wholesale.
+//
+// A stored table is a run of chunks, each with its own conversion. The
+// loops run chunk by chunk, in row order, into one selection and one set
+// of accumulators. Whether to run at all is decided for the table as a
+// whole, before any row is read: a column the typed loops read must hold
+// one clean native type in every chunk (exactly when one conversion of the
+// whole table would find it clean), and a kernel or accumulator one chunk
+// cannot build declines the query.
 
 impl PhysicalPlan {
     /// Attempt vectorized execution. `Ok(None)` means the plan declined and
@@ -690,24 +702,52 @@ impl PhysicalPlan {
         if !locals.is_empty() && db.index(&occ.table).is_some() {
             return Ok(None);
         }
-        let Some(crel) = db.columnar(&occ.table) else {
+        let table = db.table(&occ.table)?;
+        let empty;
+        let mut chunks: Vec<&ColumnarRelation> = table.columnar().collect();
+        if chunks.is_empty() {
+            // An empty table converts like an empty relation: every
+            // column a clean `Int`.
+            empty = ColumnarRelation::from_slice(table.columns(), &[]);
+            chunks.push(&empty);
+        }
+        if !self.typed_columns().all(|c| uniform(&chunks, c)) {
             return Ok(None);
-        };
+        }
 
         // Every local predicate must compile to a total typed kernel.
-        let mut kernels = Vec::with_capacity(locals.len());
-        for p in locals {
-            match filter_kernel(&crel, p) {
-                Some(k) => kernels.push(k),
-                None => return Ok(None),
+        let mut kernels = Vec::with_capacity(chunks.len());
+        for crel in &chunks {
+            let mut chunk_kernels = Vec::with_capacity(locals.len());
+            for p in locals {
+                match filter_kernel(crel, p) {
+                    Some(k) => chunk_kernels.push(k),
+                    None => return Ok(None),
+                }
             }
+            kernels.push(chunk_kernels);
         }
 
         if self.grouped {
-            self.run_vectorized_grouped(&crel, &kernels)
+            self.run_vectorized_grouped(&chunks, &kernels)
         } else {
-            self.run_vectorized_flat(&crel, &kernels)
+            self.run_vectorized_flat(&chunks, &kernels)
         }
+    }
+
+    /// The columns the typed loops read: those a local predicate compares
+    /// and the arguments of every aggregate but `COUNT`.
+    fn typed_columns(&self) -> impl Iterator<Item = usize> + '_ {
+        let compared = self.local_preds[0].iter().flat_map(|p| [&p.lhs, &p.rhs]);
+        let aggregated = self
+            .agg_slots
+            .iter()
+            .filter(|s| s.func != AggFunc::Count)
+            .filter_map(|s| s.arg.as_ref());
+        compared.chain(aggregated).filter_map(|e| match e {
+            CExpr::Col(c) => Some(*c),
+            _ => None,
+        })
     }
 
     /// Ungrouped vectorized evaluation: selection vector, then projection.
@@ -716,36 +756,38 @@ impl PhysicalPlan {
     /// evaluator, so errors surface in the row path's order.
     fn run_vectorized_flat(
         &self,
-        crel: &ColumnarRelation,
-        kernels: &[FilterKernel<'_>],
+        chunks: &[&ColumnarRelation],
+        kernels: &[Vec<FilterKernel<'_>>],
     ) -> EngineResult<Option<Relation>> {
-        let sel = select_rows(crel.n_rows(), kernels);
         let mut out = Relation::empty(self.output_names.clone());
         let simple = self
             .select
             .iter()
             .all(|e| matches!(e, CExpr::Col(_) | CExpr::Lit(_)));
-        if simple {
-            for i in sel.indices() {
-                let cells = self
-                    .select
-                    .iter()
-                    .map(|e| match e {
-                        CExpr::Col(c) => crel.value(i, *c),
-                        CExpr::Lit(v) => v.clone(),
-                        _ => unreachable!("projection checked simple"),
-                    })
-                    .collect();
-                out.push(cells);
-            }
-        } else {
-            for i in sel.indices() {
-                let row = crel.row(i);
-                let mut cells = Vec::with_capacity(self.select.len());
-                for e in &self.select {
-                    cells.push(eval(e, &row, &[])?);
+        for (crel, kernels) in chunks.iter().zip(kernels) {
+            let sel = select_rows(crel.n_rows(), kernels);
+            if simple {
+                for i in sel.indices() {
+                    let cells = self
+                        .select
+                        .iter()
+                        .map(|e| match e {
+                            CExpr::Col(c) => crel.value(i, *c),
+                            CExpr::Lit(v) => v.clone(),
+                            _ => unreachable!("projection checked simple"),
+                        })
+                        .collect();
+                    out.push(cells);
                 }
-                out.push(cells);
+            } else {
+                for i in sel.indices() {
+                    let row = crel.row(i);
+                    let mut cells = Vec::with_capacity(self.select.len());
+                    for e in &self.select {
+                        cells.push(eval(e, &row, &[])?);
+                    }
+                    out.push(cells);
+                }
             }
         }
         if self.distinct {
@@ -760,34 +802,47 @@ impl PhysicalPlan {
     /// group's representative (first) row.
     fn run_vectorized_grouped(
         &self,
-        crel: &ColumnarRelation,
-        kernels: &[FilterKernel<'_>],
+        chunks: &[&ColumnarRelation],
+        kernels: &[Vec<FilterKernel<'_>>],
     ) -> EngineResult<Option<Relation>> {
-        // Every aggregate slot must be computable by a total typed loop.
+        // Every aggregate slot must be computable by a total typed loop
+        // in every chunk.
         let mut vaccs = Vec::with_capacity(self.agg_slots.len());
         for slot in &self.agg_slots {
-            match vacc_for(crel, slot) {
+            if chunks[1..]
+                .iter()
+                .any(|crel| vacc_for(crel, slot).is_none())
+            {
+                return Ok(None);
+            }
+            match vacc_for(chunks[0], slot) {
                 Some(a) => vaccs.push(a),
                 None => return Ok(None),
             }
         }
-        let sel = select_rows(crel.n_rows(), kernels);
 
-        let mut grouper = Grouper::new(crel, &self.group_exprs);
-        let mut reps: Vec<usize> = Vec::new();
-        for i in sel.indices() {
-            let gid = grouper.gid(i);
-            if gid == reps.len() {
-                reps.push(i);
+        let mut grouper = Grouper::new(chunks, &self.group_exprs);
+        // Each group's first row, as (chunk, row within it).
+        let mut reps: Vec<(usize, usize)> = Vec::new();
+        for (k, (crel, kernels)) in chunks.iter().zip(kernels).enumerate() {
+            grouper.bind(crel);
+            for (a, slot) in vaccs.iter_mut().zip(&self.agg_slots) {
+                a.bind(crel, slot);
             }
-            for a in &mut vaccs {
-                a.update(gid, i);
+            for i in select_rows(crel.n_rows(), kernels).indices() {
+                let gid = grouper.gid(i);
+                if gid == reps.len() {
+                    reps.push((k, i));
+                }
+                for a in &mut vaccs {
+                    a.update(gid, i);
+                }
             }
         }
 
         let mut out = Relation::empty(self.output_names.clone());
-        'group: for (gid, &rep_row) in reps.iter().enumerate() {
-            let rep = crel.row(rep_row);
+        'group: for (gid, &(k, rep_row)) in reps.iter().enumerate() {
+            let rep = chunks[k].row(rep_row);
             let agg_values: Vec<Value> = vaccs.iter().map(|a| a.finish(gid)).collect();
             for pred in &self.having {
                 if !eval_pred(pred, &rep, &agg_values)? {
@@ -805,6 +860,14 @@ impl PhysicalPlan {
         }
         Ok(Some(out))
     }
+}
+
+/// Does column `c` hold one clean native type in every chunk?
+fn uniform(chunks: &[&ColumnarRelation], c: usize) -> bool {
+    let first = chunks[0].col(c);
+    chunks
+        .iter()
+        .all(|crel| crel.col(c).is_clean() && crel.col(c).same_type(first))
 }
 
 /// A clean numeric column viewed as f64 — the representation [`value`]'s
@@ -1002,10 +1065,12 @@ fn select_rows(n: usize, kernels: &[FilterKernel<'_>]) -> Sel {
 
 /// Group-id assignment in first-seen order (ids are allocated densely, so
 /// the output loop over ascending ids reproduces the row path's
-/// `group_order` exactly).
+/// `group_order` exactly). The map spans the whole table; the columns it
+/// reads are those of the chunk last bound.
 enum Grouper<'a> {
     /// Single clean Int grouping column: i64 hash keys, no `Value` clones.
     Int {
+        c: usize,
         col: &'a [i64],
         map: HashMap<i64, usize>,
     },
@@ -1013,6 +1078,7 @@ enum Grouper<'a> {
     /// into the reused `scratch` and looked up as a slice, so a key is
     /// allocated only when a new group appears.
     Ints {
+        cs: &'a [usize],
         cols: Vec<&'a [i64]>,
         scratch: Vec<i64>,
         map: HashMap<Box<[i64]>, usize>,
@@ -1027,36 +1093,64 @@ enum Grouper<'a> {
 }
 
 impl<'a> Grouper<'a> {
-    fn new(crel: &'a ColumnarRelation, group_exprs: &'a [usize]) -> Self {
-        let ints: Option<Vec<&[i64]>> = group_exprs.iter().map(|&c| crel.col(c).ints()).collect();
-        match ints {
-            Some(cols) if cols.len() == 1 => Grouper::Int {
-                col: cols[0],
+    /// The grouper for `chunks`, bound to the first: an Int one when every
+    /// grouping column is clean Int in every chunk.
+    fn new(chunks: &[&'a ColumnarRelation], group_exprs: &'a [usize]) -> Self {
+        let all_int = group_exprs
+            .iter()
+            .all(|&c| chunks.iter().all(|crel| crel.col(c).ints().is_some()));
+        let first = chunks[0];
+        let ints = |c: usize| first.col(c).ints().unwrap_or_default();
+        match group_exprs {
+            [c] if all_int => Grouper::Int {
+                c: *c,
+                col: ints(*c),
                 map: HashMap::new(),
             },
-            Some(cols) if cols.len() > 1 => Grouper::Ints {
-                scratch: vec![0; cols.len()],
-                cols,
+            [_, _, ..] if all_int => Grouper::Ints {
+                cs: group_exprs,
+                cols: group_exprs.iter().map(|&c| ints(c)).collect(),
+                scratch: vec![0; group_exprs.len()],
                 map: HashMap::new(),
             },
             // No grouping column (one group) or a column that is not
             // clean Int.
             _ => Grouper::Generic {
-                crel,
+                crel: first,
                 cols: group_exprs,
                 map: HashMap::new(),
             },
         }
     }
 
+    /// Read the rows of chunk `crel` from here on, keeping every group id.
+    fn bind(&mut self, crel: &'a ColumnarRelation) {
+        let ints = |c: usize| {
+            crel.col(c)
+                .ints()
+                .expect("grouping columns are Int in every chunk")
+        };
+        match self {
+            Grouper::Int { c, col, .. } => *col = ints(*c),
+            Grouper::Ints { cs, cols, .. } => {
+                for (col, &c) in cols.iter_mut().zip(cs.iter()) {
+                    *col = ints(c);
+                }
+            }
+            Grouper::Generic { crel: bound, .. } => *bound = crel,
+        }
+    }
+
     /// The group id of row `i`, allocating the next id on first sight.
     fn gid(&mut self, i: usize) -> usize {
         match self {
-            Grouper::Int { col, map } => {
+            Grouper::Int { col, map, .. } => {
                 let next = map.len();
                 *map.entry(col[i]).or_insert(next)
             }
-            Grouper::Ints { cols, scratch, map } => {
+            Grouper::Ints {
+                cols, scratch, map, ..
+            } => {
                 for (k, col) in scratch.iter_mut().zip(cols.iter()) {
                     *k = col[i];
                 }
@@ -1107,10 +1201,10 @@ enum VAcc<'a> {
     /// seeds; `-0.0`/`0.0` ties keep the incumbent on both paths).
     MinDouble(&'a [f64], Vec<f64>),
     MaxDouble(&'a [f64], Vec<f64>),
-    /// MIN/MAX over strings fold an argmin/argmax row index — no clones
-    /// until finish.
-    MinStr(&'a [String], Vec<usize>),
-    MaxStr(&'a [String], Vec<usize>),
+    /// MIN/MAX over strings fold a reference to the argmin/argmax — no
+    /// clones until finish.
+    MinStr(&'a [String], Vec<&'a str>),
+    MaxStr(&'a [String], Vec<&'a str>),
 }
 
 /// Build the vectorized accumulator for one aggregate slot, or `None` when
@@ -1163,7 +1257,29 @@ fn vacc_for<'a>(crel: &'a ColumnarRelation, slot: &AggSlot) -> Option<VAcc<'a>> 
     }
 }
 
-impl VAcc<'_> {
+impl<'a> VAcc<'a> {
+    /// Read the argument from chunk `crel` from here on, keeping every
+    /// group's state. The chunk holds the column's type: every chunk
+    /// built this accumulator's variant.
+    fn bind(&mut self, crel: &'a ColumnarRelation, slot: &AggSlot) {
+        let Some(CExpr::Col(c)) = &slot.arg else {
+            return;
+        };
+        let col = crel.col(*c);
+        let typed = "every chunk holds the argument's one clean type";
+        match self {
+            VAcc::Count(_) => {}
+            VAcc::SumInt(v, _) | VAcc::MinInt(v, _) | VAcc::MaxInt(v, _) => {
+                *v = col.ints().expect(typed);
+            }
+            VAcc::SumDouble(v, _) | VAcc::MinDouble(v, _) | VAcc::MaxDouble(v, _) => {
+                *v = col.doubles().expect(typed);
+            }
+            VAcc::Avg(v, _) => *v = num_slice(col).expect(typed),
+            VAcc::MinStr(v, _) | VAcc::MaxStr(v, _) => *v = col.strs().expect(typed),
+        }
+    }
+
     /// Fold row `row` into group `gid`. Group ids arrive in first-seen
     /// order, so `gid == states.len()` marks a new group and seeds it.
     fn update(&mut self, gid: usize, row: usize) {
@@ -1237,17 +1353,19 @@ impl VAcc<'_> {
                 }
             }
             VAcc::MinStr(col, s) => {
+                let v = col[row].as_str();
                 if gid == s.len() {
-                    s.push(row);
-                } else if col[row] < col[s[gid]] {
-                    s[gid] = row;
+                    s.push(v);
+                } else if v < s[gid] {
+                    s[gid] = v;
                 }
             }
             VAcc::MaxStr(col, s) => {
+                let v = col[row].as_str();
                 if gid == s.len() {
-                    s.push(row);
-                } else if col[row] > col[s[gid]] {
-                    s[gid] = row;
+                    s.push(v);
+                } else if v > s[gid] {
+                    s[gid] = v;
                 }
             }
         }
@@ -1269,7 +1387,7 @@ impl VAcc<'_> {
             }
             VAcc::MinInt(_, s) | VAcc::MaxInt(_, s) => Value::Int(s[gid]),
             VAcc::MinDouble(_, s) | VAcc::MaxDouble(_, s) => Value::Double(s[gid]),
-            VAcc::MinStr(col, s) | VAcc::MaxStr(col, s) => Value::Str(col[s[gid]].clone()),
+            VAcc::MinStr(_, s) | VAcc::MaxStr(_, s) => Value::Str(s[gid].to_string()),
         }
     }
 }
@@ -1941,7 +2059,7 @@ mod tests {
         db.insert("V", rel);
         let sql = "SELECT s FROM V WHERE a = 2 AND b = 1";
         let scanned = run(sql, &db);
-        db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![0, 1]));
+        db.set_index("V", GroupIndex::build(db.table("V").unwrap(), vec![0, 1]));
         let probed = run(sql, &db);
         assert_eq!(scanned.rows, probed.rows);
         assert_eq!(probed.rows, vec![vec![Value::Int(9)]]);
@@ -1963,7 +2081,7 @@ mod tests {
         );
         let sql = "SELECT s FROM V WHERE a = 2";
         let scanned = run(sql, &db);
-        db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![0]));
+        db.set_index("V", GroupIndex::build(db.table("V").unwrap(), vec![0]));
         let probed = run(sql, &db);
         assert_eq!(scanned.rows, probed.rows);
         assert_eq!(probed.rows, vec![vec![Value::Int(9)]]);
@@ -1975,7 +2093,7 @@ mod tests {
         // filter the probed rows.
         let mut db = Database::new();
         db.insert("V", rel_of_ints(["a", "s"], &[&[1, 5], &[2, 9]]));
-        db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![0]));
+        db.set_index("V", GroupIndex::build(db.table("V").unwrap(), vec![0]));
         let out = run("SELECT s FROM V WHERE a = 2 AND s > 100", &db);
         assert!(out.is_empty());
     }
@@ -1984,7 +2102,7 @@ mod tests {
     fn partial_key_binding_falls_back_to_scan() {
         let mut db = Database::new();
         db.insert("V", rel_of_ints(["a", "b", "s"], &[&[1, 1, 5], &[1, 2, 7]]));
-        db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![0, 1]));
+        db.set_index("V", GroupIndex::build(db.table("V").unwrap(), vec![0, 1]));
         // Only `a` is bound — the composite key cannot be probed.
         let out = run("SELECT s FROM V WHERE a = 1", &db);
         assert_eq!(out.len(), 2);
@@ -1995,7 +2113,7 @@ mod tests {
         let mut db = db2();
         let sql = "SELECT A, D FROM R1, R2 WHERE A = C AND C = 2";
         let plain = run(sql, &db);
-        db.set_index("R2", GroupIndex::build(db.get("R2").unwrap(), vec![0]));
+        db.set_index("R2", GroupIndex::build(db.table("R2").unwrap(), vec![0]));
         let indexed = run(sql, &db);
         assert!(multiset_eq(&plain, &indexed));
         assert_eq!(indexed.len(), 2);
@@ -2117,11 +2235,14 @@ mod tests {
         ];
         let rel = Relation::new(["k", "m", "v"], rows);
         let crel = ColumnarRelation::from_rows(&rel);
-        assert!(matches!(Grouper::new(&crel, &[0]), Grouper::Int { .. }));
-        assert!(matches!(Grouper::new(&crel, &[0, 2]), Grouper::Ints { .. }));
+        assert!(matches!(Grouper::new(&[&crel], &[0]), Grouper::Int { .. }));
+        assert!(matches!(
+            Grouper::new(&[&crel], &[0, 2]),
+            Grouper::Ints { .. }
+        ));
         // `m` holds a Double among its Ints: not a clean Int column.
         assert!(matches!(
-            Grouper::new(&crel, &[0, 1]),
+            Grouper::new(&[&crel], &[0, 1]),
             Grouper::Generic { .. }
         ));
 
@@ -2162,7 +2283,7 @@ mod tests {
         use std::sync::Arc;
         let mut db = Database::new();
         db.insert("V", rel_of_ints(["a", "s"], &[&[1, 5], &[2, 9]]));
-        db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![0]));
+        db.set_index("V", GroupIndex::build(db.table("V").unwrap(), vec![0]));
         let m = Arc::new(MetricsRegistry::default());
         db.set_metrics(Arc::clone(&m));
         let out = run("SELECT s FROM V WHERE a = 2", &db);

@@ -16,7 +16,7 @@
 //! Grouped views hold one row per key, but the structure stays correct for
 //! arbitrary relations: each key maps to *all* rows carrying it.
 
-use crate::relation::Relation;
+use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
 
@@ -34,7 +34,7 @@ impl GroupIndex {
     ///
     /// # Panics
     /// Panics if a key column is out of the relation's arity.
-    pub fn build(rel: &Relation, key_cols: Vec<usize>) -> Self {
+    pub fn build(rel: &Table, key_cols: Vec<usize>) -> Self {
         assert!(
             key_cols.iter().all(|&c| c < rel.arity()),
             "index key column out of range"
@@ -43,9 +43,7 @@ impl GroupIndex {
             key_cols,
             map: HashMap::with_capacity(rel.len()),
         };
-        for (ri, row) in rel.rows.iter().enumerate() {
-            idx.map.entry(idx.key_of(row)).or_default().push(ri);
-        }
+        idx.rebuild(rel);
         idx
     }
 
@@ -90,21 +88,20 @@ impl GroupIndex {
 
     /// Rebuild the map from the relation (after deletions shift row
     /// positions). Key columns are unchanged.
-    pub fn rebuild(&mut self, rel: &Relation) {
+    pub fn rebuild(&mut self, rel: &Table) {
         self.map.clear();
-        for (ri, row) in rel.rows.iter().enumerate() {
+        for (ri, row) in rel.rows().enumerate() {
             self.map.entry(self.key_of(row)).or_default().push(ri);
         }
     }
 
     /// Is the index consistent with the relation? (Debug/test helper:
     /// every row reachable under its own key, no stale positions.)
-    pub fn is_consistent_with(&self, rel: &Relation) -> bool {
+    pub fn is_consistent_with(&self, rel: &Table) -> bool {
         let total: usize = self.map.values().map(|v| v.len()).sum();
         total == rel.len()
             && rel
-                .rows
-                .iter()
+                .rows()
                 .enumerate()
                 .all(|(ri, row)| self.probe(&self.key_of(row)).contains(&ri))
     }
@@ -115,9 +112,13 @@ mod tests {
     use super::*;
     use crate::relation::rel_of_ints;
 
+    fn table(cols: &[&str], rows: &[&[i64]]) -> Table {
+        Table::from(rel_of_ints(cols.iter().copied(), rows))
+    }
+
     #[test]
     fn build_and_probe() {
-        let rel = rel_of_ints(["a", "b", "s"], &[&[1, 10, 5], &[2, 20, 7], &[1, 30, 9]]);
+        let rel = table(&["a", "b", "s"], &[&[1, 10, 5], &[2, 20, 7], &[1, 30, 9]]);
         let idx = GroupIndex::build(&rel, vec![0]);
         assert_eq!(idx.probe(&[Value::Int(1)]), &[0, 2]);
         assert_eq!(idx.probe(&[Value::Int(2)]), &[1]);
@@ -129,7 +130,7 @@ mod tests {
 
     #[test]
     fn composite_keys() {
-        let rel = rel_of_ints(["a", "b", "s"], &[&[1, 10, 5], &[1, 20, 7]]);
+        let rel = table(&["a", "b", "s"], &[&[1, 10, 5], &[1, 20, 7]]);
         let idx = GroupIndex::build(&rel, vec![0, 1]);
         assert_eq!(idx.probe_unique(&[Value::Int(1), Value::Int(20)]), Some(1));
         assert!(idx.probe(&[Value::Int(1), Value::Int(30)]).is_empty());
@@ -137,13 +138,13 @@ mod tests {
 
     #[test]
     fn push_and_rebuild_track_mutations() {
-        let mut rel = rel_of_ints(["a", "s"], &[&[1, 5]]);
+        let mut rel = table(&["a", "s"], &[&[1, 5]]);
         let mut idx = GroupIndex::build(&rel, vec![0]);
         let row = vec![Value::Int(2), Value::Int(9)];
         rel.push(row.clone());
         idx.note_push(&row, 1);
         assert!(idx.is_consistent_with(&rel));
-        rel.rows.remove(0);
+        rel.retain(|r| r[0] != Value::Int(1));
         idx.rebuild(&rel);
         assert!(idx.is_consistent_with(&rel));
         assert_eq!(idx.probe_unique(&[Value::Int(2)]), Some(0));
@@ -152,7 +153,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn build_validates_key_columns() {
-        let rel = rel_of_ints(["a"], &[&[1]]);
-        let _ = GroupIndex::build(&rel, vec![1]);
+        let _ = GroupIndex::build(&table(&["a"], &[&[1]]), vec![1]);
     }
 }

@@ -9,6 +9,8 @@
 //! * [`relation`] — multiset relations and multiset equality,
 //! * [`database`] — a named collection of base tables and materialized
 //!   views,
+//! * [`table`] — the one stored form of a relation: a spine of shared
+//!   row chunks, each with its own columnar conversion,
 //! * [`exec`] — evaluation of single-block queries (greedy hash-join
 //!   planning over the equality predicates, grouping, aggregation, HAVING,
 //!   DISTINCT),
@@ -42,6 +44,7 @@ pub mod reference;
 pub mod relation;
 pub mod shard;
 pub mod snapshot;
+pub mod table;
 pub mod value;
 
 pub use columnar::ColumnarRelation;
@@ -54,4 +57,5 @@ pub use maintenance::maintain_view_ctx;
 pub use reference::execute_reference;
 pub use relation::{multiset_eq, set_eq, Relation};
 pub use snapshot::{SnapshotCell, StoreStats};
+pub use table::{Table, CHUNK_ROWS};
 pub use value::Value;

@@ -34,6 +34,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::exec::{execute_ctx, Compiler, PhysicalPlan};
 use crate::index::GroupIndex;
 use crate::relation::Relation;
+use crate::table::Table;
 use crate::value::{self, Value};
 use aggview_catalog::SchemaSource;
 use aggview_sql::ast::{AggFunc, Expr, Query, SelectItem};
@@ -197,7 +198,7 @@ impl FoldPlan {
     /// keyless view has one global group, its only row.
     fn fold(
         &self,
-        view: &mut Relation,
+        view: &mut Table,
         image: Vec<Vec<Value>>,
         insert: bool,
         index: Option<&mut GroupIndex>,
@@ -208,7 +209,7 @@ impl FoldPlan {
         } = &self.shape
         else {
             if insert {
-                view.rows.extend(image);
+                view.extend(image);
             } else {
                 view.remove_rows(&image);
             }
@@ -231,13 +232,13 @@ impl FoldPlan {
         for row in &image {
             let ri = match &index {
                 Some(idx) if keyed => idx.probe(&row[..key_outputs.len()]).last().copied(),
-                _ => (!view.rows.is_empty()).then_some(0),
+                _ => (!view.is_empty()).then_some(0),
             };
             match ri {
                 // Only aggregate cells change: a keyed view's index stays
                 // valid throughout the loop.
                 Some(ri) => {
-                    for (cell, out) in view.rows[ri].iter_mut().zip(outputs) {
+                    for (cell, out) in view.row_mut(ri).iter_mut().zip(outputs) {
                         if let Output::Agg(fold) = out {
                             *cell = fold.merge(cell, row, insert)?;
                         }
@@ -252,7 +253,7 @@ impl FoldPlan {
                         })
                         .collect::<EngineResult<Vec<Value>>>()?;
                     if let Some(idx) = &mut index {
-                        idx.note_push(&fresh, view.rows.len());
+                        idx.note_push(&fresh, view.len());
                     }
                     view.push(fresh);
                 }
@@ -270,7 +271,7 @@ impl FoldPlan {
             let before = view.len();
             let count_pos = outputs.iter().position(|o| *o == Output::Agg(Fold::Count));
             if let Some(count_pos) = count_pos {
-                view.rows.retain(|r| r[count_pos] != Value::Int(0));
+                view.retain(|r| r[count_pos] != Value::Int(0));
             }
             moved = view.len() != before;
         }
@@ -344,7 +345,7 @@ impl<'a> Delta<'a> {
             DeltaKind::Insert(rows) => (true, rows),
             DeltaKind::Delete(rows) => (false, rows),
         };
-        let columns = db.get(table)?.columns.clone();
+        let columns = db.table(table)?.columns().to_vec();
         let mut image_db = db.clone();
         image_db.clear_metrics();
         image_db.insert(table, Relation::new(columns, rows.to_vec()));
@@ -391,8 +392,8 @@ pub fn maintain_view_ctx(
     }
     let mut fresh = execute_ctx(view_query, db, cx)?;
     db.update(name, |rel, idx| {
-        fresh.columns = std::mem::take(&mut rel.columns);
-        *rel = fresh;
+        fresh.columns = rel.columns().to_vec();
+        *rel = Table::from(fresh);
         if let Some(idx) = idx {
             idx.rebuild(rel);
         }
@@ -456,7 +457,7 @@ mod tests {
         kind: DeltaKind<'_>,
     ) -> EngineResult<bool> {
         db.update(table, |rel, _| match kind {
-            DeltaKind::Insert(rows) => rel.rows.extend_from_slice(rows),
+            DeltaKind::Insert(rows) => rel.extend_from_slice(rows),
             DeltaKind::Delete(rows) => rel.remove_rows(rows),
         })?;
         let delta = Delta::new(table, kind, db)?;
@@ -470,7 +471,10 @@ mod tests {
             "view diverged {step}:\n got: {view}\n want: {want}"
         );
         if let Some(idx) = db.index("V") {
-            assert!(idx.is_consistent_with(view), "index stale {step}");
+            assert!(
+                idx.is_consistent_with(db.table("V").unwrap()),
+                "index stale {step}"
+            );
         }
     }
 
@@ -719,7 +723,7 @@ mod tests {
         let q = store_view(&mut db, "SELECT a, COUNT(*) AS n FROM T GROUP BY a");
         // Index keyed on the COUNT column — unusable for group routing,
         // but must still be valid after maintenance.
-        db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![1]));
+        db.set_index("V", GroupIndex::build(db.table("V").unwrap(), vec![1]));
         let batch = ints(&[&[1, 5, 0]]);
         assert!(change(&mut db, &q, "T", DeltaKind::Insert(&batch)).unwrap());
         assert_fresh(&db, &q, "after insert");

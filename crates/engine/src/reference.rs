@@ -7,6 +7,7 @@
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::relation::Relation;
+use crate::table::Table;
 use crate::value::{self, Value};
 use aggview_sql::ast::{
     AggCall, AggFunc, ArithOp, BoolExpr, CmpOp, ColumnRef, Expr, Literal, Query,
@@ -16,13 +17,13 @@ use std::collections::HashMap;
 /// Execute `query` against `db` the slow, obvious way.
 pub fn execute_reference(query: &Query, db: &Database) -> EngineResult<Relation> {
     // Bind occurrences.
-    let mut bindings: Vec<(String, &Relation)> = Vec::new();
+    let mut bindings: Vec<(String, &Table)> = Vec::new();
     for t in &query.from {
         let name = t.binding_name().to_string();
         if bindings.iter().any(|(b, _)| *b == name) {
             return Err(EngineError::DuplicateBinding(name));
         }
-        bindings.push((name, db.get(&t.table)?));
+        bindings.push((name, db.table(&t.table)?));
     }
 
     // Full cross product (row index per occurrence), filtered by WHERE.
@@ -33,7 +34,7 @@ pub fn execute_reference(query: &Query, db: &Database) -> EngineResult<Relation>
             let row: Vec<&Value> = bindings
                 .iter()
                 .zip(&idx)
-                .flat_map(|((_, r), &i)| r.rows[i].iter())
+                .flat_map(|((_, r), &i)| r.row(i).iter())
                 .collect();
             let keep = match &query.where_clause {
                 None => true,
@@ -119,7 +120,7 @@ pub fn execute_reference(query: &Query, db: &Database) -> EngineResult<Relation>
 
 fn resolve<'a>(
     c: &ColumnRef,
-    bindings: &[(String, &Relation)],
+    bindings: &[(String, &Table)],
     row: &'a [&'a Value],
 ) -> EngineResult<&'a Value> {
     let mut offset = 0;
@@ -151,7 +152,7 @@ fn resolve<'a>(
 
 fn eval_expr(
     e: &Expr,
-    bindings: &[(String, &Relation)],
+    bindings: &[(String, &Table)],
     row: &[&Value],
     group: Option<&[&Vec<&Value>]>,
 ) -> EngineResult<Value> {
@@ -187,7 +188,7 @@ fn eval_expr(
 
 fn eval_agg(
     call: &AggCall,
-    bindings: &[(String, &Relation)],
+    bindings: &[(String, &Table)],
     members: &[&Vec<&Value>],
 ) -> EngineResult<Value> {
     let values: Vec<Value> = match &call.arg {
@@ -208,7 +209,7 @@ fn eval_agg(
 
 fn eval_bool(
     b: &BoolExpr,
-    bindings: &[(String, &Relation)],
+    bindings: &[(String, &Table)],
     row: &[&Value],
     group: Option<&[&Vec<&Value>]>,
 ) -> EngineResult<bool> {

@@ -40,7 +40,7 @@ fn probe_vs_scan(sql: &str) -> Vec<i64> {
     let q = parse_query(sql).unwrap();
     let mut db = edge_db();
     let scanned = execute(&q, &db).unwrap();
-    db.set_index("V", GroupIndex::build(db.get("V").unwrap(), vec![0]));
+    db.set_index("V", GroupIndex::build(db.table("V").unwrap(), vec![0]));
     let probed = execute(&q, &db).unwrap();
     assert_eq!(
         scanned.rows, probed.rows,

@@ -123,10 +123,10 @@ fn count_of_counts_tracks_deleted_rows() {
     let (mut shards, _) = partition(&["A", "B", "C"], rows.clone(), 3);
 
     // Delete every row with C < 7 from the shard partitions it lives on.
-    let keep = |row: &Vec<Value>| row[2].as_f64().unwrap() >= 7.0;
+    let keep = |row: &[Value]| row[2].as_f64().unwrap() >= 7.0;
     for db in &mut shards {
         let mut rel = db.remove("S").unwrap();
-        rel.rows.retain(&keep);
+        rel.retain(keep);
         db.insert("S", rel);
     }
     let mut union = Database::new();

@@ -31,7 +31,7 @@ use crate::crc32::crc32;
 use crate::encode::{DecodeError, Reader, Writer};
 use aggview_catalog::{Catalog, ColumnDef, ColumnType, Fd, TableSchema};
 use aggview_core::ViewDef;
-use aggview_engine::{Relation, Value};
+use aggview_engine::{Relation, Table, Value};
 use aggview_sql::parse_query;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
@@ -50,7 +50,8 @@ pub struct StateImage {
     pub schema_epoch: u64,
     pub catalog: Catalog,
     /// Base tables **and** materialized view relations, sorted by name.
-    pub relations: Vec<(String, Relation)>,
+    /// An image taken from a live state shares the state's row chunks.
+    pub relations: Vec<(String, Table)>,
     /// View definitions in creation order (maintenance order matters).
     pub views: Vec<ViewDef>,
 }
@@ -143,12 +144,12 @@ pub fn encode_image(img: &StateImage) -> Vec<u8> {
     w.u32(img.relations.len() as u32);
     for (name, rel) in &img.relations {
         w.str(name);
-        w.u32(rel.columns.len() as u32);
-        for c in &rel.columns {
+        w.u32(rel.arity() as u32);
+        for c in rel.columns() {
             w.str(c);
         }
-        w.u32(rel.rows.len() as u32);
-        for row in &rel.rows {
+        w.u32(rel.len() as u32);
+        for row in rel.rows() {
             w.u32(row.len() as u32);
             for v in row {
                 encode_value(&mut w, v);
@@ -238,7 +239,7 @@ pub fn decode_image(bytes: &[u8]) -> Result<StateImage, DecodeError> {
             }
             rows.push(row);
         }
-        relations.push((name, Relation { columns, rows }));
+        relations.push((name, Table::from(Relation { columns, rows })));
     }
 
     let n_views = r.u32()? as usize;
@@ -451,7 +452,7 @@ mod tests {
             epoch,
             schema_epoch: 1,
             catalog,
-            relations: vec![("Sales".into(), rel)],
+            relations: vec![("Sales".into(), Table::from(rel))],
             views: vec![ViewDef::new("Totals", query)],
         }
     }
@@ -476,13 +477,13 @@ mod tests {
         // -0.0 and NaN-free but tricky doubles must round-trip by bits,
         // not by value comparison.
         let mut img = sample_image(1);
-        img.relations[0].1.rows[0][2] = Value::Double(f64::MIN_POSITIVE);
+        img.relations[0].1.row_mut(0)[2] = Value::Double(f64::MIN_POSITIVE);
         let back = decode_image(&encode_image(&img)).unwrap();
-        match &back.relations[0].1.rows[0][2] {
+        match &back.relations[0].1.row(0)[2] {
             Value::Double(d) => assert_eq!(d.to_bits(), f64::MIN_POSITIVE.to_bits()),
             other => panic!("wrong value: {other:?}"),
         }
-        match &back.relations[0].1.rows[1][2] {
+        match &back.relations[0].1.row(1)[2] {
             Value::Double(d) => assert_eq!(d.to_bits(), (-0.0f64).to_bits()),
             other => panic!("wrong value: {other:?}"),
         }

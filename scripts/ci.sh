@@ -7,8 +7,9 @@
 # (a short qcheck seed sweep plus the persisted corpus, failing on any
 # regression, and the fault-injection self-tests proving the sweep
 # catches a dropped join-delta term, a stale inline summary, a partial
-# aux memo key and a plan-cache template key missing a comparison, and
-# shrinks all four), a concurrency smoke
+# aux memo key, a plan-cache template key missing a comparison and a
+# stored chunk's columnar conversion outliving an append, and shrinks
+# all five), a concurrency smoke
 # (the shared-store stress test under --release plus a short
 # multi-session qcheck sweep), a metrics smoke, a sharding smoke (every
 # corpus script answers identically under --shards 2 and 4, a short
@@ -115,6 +116,15 @@ if unsound_rank=$(AGGVIEW_UNSOUND_RANK_KEY=1 ./target/release/qcheck --seeds 0..
 fi
 grep -q "decision-drift" <<<"$unsound_rank"
 grep -q "shrunk" <<<"$unsound_rank"
+# Fault-injection self-test: with an append keeping the tail chunk's
+# columnar conversion, vectorized reads miss the appended rows; the same
+# sweep must FAIL at a columnar=1 lattice point with a shrunk witness.
+if unsound_chunk=$(AGGVIEW_UNSOUND_STALE_CHUNK_COLUMNS=1 ./target/release/qcheck --seeds 0..100 2>&1); then
+  echo "ci: differential oracle failed to catch a stale chunk conversion" >&2
+  exit 1
+fi
+grep -q "columnar=1\]" <<<"$unsound_chunk"
+grep -q "shrunk" <<<"$unsound_chunk"
 # Concurrency smoke: the 4-reader/1-writer stress test runs under
 # --release (debug-mode timing starves the readers), and a short
 # multi-session sweep replays the differential stream round-robined

@@ -25,6 +25,7 @@ use aggview_store::{encode_record, load_latest, write_checkpoint, StateImage, Wa
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// File name of the write-ahead log inside a data directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -185,22 +186,23 @@ impl DurabilityState {
     }
 }
 
-/// Snapshot the live state into a checkpoint image. Derived state
-/// (group indexes, columnar caches) is excluded by design — recovery
-/// rebuilds it.
+/// Snapshot the live state into a checkpoint image. The image shares
+/// every relation's row chunks with the state (no row is copied); derived
+/// state (group indexes, columnar conversions) is excluded by design —
+/// recovery rebuilds it.
 pub fn image_from_state(state: &EngineState, epoch: u64, schema_epoch: u64) -> StateImage {
-    let mut relations: Vec<_> = state
+    // The database iterates in name order, the order the image keeps.
+    let relations = state
         .db
         .iter()
         .map(|(name, rel)| (name.clone(), rel.clone()))
         .collect();
-    relations.sort_by(|a, b| a.0.cmp(&b.0));
     StateImage {
         epoch,
         schema_epoch,
-        catalog: state.catalog.clone(),
+        catalog: (*state.catalog).clone(),
         relations,
-        views: state.views.clone(),
+        views: state.views.to_vec(),
     }
 }
 
@@ -208,11 +210,11 @@ pub fn image_from_state(state: &EngineState, epoch: u64, schema_epoch: u64) -> S
 /// view's delta rule and the group indexes the policy asks for.
 pub fn state_from_image(img: &StateImage, policy: WritePolicy) -> EngineState {
     let mut state = EngineState::new();
-    state.catalog = img.catalog.clone();
+    state.catalog = Arc::new(img.catalog.clone());
     for (name, rel) in &img.relations {
         state.db.insert(name.clone(), rel.clone());
     }
-    state.views = img.views.clone();
+    state.views = Arc::new(img.views.clone());
     for view in &img.views {
         state.attach_view(view, policy);
     }

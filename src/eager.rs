@@ -28,7 +28,7 @@ use crate::run::execute_with_aux;
 use crate::state::EngineState;
 use aggview_core::advisor::pushdown_candidates;
 use aggview_core::{Rewriting, TableStats, ViewDef};
-use aggview_engine::{execute_ctx, Database, EngineResult, ExecContext, Relation};
+use aggview_engine::{execute_ctx, Database, EngineResult, ExecContext, Relation, Table};
 use aggview_sql::Query;
 
 /// Inline summaries are named `Eager1`, `Eager2`, ... in the advisor's
@@ -139,7 +139,7 @@ fn shrank(summary_rows: usize, summary: &ViewDef, db: &Database) -> bool {
         .query
         .from
         .iter()
-        .filter_map(|t| db.get(&t.table).ok().map(Relation::len))
+        .filter_map(|t| db.table(&t.table).ok().map(Table::len))
         .max()
         .unwrap_or(0);
     input < JUDGED_FROM_ROWS || 2 * summary_rows <= input

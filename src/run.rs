@@ -107,7 +107,7 @@ pub(crate) fn nat_for(db: &Database) -> Relation {
         if name == NAT_TABLE {
             continue;
         }
-        for row in &rel.rows {
+        for row in rel.rows() {
             for v in row {
                 if let Value::Int(x) = v {
                     max = max.max(*x);

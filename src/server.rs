@@ -607,6 +607,6 @@ mod tests {
         );
         let snap = store.load();
         let idx = snap.state.db.index("V").expect("V is indexed");
-        assert!(idx.is_consistent_with(snap.state.db.get("V").unwrap()));
+        assert!(idx.is_consistent_with(snap.state.db.table("V").unwrap()));
     }
 }

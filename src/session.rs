@@ -56,7 +56,7 @@ use aggview_core::{
 };
 use aggview_engine::shard::GatherPlan;
 use aggview_engine::{
-    execute_ctx, multiset_eq, set_eq, Database, ExecContext, PhysicalPlan, Relation,
+    execute_ctx, multiset_eq, set_eq, Database, ExecContext, PhysicalPlan, Relation, Table,
 };
 use aggview_obs::{
     CounterId, Format, MetricsRegistry, ObsOptions, ObsSnapshot, QuerySection, Stage, StoreSection,
@@ -956,7 +956,7 @@ impl Driver {
             } else if schema.catalog.table(name).is_some() {
                 let parts = snaps
                     .iter()
-                    .map(|s| s.state.db.get(name).map_or(0, Relation::len));
+                    .map(|s| s.state.db.table(name).map_or(0, Table::len));
                 parts.sum()
             } else if let Some(view) = schema.views.iter().find(|v| v.name == *name) {
                 let plan = gather_plan(schema, &view.query);
@@ -1910,7 +1910,7 @@ mod tests {
         let mut session = Session::new(SessionOptions::default());
         session.run_script(&stmts).expect("script runs");
         let idx = session.database().index("V").expect("V is indexed");
-        let rel = session.database().get("V").unwrap();
+        let rel = session.database().table("V").unwrap();
         assert!(idx.is_consistent_with(rel), "index tracks maintenance");
         assert_eq!(idx.key_cols(), &[0]);
     }

@@ -40,7 +40,7 @@ use crate::session::{err, Session, SessionError, SessionOptions, StatementOutcom
 use crate::state::{Applied, EngineState, WritePolicy};
 use aggview_engine::shard::{self, GatherPlan};
 use aggview_engine::value::lit_value;
-use aggview_engine::{execute_ctx, ExecContext, Relation};
+use aggview_engine::{execute_ctx, ExecContext, Relation, Table};
 use aggview_obs::{CounterId, MetricsRegistry, ObsOptions, StoreSection};
 use aggview_sql::{CreateView, Insert, Literal, Query, Statement};
 use std::cell::OnceCell;
@@ -459,9 +459,10 @@ fn empty_state() -> &'static EngineState {
     EMPTY.get_or_init(EngineState::new)
 }
 
-/// Concatenate every base table's partitions and recompute every view
-/// over them. Fails if a view fails on the global data, which only a
-/// type error that no single shard exhibits can cause.
+/// Union every base table's partitions ([`Table::union_of`]: full
+/// chunks shared, only the partitions' tails copied) and recompute every
+/// view over them. Fails if a view fails on the global data, which only
+/// a type error that no single shard exhibits can cause.
 fn build_union(
     store: &ShardedStore,
     metrics: Option<&Arc<MetricsRegistry>>,
@@ -476,17 +477,12 @@ fn build_union(
     state.catalog = snaps[0].state.catalog.clone();
     let names: Vec<String> = state.catalog.tables().map(|t| t.name.clone()).collect();
     for name in names {
-        let mut rel = snaps[0]
-            .state
-            .db
-            .get(&name)
-            .map_err(|e| err(e.to_string()))?
-            .clone();
-        for snap in &snaps[1..] {
-            let part = snap.state.db.get(&name).map_err(|e| err(e.to_string()))?;
-            rel.rows.extend(part.rows.iter().cloned());
-        }
-        state.db.insert(name, rel);
+        // Every partition's full chunks are shared, not copied.
+        let parts = snaps
+            .iter()
+            .map(|s| s.state.db.table(&name).map_err(|e| err(e.to_string())))
+            .collect::<Result<Vec<_>, _>>()?;
+        state.db.insert(name, Table::union_of(&parts));
     }
     // Views recompute globally, in definition order (views over views
     // see their dependencies already unioned).
@@ -494,8 +490,8 @@ fn build_union(
         state
             .materialize(view, policy)
             .map_err(|e| err(format!("view `{}`: {e}", view.name)))?;
-        state.views.push(view.clone());
     }
+    state.views = Arc::clone(&snaps[0].state.views);
     Ok(state)
 }
 
@@ -609,7 +605,7 @@ mod tests {
         let snaps = store.load_all();
         let total: usize = snaps
             .iter()
-            .map(|s| s.state.db.get("S").expect("table").len())
+            .map(|s| s.state.db.table("S").expect("table").len())
             .sum();
         assert_eq!(total, 4, "every row lands on exactly one shard");
         // Both shards saw the DDL.
@@ -651,7 +647,7 @@ mod tests {
             .expect_err("arity mismatch");
         assert_eq!(e.0, "row arity 3 does not match table `S` arity 2");
         for snap in store.load_all() {
-            assert_eq!(snap.state.db.get("S").expect("table").len(), 0);
+            assert_eq!(snap.state.db.table("S").expect("table").len(), 0);
         }
     }
 
@@ -689,8 +685,8 @@ mod tests {
             .expect("view");
         let mut union = UnionState::new();
         let state = union.ensure(&store, None).expect("union builds");
-        assert_eq!(state.db.get("S").expect("S").len(), 3);
-        assert_eq!(state.db.get("V").expect("V").len(), 3);
+        assert_eq!(state.db.table("S").expect("S").len(), 3);
+        assert_eq!(state.db.table("V").expect("V").len(), 3);
         // Cached until a shard publishes.
         let epochs = store.epochs();
         union.ensure(&store, None).expect("cached");

@@ -18,6 +18,7 @@ use aggview_engine::{
     execute_ctx, Database, EngineResult, ExecContext, GroupIndex, Relation, Value,
 };
 use aggview_sql::{CreateTable, CreateView, Delete, Insert, Query};
+use std::sync::Arc;
 
 /// Fault injection: `AGGVIEW_UNSOUND_ADVISOR_STALE=1` skips all view
 /// maintenance for advisor-created views (`AdvView*`), leaving them stale
@@ -38,17 +39,19 @@ pub fn is_advisor_view_name(name: &str) -> bool {
 ///
 /// `Clone` is the snapshot operation: the shared store's writer clones
 /// the master state into each published
-/// [`crate::server::StoreSnapshot`]. The catalog and view list are
-/// copied; stored relations are shared (see [`Database`]).
+/// [`crate::server::StoreSnapshot`], and every write statement clones it
+/// once more as its rollback point. A clone costs one reference count for
+/// the catalog, one for the view list and one per stored relation (see
+/// [`Database`]); only DDL copies the catalog or the view list.
 #[derive(Debug, Clone, Default)]
 pub struct EngineState {
     /// Base-table schemas (keys included).
-    pub catalog: Catalog,
+    pub catalog: Arc<Catalog>,
     /// Stored relations: base tables and materialized views, with any
     /// group indexes attached.
     pub db: Database,
     /// Materialized view definitions, in creation order.
-    pub views: Vec<ViewDef>,
+    pub views: Arc<Vec<ViewDef>>,
 }
 
 /// Which maintenance policies the write paths follow — the write-side
@@ -140,7 +143,7 @@ impl EngineState {
         for key in &ct.keys {
             schema = schema.with_key(key.iter().map(|s| s.as_str()));
         }
-        self.catalog
+        Arc::make_mut(&mut self.catalog)
             .add_table(schema)
             .map_err(|e| err(e.to_string()))?;
         self.db
@@ -186,7 +189,7 @@ impl EngineState {
             let n = state
                 .materialize(&view, policy)
                 .map_err(|e| err(format!("view `{}`: {e}", cv.name)))?;
-            state.views.push(view);
+            Arc::make_mut(&mut state.views).push(view);
             Ok(Applied {
                 message: format!("view `{}` materialized ({n} rows)", cv.name),
                 schema_change: true,
@@ -222,7 +225,7 @@ impl EngineState {
             }
             None => {
                 if let (Some(key_cols), Ok(rel)) =
-                    (self.exposed_group_cols(view), self.db.get(&view.name))
+                    (self.exposed_group_cols(view), self.db.table(&view.name))
                 {
                     let idx = GroupIndex::build(rel, key_cols);
                     self.db.set_index(view.name.clone(), idx);
@@ -254,7 +257,7 @@ impl EngineState {
     pub fn insert(&mut self, ins: &Insert, policy: WritePolicy) -> Result<Applied, SessionError> {
         let arity = self
             .db
-            .get(&ins.table)
+            .table(&ins.table)
             .map_err(|e| err(e.to_string()))?
             .arity();
         if self.catalog.table(&ins.table).is_none() {
@@ -288,11 +291,11 @@ impl EngineState {
         }
         // Partition the rows by the filter, using the engine's own
         // predicate semantics (SELECT * ... WHERE filter).
-        let all_cols = &self
+        let all_cols = self
             .db
-            .get(&del.table)
+            .table(&del.table)
             .map_err(|e| err(e.to_string()))?
-            .columns;
+            .columns();
         let q = Query {
             distinct: false,
             select: all_cols
@@ -320,9 +323,7 @@ impl EngineState {
         policy: WritePolicy,
     ) -> Result<Applied, SessionError> {
         let applied = match delta {
-            DeltaKind::Insert(rows) => self
-                .db
-                .update(table, |rel, _| rel.rows.extend_from_slice(rows)),
+            DeltaKind::Insert(rows) => self.db.update(table, |rel, _| rel.extend_from_slice(rows)),
             DeltaKind::Delete(rows) => self.db.update(table, |rel, _| rel.remove_rows(rows)),
         };
         applied.map_err(|e| err(e.to_string()))?;
@@ -359,7 +360,7 @@ impl EngineState {
             .then(|| Delta::new(changed_table, kind, &self.db))
             .transpose()
             .map_err(|e| err(e.to_string()))?;
-        for v in &self.views {
+        for v in self.views.iter() {
             if !changed.iter().any(|name| reads(v, name)) {
                 continue;
             }

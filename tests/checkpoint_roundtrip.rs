@@ -21,9 +21,9 @@ fn random_state(seed: u64, policy: WritePolicy) -> EngineState {
     let catalog = random_catalog(seed, 3, 4);
     let db = random_database(&catalog, 40, 8, seed);
     let mut state = EngineState::new();
-    state.catalog = catalog.clone();
+    state.catalog = catalog.clone().into();
     for table in catalog.tables() {
-        let rel = db.get(&table.name).expect("generated instance").clone();
+        let rel = db.table(&table.name).expect("generated instance").clone();
         state.db.insert(table.name.clone(), rel);
     }
     // random_catalog always emits S0 with columns A, B, ... (arity >= 2).

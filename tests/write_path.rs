@@ -6,12 +6,11 @@
 //! maintains holds what recomputing it would, whichever side of its join
 //! changed.
 
-use aggview::engine::{Database, Value};
+use aggview::engine::{ColumnarRelation, Database, Value};
 use aggview::server::SharedStore;
 use aggview::session::{Session, SessionOptions, StatementOutcome};
 use aggview::sql::parse_script;
 use aggview::state::WritePolicy;
-use std::sync::Arc;
 
 fn run(session: &mut Session, sql: &str) -> Result<(), String> {
     let stmts = parse_script(sql).expect("script parses");
@@ -19,6 +18,13 @@ fn run(session: &mut Session, sql: &str) -> Result<(), String> {
         .run_script(&stmts)
         .map(drop)
         .map_err(|e| e.to_string())
+}
+
+/// The columnar conversion of `name`, which holds one chunk.
+fn conversion<'a>(db: &'a Database, name: &str) -> &'a ColumnarRelation {
+    let mut chunks = db.table(name).expect(name).columnar();
+    assert_eq!(chunks.len(), 1, "`{name}` is one chunk");
+    chunks.next().expect("one chunk")
 }
 
 #[test]
@@ -32,23 +38,20 @@ fn consecutive_snapshots_share_the_untouched_relation() {
     )
     .expect("setup");
     let before = store.load();
-    let a_before = before.state.db.columnar("A").expect("A converts");
-    let b_before = before.state.db.columnar("B").expect("B converts");
+    let a_before = conversion(&before.state.db, "A");
+    let b_before = conversion(&before.state.db, "B");
 
     run(&mut session, "INSERT INTO A VALUES (3);").expect("insert");
     let after = store.load();
     assert!(after.epoch > before.epoch);
     assert!(
-        Arc::ptr_eq(&b_before, &after.state.db.columnar("B").expect("B")),
+        std::ptr::eq(b_before, conversion(&after.state.db, "B")),
         "B was not written: both snapshots serve one conversion"
     );
-    assert_eq!(after.state.db.columnar("A").expect("A").n_rows(), 2);
+    assert_eq!(conversion(&after.state.db, "A").n_rows(), 2);
     // The pinned snapshot still sees A as it was.
-    assert_eq!(before.state.db.get("A").expect("A").len(), 1);
-    assert!(Arc::ptr_eq(
-        &a_before,
-        &before.state.db.columnar("A").expect("A")
-    ));
+    assert_eq!(before.state.db.table("A").expect("A").len(), 1);
+    assert!(std::ptr::eq(a_before, conversion(&before.state.db, "A")));
 }
 
 /// `W` is maintained before `V`, so by the time `V`'s SUM rejects the
@@ -70,7 +73,7 @@ fn contents(db: &Database) -> Contents {
                 assert!(idx.is_consistent_with(rel), "index on `{name}` is stale");
                 (idx.key_cols().to_vec(), idx.len())
             });
-            (name.clone(), rel.rows.clone(), index)
+            (name.clone(), rel.rows().cloned().collect(), index)
         })
         .collect()
 }
@@ -170,8 +173,8 @@ impl Pair {
         let (got, want) = (self.folding.database(), self.recomputing.database());
         for ((name, got), (_, want)) in got.iter().zip(want.iter()) {
             assert_eq!(
-                got.sorted_rows(),
-                want.sorted_rows(),
+                got.to_relation().sorted_rows(),
+                want.to_relation().sorted_rows(),
                 "`{name}` after `{sql}`"
             );
         }
@@ -308,8 +311,10 @@ fn a_write_with_an_empty_image_leaves_the_view_shared_between_snapshots() {
     run(&mut session, &example_1_1(false)).expect("setup");
     let before = store.load();
     let db = &before.state.db;
-    let slice_before = db.columnar("Slice").expect("Slice converts");
-    let v1_before = db.columnar("V1").expect("V1 converts");
+    // `Slice` is empty, so it has no chunk and no conversion: compare
+    // whole entries (rows, chunks, conversions and index) by identity.
+    let slice_before = db.identity("Slice").expect("Slice");
+    let v1_before = conversion(db, "V1");
 
     // No call of 1995 is in `Slice`'s year; it is one more row of `V1`.
     let said = ack(&mut session, "INSERT INTO Calls VALUES (6, 1, 1, 1995, 1);");
@@ -320,12 +325,12 @@ fn a_write_with_an_empty_image_leaves_the_view_shared_between_snapshots() {
     let after = store.load();
     let db = &after.state.db;
     assert!(
-        Arc::ptr_eq(&slice_before, &db.columnar("Slice").expect("Slice")),
-        "Slice was not written: both snapshots serve one conversion"
+        db.identity("Slice").expect("Slice") == slice_before,
+        "Slice was not written: both snapshots serve one entry"
     );
     assert!(std::ptr::eq(
         before.state.db.index("Slice").expect("indexed"),
         db.index("Slice").expect("indexed")
     ));
-    assert!(!Arc::ptr_eq(&v1_before, &db.columnar("V1").expect("V1")));
+    assert!(!std::ptr::eq(v1_before, conversion(db, "V1")));
 }
